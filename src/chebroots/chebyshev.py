@@ -45,7 +45,7 @@ class NonFiniteSampleError(ValueError):
 
 @dataclass(frozen=True)
 class Interval:
-    """A finite real interval [a, b] with a strictly below b.
+    """A finite real interval [a, b] with a strictly below b and finite width.
 
     Owns the affine change of variables between [a, b] and the standard
     interval [-1, 1]; see :func:`to_standard` and :func:`from_standard`.
@@ -61,6 +61,8 @@ class Interval:
             raise ValueError(f"interval endpoints must be finite, got [{self.a}, {self.b}]")
         if not self.a < self.b:
             raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
+        if not math.isfinite(self.b - self.a):
+            raise ValueError(f"interval width overflows, got [{self.a}, {self.b}]")
 
     @property
     def width(self) -> float:

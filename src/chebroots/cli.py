@@ -9,7 +9,8 @@ Subcommands:
     bench   run the built-in benchmark corpus against its oracles
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure (a non-converged
-proxy without --allow-nonconverged, or a non-finite sample).
+proxy without --allow-nonconverged, a non-finite sample, or LAPACK failing
+to converge on the companion eigenvalues).
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+
+from numpy.linalg import LinAlgError
 
 from .bench import bench_to_csv, bench_to_json, bench_to_text, default_corpus, run_bench
 from .chebyshev import (
@@ -278,7 +281,7 @@ def run_cli(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (ParseError, ValueError) as exc:
-        if isinstance(exc, NonFiniteSampleError):
+        if isinstance(exc, (NonFiniteSampleError, LinAlgError)):
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 2
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,8 @@
 The roots of a Chebyshev series in the standard coordinate are the
 eigenvalues of a small dense matrix built directly from the coefficients.
 This module builds that matrix and computes its full complex spectrum with
-the in-package QR solver.
+numpy's LAPACK ``eigvals`` (``dgeev``: balancing, Hessenberg reduction and
+shifted QR).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import ChebyshevSeries
-from .qr import dense_eigenvalues
 
 __all__ = [
     "FrobeniusMatrix",
@@ -110,25 +110,30 @@ def build_frobenius(series: ChebyshevSeries) -> FrobeniusMatrix:
     return FrobeniusMatrix(m)
 
 
-def eigenvalues(matrix: FrobeniusMatrix, max_sweeps: int | None = None) -> Spectrum:
-    """Full complex spectrum of the matrix.
+def eigenvalues(matrix: FrobeniusMatrix) -> Spectrum:
+    """Full complex spectrum of the matrix, from ``np.linalg.eigvals``.
 
-    Balancing, Hessenberg reduction and Francis double-shift QR, capped at
-    30 sweeps per matrix row by default.  If the cap is exceeded the
-    leftover eigenvalue estimates are still returned, flagged unconverged.
+    LAPACK either converges on every eigenvalue or fails, so every
+    ``converged`` flag is True.
 
     Raises
     ------
     ValueError
         If the matrix is empty or has non-finite entries.
+    numpy.linalg.LinAlgError
+        If LAPACK's QR iteration does not converge.  It subclasses
+        ValueError, so :func:`~chebroots.rootfinder.find_roots` raises it
+        as is and the CLI reports it with exit code 2.
     """
     if matrix.order < 1:
         raise ValueError("matrix order must be >= 1")
-    values, flags = dense_eigenvalues(matrix.entries, max_sweeps)
-    order = sorted(range(len(values)), key=lambda i: (values[i].real, values[i].imag))
+    if not np.all(np.isfinite(matrix.entries)):
+        raise ValueError("matrix has non-finite entries")
+    values = np.linalg.eigvals(matrix.entries)
+    order = np.lexsort((values.imag, values.real))
     return Spectrum(
-        tuple(complex(values[i]) for i in order),
-        tuple(bool(flags[i]) for i in order),
+        tuple(complex(v) for v in values[order]),
+        (True,) * len(values),
     )
 
 

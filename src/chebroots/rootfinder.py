@@ -61,8 +61,6 @@ _SIGN_STEP_FACTOR = math.sqrt(float(np.finfo(np.float64).eps))
 # [a, b] before the run counts as diverged.
 _NEWTON_ESCAPE_FRACTION = 0.1
 
-_MIN_DERIVATIVE = 1e-300
-
 
 class RejectionReason(str, Enum):
     NONE = "none"
@@ -153,8 +151,8 @@ class PolishResult:
     ``x`` is the best iterate seen, judged by |f|; ``residual`` is |f(x)|.
     ``converged`` means the stopping rule fired before the iteration cap
     (correction below the rounding floor, or no further reduction in the
-    correction).  ``diverged`` means the run was abandoned: derivative
-    underflow, a non-finite value, or an iterate escaping the widened
+    correction).  ``diverged`` means the run was abandoned: a derivative of
+    exactly zero, a non-finite value, or an iterate escaping the widened
     interval.  ``final_correction`` is the last Newton correction computed,
     NaN if the run never got that far.
     """
@@ -232,8 +230,11 @@ def newton_polish(f, df, x0: float, interval, max_iter: int) -> PolishResult:
     ``max_iter`` is reached.  The returned location is the iterate with the
     smallest |f| seen (including the starting point), so polishing never
     increases the residual.  Runs are abandoned as diverged -- never raised
-    -- when the derivative underflows, a value goes non-finite, or an
+    -- when the derivative is exactly zero, a value goes non-finite, or an
     iterate leaves the interval widened by 10% of its width on each side.
+    There is no absolute floor on the derivative, so the result does not
+    change when f is scaled by a power of two; a tiny nonzero derivative
+    far from a root ends in the escape check instead.
     """
     interval = _as_interval(interval)
     escape = _NEWTON_ESCAPE_FRACTION * interval.width
@@ -252,7 +253,7 @@ def newton_polish(f, df, x0: float, interval, max_iter: int) -> PolishResult:
     for it in range(1, max_iter + 1):
         iterations = it
         dfx = float(df(x))
-        if not math.isfinite(dfx) or abs(dfx) < _MIN_DERIVATIVE:
+        if not math.isfinite(dfx) or dfx == 0.0:
             diverged = True
             break
         corr = -fx / dfx

@@ -42,6 +42,11 @@ class TestInterval:
         with pytest.raises(ValueError, match="finite"):
             Interval(math.nan, 1)
 
+    def test_rejects_overflowing_width(self):
+        with pytest.raises(ValueError, match="width overflows"):
+            Interval(-1e308, 1e308)
+        assert Interval(-8e307, 8e307).width == 1.6e308
+
 
 class TestStandardNodes:
     def test_single_node_is_zero(self):

@@ -164,6 +164,15 @@ class TestExitCodes:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_eigenvalue_failure_is_numerical_failure(self, capsys, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        code = run_cli(["roots", "--function", "cos(x)", "--interval", "-10", "10"])
+        assert code == 2
+        assert "did not converge" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     ARGV = [

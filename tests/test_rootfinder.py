@@ -320,6 +320,15 @@ class TestPipelineInvariants:
         mapped = [0.5 * (a + b + width * t) for t in report_std.roots]
         assert np.max(np.abs(np.array(report_ab.roots) - mapped)) <= 1e-9 * width
 
+    def test_power_of_two_scaling_invariance(self):
+        # scaling by 2^k is exact, so no stage may see a different problem
+        expected = [-math.pi, 0.0, math.pi]
+        for k in (-1000, -500, -10, 0, 10, 500, 1000):
+            scale = 2.0 ** k
+            report = find_roots(lambda x: scale * math.sin(x), (-4, 4))
+            assert len(report.roots) == 3, k
+            assert np.max(np.abs(np.array(report.roots) - expected)) <= 1e-12, k
+
     def test_unpolished_error_shrinks_with_degree(self):
         errors = []
         for degree in (13, 20, 30):

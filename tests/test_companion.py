@@ -6,7 +6,6 @@ import pytest
 from chebroots.chebyshev import ChebyshevSeries, Interval, evaluate, standard_nodes, transform, from_standard
 from chebroots.companion import (
     DegenerateLeadingCoefficientError,
-    FrobeniusMatrix,
     Spectrum,
     build_frobenius,
     eigenvalues,
@@ -135,67 +134,6 @@ class TestEigenvalues:
             oracle = _bisection_roots(lambda x: evaluate(series, x), -1.0, 1.0)
             assert len(found) == len(oracle) == d
             assert np.allclose(found, oracle, atol=1e-8, rtol=0)
-
-
-class TestEigenvaluesBoundary:
-    """General matrices through :func:`eigenvalues`: order, flags, rejections."""
-
-    def spectrum(self, entries):
-        return eigenvalues(FrobeniusMatrix(np.array(entries, dtype=float)))
-
-    def test_one_by_one(self):
-        assert self.spectrum([[2.0]]) == Spectrum((2 + 0j,), (True,))
-
-    def test_symmetric_two_by_two(self):
-        assert self.spectrum([[0.0, 1.0], [1.0, 0.0]]).values == (-1 + 0j, 1 + 0j)
-
-    def test_rotation_gives_conjugate_pair(self):
-        values = self.spectrum([[0.0, 1.0], [-1.0, 0.0]]).values
-        assert np.allclose(values, [-1j, 1j], atol=1e-15, rtol=0)
-        assert values[0] == values[1].conjugate()
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            self.spectrum(np.zeros((2, 3)))
-
-    def test_rejects_non_finite(self):
-        for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="non-finite"):
-                self.spectrum([[1.0, bad], [0.0, 1.0]])
-
-    def test_zero_matrix(self):
-        spectrum = self.spectrum(np.zeros((5, 5)))
-        assert spectrum.values == (0j,) * 5
-        assert all(spectrum.converged)
-
-    def test_random_matrices_trace_and_conjugates(self):
-        rng = np.random.default_rng(42)
-        for _ in range(120):
-            n = int(rng.integers(2, 25))
-            scale = 10.0 ** float(rng.integers(-2, 3))
-            a = rng.normal(size=(n, n)) * scale
-            spectrum = self.spectrum(a)
-            assert len(spectrum.values) == n and all(spectrum.converged)
-            keyed = [(z.real, z.imag) for z in spectrum.values]
-            assert keyed == sorted(keyed)
-            total = sum(spectrum.values)
-            assert abs(total - np.trace(a)) <= 1e-10 * n * scale
-            for z in spectrum.values:
-                assert min(abs(w - z.conjugate()) for w in spectrum.values) <= 1e-10 * n * scale
-
-    def test_defective_jordan_block(self):
-        a = np.eye(4)
-        a[0, 1] = a[1, 2] = a[2, 3] = 1.0
-        # defective eigenvalues are only accurate to ~eps**(1/4) by nature
-        assert np.max(np.abs(np.array(self.spectrum(a).values) - 1.0)) <= 1e-3
-
-    def test_repeated_complex_pairs(self):
-        values = self.spectrum(np.kron(np.eye(3), np.array([[0.0, 2.0], [-2.0, 0.0]]))).values
-        assert np.allclose(values, [-2j] * 3 + [2j] * 3, atol=1e-10, rtol=0)
-
-    def test_upper_triangular_reads_off_diagonal(self):
-        a = np.triu(np.random.default_rng(9).normal(size=(8, 8)))
-        assert np.allclose(self.spectrum(a).values, np.sort(np.diag(a)), atol=1e-12, rtol=0)
 
 
 def _bisection_roots(f, lo, hi, grid=4096):

@@ -1,115 +1,76 @@
+"""The eigenvalue stage on general matrices.
+
+LAPACK's ``dgeev`` (balancing, Hessenberg reduction, Francis double-shift
+QR) does the work; these tests reach it through
+:func:`chebroots.companion.eigenvalues` and check its order, flags,
+rejections and accuracy against closed-form spectra.
+"""
+
 import numpy as np
 import pytest
 
-from chebroots.qr import (
-    balance_matrix,
-    dense_eigenvalues,
-    hessenberg_eigenvalues,
-    hessenberg_reduce,
-)
+from chebroots.companion import FrobeniusMatrix, Spectrum, eigenvalues
 
 
-def sorted_eigs(values):
-    return sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
-
-
-def max_mismatch(mine, reference):
-    mine = sorted_eigs(mine)
-    reference = sorted_eigs(reference)
-    assert len(mine) == len(reference)
-    return max(abs(a - b) for a, b in zip(mine, reference)) if mine else 0.0
+def spectrum(entries):
+    return eigenvalues(FrobeniusMatrix(np.array(entries, dtype=float)))
 
 
 class TestBasics:
     def test_one_by_one(self):
-        values, flags = dense_eigenvalues(np.array([[2.0]]))
-        assert values.tolist() == [2.0 + 0j]
-        assert flags.tolist() == [True]
+        assert spectrum([[2.0]]) == Spectrum((2 + 0j,), (True,))
 
     def test_permutation_two_by_two(self):
-        values, _ = dense_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert sorted_eigs(values) == [-1.0 + 0j, 1.0 + 0j]
+        assert spectrum([[0.0, 1.0], [1.0, 0.0]]).values == (-1 + 0j, 1 + 0j)
 
     def test_rotation_gives_conjugate_pair(self):
-        values, _ = dense_eigenvalues(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        assert sorted_eigs(values) == [-1j, 1j]
+        values = spectrum([[0.0, 1.0], [-1.0, 0.0]]).values
+        assert np.allclose(values, [-1j, 1j], atol=1e-15, rtol=0)
+        assert values[0] == values[1].conjugate()
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            dense_eigenvalues(np.zeros((2, 3)))
+            spectrum(np.zeros((2, 3)))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            dense_eigenvalues(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                spectrum([[1.0, bad], [0.0, 1.0]])
 
     def test_zero_matrix(self):
-        values, flags = dense_eigenvalues(np.zeros((5, 5)))
-        assert np.all(values == 0)
-        assert np.all(flags)
-
-
-class TestReductions:
-    def test_balance_preserves_eigenvalues_pattern(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(6, 6))
-        a[5, :] *= 1e8  # or a companion row with a tiny leading coefficient
-        balanced = balance_matrix(a)
-        assert max_mismatch(np.linalg.eigvals(balanced), np.linalg.eigvals(a)) <= 1e-6
-
-    def test_hessenberg_is_similar_and_hessenberg(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(9, 9))
-        h = hessenberg_reduce(a)
-        assert np.allclose(np.tril(h, -2), 0.0)
-        assert max_mismatch(np.linalg.eigvals(h), np.linalg.eigvals(a)) <= 1e-10
+        result = spectrum(np.zeros((5, 5)))
+        assert result.values == (0j,) * 5
+        assert all(result.converged)
 
 
 class TestAgainstReferenceSolver:
     def test_random_dense_matrices(self):
+        # the solver is LAPACK itself, so the reference is the trace,
+        # conjugate pairing and (real, imag) order every spectrum must have
         rng = np.random.default_rng(42)
         for _ in range(120):
             n = int(rng.integers(2, 25))
             scale = 10.0 ** float(rng.integers(-2, 3))
             a = rng.normal(size=(n, n)) * scale
-            values, flags = dense_eigenvalues(a)
-            assert np.all(flags)
-            ref = np.linalg.eigvals(a)
-            tol = 1e-10 * max(1.0, float(np.abs(ref).max()))
-            assert max_mismatch(values, ref) <= tol
+            result = spectrum(a)
+            assert len(result.values) == n and all(result.converged)
+            keyed = [(z.real, z.imag) for z in result.values]
+            assert keyed == sorted(keyed)
+            total = sum(result.values)
+            assert abs(total - np.trace(a)) <= 1e-10 * n * scale
+            for z in result.values:
+                assert min(abs(w - z.conjugate()) for w in result.values) <= 1e-10 * n * scale
 
     def test_defective_jordan_block(self):
         a = np.eye(4)
         a[0, 1] = a[1, 2] = a[2, 3] = 1.0
-        values, flags = dense_eigenvalues(a)
-        assert np.all(flags)
         # defective eigenvalues are only accurate to ~eps**(1/4) by nature
-        assert np.max(np.abs(values - 1.0)) <= 1e-3
+        assert np.max(np.abs(np.array(spectrum(a).values) - 1.0)) <= 1e-3
 
     def test_repeated_complex_pairs(self):
-        a = np.kron(np.eye(3), np.array([[0.0, 2.0], [-2.0, 0.0]]))
-        values, flags = dense_eigenvalues(a)
-        assert np.all(flags)
-        assert max_mismatch(values, [2j, -2j] * 3) <= 1e-10
+        values = spectrum(np.kron(np.eye(3), np.array([[0.0, 2.0], [-2.0, 0.0]]))).values
+        assert np.allclose(values, [-2j] * 3 + [2j] * 3, atol=1e-10, rtol=0)
 
     def test_upper_triangular_reads_off_diagonal(self):
-        rng = np.random.default_rng(9)
-        a = np.triu(rng.normal(size=(8, 8)))
-        values, _ = dense_eigenvalues(a)
-        assert max_mismatch(values, np.diag(a)) <= 1e-12
-
-
-class TestIterationCap:
-    def test_zero_cap_flags_everything_unconverged(self):
-        rng = np.random.default_rng(3)
-        h = hessenberg_reduce(rng.normal(size=(6, 6)))
-        values, flags = hessenberg_eigenvalues(h, max_sweeps=0)
-        assert len(values) == 6
-        assert not np.any(flags)
-
-    def test_partial_progress_is_kept(self):
-        rng = np.random.default_rng(4)
-        h = hessenberg_reduce(rng.normal(size=(12, 12)))
-        values, flags = hessenberg_eigenvalues(h, max_sweeps=3)
-        assert len(values) == 12
-        # some eigenvalues may have deflated before the cap; none are lost
-        assert np.count_nonzero(~flags) > 0
+        a = np.triu(np.random.default_rng(9).normal(size=(8, 8)))
+        assert np.allclose(spectrum(a).values, np.sort(np.diag(a)), atol=1e-12, rtol=0)

@@ -15,9 +15,9 @@ import math
 import time
 from dataclasses import dataclass, replace
 
-from .chebyshev import Interval, chop_series, evaluate, from_standard, standard_nodes, transform
+from .chebyshev import Interval, evaluate
 from .expressions import eval_expr, parse
-from .rootfinder import RootConfig, find_roots
+from .rootfinder import RootConfig, _build_proxy, find_roots
 from .serialize import FORMAT_VERSION, format_cell, write_csv_rows
 
 __all__ = [
@@ -114,9 +114,8 @@ def default_corpus() -> tuple[BenchCase, ...]:
     )
 
 
-def _proxy_max_error(f, interval: Interval, degree: int, chop_tol: float) -> float:
-    samples = [f(from_standard(interval, float(t))) for t in standard_nodes(degree)]
-    series = chop_series(transform(samples, interval), chop_tol)
+def _proxy_max_error(f, interval: Interval, config: RootConfig) -> float:
+    _, series, _ = _build_proxy(f, interval, config)
     worst = 0.0
     step = interval.width / (PROXY_GRID_POINTS - 1)
     for i in range(PROXY_GRID_POINTS):
@@ -171,7 +170,7 @@ def run_bench(corpus=None, config: RootConfig | None = None) -> BenchReport:
                     root_count_matches=matches,
                     max_root_error=max_err,
                     spurious_candidates=sum(1 for c in report.candidates if not c.accepted),
-                    proxy_max_error=_proxy_max_error(f, case.interval, degree, run_config.chop_tol),
+                    proxy_max_error=_proxy_max_error(f, case.interval, run_config),
                     function_evaluations=report.function_evaluations,
                     proxy_converged=report.proxy_converged,
                     wall_time_s=wall,

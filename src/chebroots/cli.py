@@ -23,17 +23,9 @@ from dataclasses import replace
 from numpy.linalg import LinAlgError
 
 from .bench import bench_to_csv, bench_to_json, bench_to_text, default_corpus, run_bench
-from .chebyshev import (
-    Interval,
-    NonFiniteSampleError,
-    chop_series,
-    evaluate,
-    from_standard,
-    standard_nodes,
-    transform,
-)
+from .chebyshev import Interval, NonFiniteSampleError, evaluate
 from .expressions import UnsupportedDerivativeError, differentiate_expr, eval_expr, parse, ParseError
-from .rootfinder import RootConfig, find_roots
+from .rootfinder import RootConfig, _build_proxy, find_roots
 from .serialize import (
     FORMAT_VERSION,
     format_cell,
@@ -207,14 +199,7 @@ def _cmd_interp(args) -> int:
     interval = Interval(*args.interval)
     config = _config_from_args(args, args.degree)
     f, _ = _function_from_args(args)
-    if config.degree is None:
-        from .rootfinder import adaptive_degree
-
-        series, converged = adaptive_degree(f, interval, config)
-    else:
-        samples = [f(from_standard(interval, float(t))) for t in standard_nodes(config.degree)]
-        series = chop_series(transform(samples, interval), config.chop_tol)
-        converged = True
+    _, series, converged = _build_proxy(f, interval, config)
     step = interval.width / (INTERP_GRID_POINTS - 1)
     grid = []
     for i in range(INTERP_GRID_POINTS):

@@ -186,16 +186,24 @@ def _as_interval(interval) -> Interval:
     return Interval(float(a), float(b))
 
 
-def _sample_at_nodes(f, interval: Interval, n: int) -> list[float]:
-    """f at the degree-n Chebyshev nodes mapped onto the interval, node order."""
-    return [f(from_standard(interval, float(t))) for t in standard_nodes(n)]
+def _sample_at_nodes(f, interval: Interval, n: int, coarse=()) -> list[float]:
+    """f at the n Chebyshev nodes mapped onto the interval, in node order.
+
+    ``coarse`` may hold f on the n/3-node grid, whose nodes are nodes 3k+1
+    of this one; those samples are reused instead of calling f again.
+    """
+    return [
+        coarse[j // 3] if coarse and j % 3 == 1 else f(from_standard(interval, float(t)))
+        for j, t in enumerate(standard_nodes(n))
+    ]
 
 
 def _adaptive_raw(f, interval: Interval, config: RootConfig) -> tuple[ChebyshevSeries, bool]:
     cap = config.max_adaptive_degree
     n = min(16, cap)
+    samples = _sample_at_nodes(f, interval, n)
     while True:
-        raw = transform(_sample_at_nodes(f, interval, n), interval)
+        raw = transform(samples, interval)
         mags = [abs(c) for c in raw.coeffs]
         cut = config.adaptive_tol * max(mags)
         tail = mags[-min(8, max(1, len(mags) - 1)):]
@@ -203,23 +211,30 @@ def _adaptive_raw(f, interval: Interval, config: RootConfig) -> tuple[ChebyshevS
             return raw, True
         if n >= cap:
             return raw, False
-        n = min(2 * n, cap)
+        if n & (n - 1) == 0 and 3 * n <= cap:
+            n *= 3
+            samples = _sample_at_nodes(f, interval, n, samples)
+        else:  # fresh samples at the next 16*2^k above n
+            n = min(16 << (n // 16).bit_length(), cap)
+            samples = _sample_at_nodes(f, interval, n)
 
 
 def adaptive_degree(f, interval, config: RootConfig | None = None) -> tuple[ChebyshevSeries, bool]:
     """Build a chopped proxy series with automatically chosen degree.
 
-    Doubles the node count through 16, 32, 64, ... up to
-    ``config.max_adaptive_degree`` and accepts the first stage whose trailing
-    8 coefficients are all below ``adaptive_tol * max|coeff|``.  Returns the
-    chopped series and a flag that is False when the cap was reached without
-    the tail decaying (the series is still returned and usable).
+    Climbs the node counts 16, 48, 64, 192, 256, 768, ... (16, 48, 64, 128
+    at the default ``max_adaptive_degree``) and accepts the first rung whose
+    trailing 8 coefficients are all below ``adaptive_tol * max|coeff|``.
+    Tripling a power-of-two rung reuses its samples, so each step costs as
+    many new samples as doubling would.  Returns the chopped series and a
+    flag that is False when the cap was reached without the tail decaying
+    (the series is still usable).  ``config.degree`` is ignored.
     """
     interval = _as_interval(interval)
     if config is None:
         config = RootConfig()
-    raw, converged = _adaptive_raw(f, interval, config)
-    return chop_series(raw, config.chop_tol), converged
+    _, chopped, converged = _build_proxy(f, interval, replace(config, degree=None))
+    return chopped, converged
 
 
 def newton_polish(f, df, x0: float, interval, max_iter: int) -> PolishResult:
@@ -440,6 +455,7 @@ def dedupe_and_sort(candidates, interval, config: RootConfig | None = None) -> l
 
 
 def _build_proxy(f, interval: Interval, config: RootConfig):
+    """(raw series, chopped series, converged flag): the one proxy builder."""
     if config.degree is None:
         raw, converged = _adaptive_raw(f, interval, config)
     else:

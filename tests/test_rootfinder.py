@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from chebroots.chebyshev import Interval, NonFiniteSampleError, from_standard
+from chebroots import rootfinder
+from chebroots.chebyshev import Interval, NonFiniteSampleError, from_standard, standard_nodes, transform
 from chebroots.companion import Spectrum
 from chebroots.rootfinder import (
     RejectionReason,
@@ -22,6 +23,34 @@ COS_ROOTS = sorted(s * k * math.pi / 2 for k in (1, 3, 5) for s in (1, -1))
 
 def synthetic_spectrum(*values):
     return Spectrum(tuple(complex(v) for v in values), tuple([True] * len(values)))
+
+
+class Recorder:
+    """f that records every x it is called at."""
+
+    def __init__(self, f):
+        self.f = f
+        self.xs = []
+
+    def __call__(self, x):
+        self.xs.append(x)
+        return self.f(x)
+
+
+def fresh_transform(f, interval, n):
+    return transform([f(from_standard(interval, float(t))) for t in standard_nodes(n)], interval)
+
+
+def doubling_ladder_samples(f, interval, config):
+    """Samples the plain doubling ladder 16, 32, 64, ... (fresh each rung) takes."""
+    n, total = min(16, config.max_adaptive_degree), 0
+    while True:
+        total += n
+        mags = [abs(c) for c in fresh_transform(f, interval, n).coeffs]
+        resolved = all(m <= config.adaptive_tol * max(mags) for m in mags[-8:])
+        if resolved or n >= config.max_adaptive_degree:
+            return total
+        n = min(2 * n, config.max_adaptive_degree)
 
 
 class TestNewtonPolish:
@@ -104,6 +133,53 @@ class TestAdaptiveDegree:
         series, converged = adaptive_degree(lambda x: math.copysign(1.0, x), BIG)
         assert not converged
         assert len(series.coeffs) >= 100  # chop barely trims the cap-degree series
+
+    def test_cosine_reuses_the_16_samples_at_48_nodes(self):
+        f = Recorder(math.cos)
+        _, converged = adaptive_degree(f, BIG)
+        assert converged
+        assert len(f.xs) == 48
+        assert len(set(f.xs)) == 48
+
+    def test_reused_samples_match_a_fresh_transform(self):
+        raw, _, converged = rootfinder._build_proxy(math.cos, BIG, RootConfig())
+        assert converged and len(raw.coeffs) == 48
+        fresh = fresh_transform(math.cos, BIG, 48).coeffs
+        scale = max(abs(c) for c in fresh)
+        assert np.max(np.abs(np.array(raw.coeffs) - fresh)) <= 1e-15 * scale
+
+    def test_never_samples_more_than_the_doubling_ladder(self):
+        iv = Interval(-1.0, 1.0)
+        config = RootConfig()
+        seen = set()
+        for k in np.geomspace(0.05, 120.0, 60):
+            f = Recorder(lambda x, k=k: math.sin(k * x))
+            rootfinder._build_proxy(f, iv, config)
+            budget = doubling_ladder_samples(lambda x, k=k: math.sin(k * x), iv, config)
+            assert len(f.xs) <= budget, k
+            seen.add(budget)
+        assert seen == {16, 48, 112, 240}  # k passed through every rung
+
+    def test_ladder_rungs_and_sample_counts(self, monkeypatch):
+        rungs = []
+        original = rootfinder.transform
+        monkeypatch.setattr(rootfinder, "transform",
+                            lambda samples, iv: rungs.append(len(samples)) or original(samples, iv))
+        step = lambda x: math.copysign(1.0, x)
+        for cap, ladder, samples in (
+            (8, [8], 8),
+            (40, [16, 32, 40], 16 + 32 + 40),
+            (100, [16, 48, 64, 100], 16 + 32 + 64 + 100),
+            (128, [16, 48, 64, 128], 16 + 32 + 64 + 128),
+            (512, [16, 48, 64, 192, 256, 512], 16 + 32 + 64 + 128 + 256 + 512),
+        ):
+            rungs.clear()
+            f = Recorder(step)
+            _, _, converged = rootfinder._build_proxy(f, Interval(-1.0, 1.0),
+                                                      RootConfig(max_adaptive_degree=cap))
+            assert not converged
+            assert rungs == ladder, cap
+            assert len(f.xs) == len(set(f.xs)) == samples, cap
 
 
 class TestResidualReject:
@@ -314,11 +390,30 @@ class TestPipelineInvariants:
         def g(t):  # f composed with the affine map from [-1, 1]
             return f(0.5 * (a + b + width * t))
 
-        report_ab = find_roots(f, Interval(a, b), RootConfig(degree=64))
-        report_std = find_roots(g, Interval(-1, 1), RootConfig(degree=64))
-        assert len(report_ab.roots) == len(report_std.roots)
-        mapped = [0.5 * (a + b + width * t) for t in report_std.roots]
-        assert np.max(np.abs(np.array(report_ab.roots) - mapped)) <= 1e-9 * width
+        for degree in (64, None):
+            report_ab = find_roots(f, Interval(a, b), RootConfig(degree=degree))
+            report_std = find_roots(g, Interval(-1, 1), RootConfig(degree=degree))
+            assert len(report_ab.roots) == len(report_std.roots) == 9, degree
+            assert report_ab.degree_used == report_std.degree_used, degree
+            mapped = [0.5 * (a + b + width * t) for t in report_std.roots]
+            assert np.max(np.abs(np.array(report_ab.roots) - mapped)) <= 1e-9 * width, degree
+
+    def test_mirror_invariance(self):
+        # the roots of f(-x) on [-b, -a] are the negated roots of f on [a, b]
+        cases = [
+            (lambda x: math.cos(3 * x) * (x - 7.3), 3.0, 11.0),
+            (lambda x: math.exp(x / 4) * math.sin(5 * x) - 0.3, -2.0, 5.0),
+            (lambda x: (x - 0.1) * (x + 0.7) * (x - 0.93), -1.0, 1.0),
+        ]
+        for f, a, b in cases:
+            report = find_roots(f, (a, b))
+            mirrored = find_roots(lambda x, f=f: f(-x), (-b, -a))
+            assert report.roots, (a, b)
+            assert mirrored.degree_used == report.degree_used, (a, b)
+            assert mirrored.proxy_converged == report.proxy_converged, (a, b)
+            assert len(mirrored.roots) == len(report.roots), (a, b)
+            expected = [-r for r in reversed(report.roots)]
+            assert np.max(np.abs(np.array(mirrored.roots) - expected)) <= 1e-12 * (b - a), (a, b)
 
     def test_power_of_two_scaling_invariance(self):
         # scaling by 2^k is exact, so no stage may see a different problem
@@ -341,10 +436,10 @@ class TestPipelineInvariants:
         assert errors[2] <= 1e-6
 
     def test_determinism_bit_identical_reports(self):
-        config = RootConfig(degree=27)
-        first = find_roots(math.cos, BIG, config)
-        second = find_roots(math.cos, BIG, config)
-        assert first == second
+        for config in (RootConfig(degree=27), RootConfig()):
+            first = find_roots(math.cos, BIG, config)
+            second = find_roots(math.cos, BIG, config)
+            assert first == second
 
 
 class TestRootConfigValidation:

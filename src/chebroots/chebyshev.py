@@ -278,9 +278,7 @@ def coefficient_decay(series: ChebyshevSeries, zero_tol: float = 1e-14) -> Decay
         raise ValueError("need at least 4 coefficients to fit a decay rate")
     mags = tuple(abs(v) for v in c)
     cut = zero_tol * max(mags)
-    keep = len(mags)
-    while keep > 1 and mags[keep - 1] <= cut:
-        keep -= 1
+    keep = len(chop_series(series, zero_tol).coeffs)
     points = [(jj, m) for jj, m in enumerate(mags[:keep]) if jj >= 1 and m > cut]
     tail_dropped = len(mags) - keep
     if tail_dropped >= 2 or len(points) < 2:

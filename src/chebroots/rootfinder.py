@@ -2,10 +2,12 @@
 
 Pipeline: sample the function at mapped Chebyshev nodes, build the series
 proxy (fixed or adaptive degree), chop it, take companion-matrix
-eigenvalues, filter them to the near-real near-interval box, map back to
-the interval, Newton-polish, reject leftovers by residual, deduplicate and
-sort.  The result is a :class:`RootReport` carrying the roots plus every
-eigenvalue candidate with its fate, so dropped candidates stay auditable.
+eigenvalues, filter them to the near-real near-interval box, then vet each
+survivor in one pass (map back to the interval, Newton-polish, reject it
+by residual and, in automatic mode, by a sign check of f across it),
+deduplicate and sort.  The result is a :class:`RootReport` carrying the
+roots plus every eigenvalue candidate with its fate, so dropped candidates
+stay auditable.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ class RootConfig:
     ``degree=None`` selects the adaptive proxy degree; a fixed degree means
     that many sample nodes (so the proxy polynomial has degree - 1 before
     chopping).  ``residual_tol=None`` selects the automatic per-candidate
-    threshold; see :func:`residual_reject`.
+    threshold |f(x)| <= 1000*eps*max(1,|x|)*|p'(x)| followed by a check that
+    f changes sign across x; an explicit value is an absolute threshold.
     """
 
     degree: int | None = None
@@ -204,10 +207,8 @@ def _adaptive_raw(f, interval: Interval, config: RootConfig) -> tuple[ChebyshevS
     samples = _sample_at_nodes(f, interval, n)
     while True:
         raw = transform(samples, interval)
-        mags = [abs(c) for c in raw.coeffs]
-        cut = config.adaptive_tol * max(mags)
-        tail = mags[-min(8, max(1, len(mags) - 1)):]
-        if all(m <= cut for m in tail):
+        # resolved when chopping at adaptive_tol drops the last 8 coefficients
+        if n - len(chop_series(raw, config.adaptive_tol).coeffs) >= min(8, n - 1):
             return raw, True
         if n >= cap:
             return raw, False
@@ -331,81 +332,91 @@ def filter_candidates(spectrum: Spectrum, config: RootConfig | None = None) -> t
     return tuple(out)
 
 
-def residual_reject(candidates, f, config: RootConfig, *, tolerances=None):
+def _reject(cand: RootCandidate, reason: RejectionReason, **changes) -> RootCandidate:
+    return replace(cand, accepted=False, rejection_reason=reason, mapped_coord=None, **changes)
+
+
+def residual_reject(candidates, f, config: RootConfig):
     """Flip accepted candidates with too-large |f| to ``residual_too_large``.
 
     With an explicit ``config.residual_tol`` every accepted candidate is held
     to that absolute threshold.  In automatic mode (``residual_tol=None``)
-    the thresholds depend on the proxy, so :func:`find_roots` passes them in
-    via ``tolerances`` (one entry per candidate, None meaning "keep"); called
-    standalone in automatic mode, this only fills in missing residuals and
-    rejects nothing.  Rejections are sticky: candidates already rejected
-    pass through unchanged.
-    """
-    if tolerances is None:
-        tolerances = [config.residual_tol] * len(candidates)
-    out = []
-    for cand, tol in zip(candidates, tolerances):
-        if not cand.accepted:
-            out.append(cand)
-            continue
-        residual = cand.residual
-        if residual is None:
-            residual = abs(float(f(cand.mapped_coord)))
-        if tol is not None and residual > tol:
-            out.append(
-                replace(
-                    cand,
-                    accepted=False,
-                    rejection_reason=RejectionReason.RESIDUAL_TOO_LARGE,
-                    mapped_coord=None,
-                    residual=residual,
-                )
-            )
-        else:
-            out.append(replace(cand, residual=residual))
-    return tuple(out)
-
-
-def _reject_uncertified_crossings(candidates, f, interval: Interval):
-    """Reject accepted candidates where f provably does not change sign.
-
-    Evaluates f a sign-bracket step either side of each accepted root; both
-    values strictly on the same side of zero means the candidate is a
-    crossing of the proxy's truncation error, not of f (f may dip far below
-    any residual threshold without ever crossing, e.g. a Gaussian tail).
-    Candidates within a bracket step of an interval endpoint are left alone;
-    there is no room to straddle them.  Tangential (even-order) roots fail
-    this test by nature, which matches their documented handling elsewhere
-    in the pipeline.
+    the threshold depends on the proxy, which this function does not see, so
+    it only fills in missing residuals and rejects nothing.  Rejections are
+    sticky: candidates already rejected pass through unchanged.
     """
     out = []
     for cand in candidates:
         if not cand.accepted:
             out.append(cand)
             continue
-        x = cand.mapped_coord
-        h = _SIGN_STEP_FACTOR * max(1.0, abs(x))
-        lo_pt = x - h
-        hi_pt = x + h
-        if lo_pt < interval.a or hi_pt > interval.b:
-            out.append(cand)
-            continue
-        f_lo = float(f(lo_pt))
-        f_hi = float(f(hi_pt))
-        crosses = (f_lo < 0.0 < f_hi) or (f_hi < 0.0 < f_lo) or f_lo == 0.0 or f_hi == 0.0
-        if crosses:
-            out.append(cand)
+        residual = cand.residual
+        if residual is None:
+            residual = abs(float(f(cand.mapped_coord)))
+        if config.residual_tol is not None and residual > config.residual_tol:
+            out.append(_reject(cand, RejectionReason.RESIDUAL_TOO_LARGE, residual=residual))
         else:
-            out.append(
-                replace(
-                    cand,
-                    accepted=False,
-                    rejection_reason=RejectionReason.RESIDUAL_TOO_LARGE,
-                    mapped_coord=None,
-                )
-            )
+            out.append(replace(cand, residual=residual))
     return tuple(out)
+
+
+def _crosses(f, x: float, interval: Interval) -> bool:
+    """Whether f changes sign across x, or x is too near an endpoint to tell.
+
+    Evaluates f a sign-bracket step either side of x; both values strictly
+    on the same side of zero means x is a crossing of the proxy's truncation
+    error, not of f (f may dip far below any residual threshold without
+    ever crossing, e.g. a Gaussian tail).  Within a bracket step of an
+    interval endpoint there is no room to straddle x, so it passes.
+    Tangential (even-order) roots fail this test by nature.
+    """
+    h = _SIGN_STEP_FACTOR * max(1.0, abs(x))
+    if x - h < interval.a or x + h > interval.b:
+        return True
+    f_lo = f(x - h)
+    f_hi = f(x + h)
+    return (f_lo < 0.0 < f_hi) or (f_hi < 0.0 < f_lo) or f_lo == 0.0 or f_hi == 0.0
+
+
+def _vet(cand: RootCandidate, f, df, dseries: ChebyshevSeries, interval: Interval,
+         config: RootConfig) -> RootCandidate:
+    """Polish one in-box candidate and decide whether it is a root of f.
+
+    Rejects it as ``newton_diverged`` if the polish diverged or ended more
+    than half the box tolerance outside the interval.  Otherwise the clamped
+    location is held to the explicit ``residual_tol`` or, when polishing
+    with the automatic threshold, to 1000*eps*max(1,|x|)*|p'(x)| and then
+    to a sign change of f across it (:func:`_crosses`); failing either is
+    ``residual_too_large``.  Unpolished candidates in automatic mode are the
+    proxy's roots as-is and are only given their residual.
+    """
+    # eigenvalues admitted by the box tolerance can map a hair outside
+    # [a, b]; start the polish inside so f is only probed where defined
+    x = min(max(from_standard(interval, cand.standard_coord.real), interval.a), interval.b)
+    residual = None
+    iters = 0
+    if config.polish:
+        pol = newton_polish(f, df, x, interval, config.polish_max_iter)
+        iters = pol.iterations
+        slack = config.box_tol * interval.width / 2.0
+        if pol.diverged or pol.x < interval.a - slack or pol.x > interval.b + slack:
+            residual = pol.residual if math.isfinite(pol.residual) else None
+            return _reject(cand, RejectionReason.NEWTON_DIVERGED, residual=residual, polish_iterations=iters)
+        x = pol.x
+        residual = pol.residual
+    clamped = min(max(x, interval.a), interval.b)
+    if residual is None or clamped != x:
+        residual = abs(f(clamped))
+    cand = replace(cand, mapped_coord=clamped, residual=residual, polish_iterations=iters)
+    if config.residual_tol is not None:
+        if residual > config.residual_tol:
+            return _reject(cand, RejectionReason.RESIDUAL_TOO_LARGE)
+    elif config.polish:
+        # backward-error test: is |f| at the rounding floor a Newton step sees?
+        tol = _AUTO_RESIDUAL_FACTOR * _EPS * max(1.0, abs(clamped)) * abs(evaluate(dseries, clamped))
+        if residual > tol or not _crosses(f, clamped, interval):
+            return _reject(cand, RejectionReason.RESIDUAL_TOO_LARGE)
+    return cand
 
 
 def _dedupe_candidates(candidates, interval: Interval, config: RootConfig):
@@ -433,12 +444,7 @@ def _dedupe_candidates(candidates, interval: Interval, config: RootConfig):
             prev = out[j]
             if cand.mapped_coord - prev.mapped_coord < radius:
                 loser, winner = (j, i) if residual_of(cand) < residual_of(prev) else (i, j)
-                out[loser] = replace(
-                    out[loser],
-                    accepted=False,
-                    rejection_reason=RejectionReason.DUPLICATE,
-                    mapped_coord=None,
-                )
+                out[loser] = _reject(out[loser], RejectionReason.DUPLICATE)
                 kept[-1] = winner
                 continue
         kept.append(i)
@@ -503,63 +509,14 @@ def find_roots(f, interval, config: RootConfig | None = None, df=None) -> RootRe
         config = RootConfig()
     counter = _CountingFunction(f)
     raw, chopped, proxy_converged = _build_proxy(counter, interval, config)
-    spectrum = series_spectrum(chopped)
-    candidates = filter_candidates(spectrum, config)
+    candidates = filter_candidates(series_spectrum(chopped), config)
     dseries = differentiate(chopped)
     newton_df = df if df is not None else (lambda x: evaluate(dseries, x))
-    slack = config.box_tol * interval.width / 2.0
-
-    staged: list[RootCandidate] = []
-    tolerances: list[float | None] = []
-    for cand in candidates:
-        if not cand.accepted:
-            staged.append(cand)
-            tolerances.append(None)
-            continue
-        # eigenvalues admitted by the box tolerance can map a hair outside
-        # [a, b]; start the polish inside so f is only probed where defined
-        x0 = min(max(from_standard(interval, cand.standard_coord.real), interval.a), interval.b)
-        iters = 0
-        residual = None
-        x = x0
-        if config.polish:
-            pol = newton_polish(counter, newton_df, x0, interval, config.polish_max_iter)
-            iters = pol.iterations
-            if pol.diverged or pol.x < interval.a - slack or pol.x > interval.b + slack:
-                staged.append(
-                    replace(
-                        cand,
-                        accepted=False,
-                        rejection_reason=RejectionReason.NEWTON_DIVERGED,
-                        residual=pol.residual if math.isfinite(pol.residual) else None,
-                        polish_iterations=iters,
-                    )
-                )
-                tolerances.append(None)
-                continue
-            x = pol.x
-            residual = pol.residual
-        clamped = min(max(x, interval.a), interval.b)
-        if residual is None or clamped != x:
-            residual = abs(counter(clamped))
-        staged.append(replace(cand, mapped_coord=clamped, residual=residual, polish_iterations=iters))
-        if config.residual_tol is not None:
-            tolerances.append(config.residual_tol)
-        elif config.polish:
-            # backward-error test: is |f| at the rounding floor a Newton step sees?
-            tolerances.append(
-                _AUTO_RESIDUAL_FACTOR
-                * _EPS
-                * max(1.0, abs(clamped))
-                * abs(evaluate(dseries, clamped))
-            )
-        else:
-            # unpolished candidates are reported as the proxy's roots as-is
-            tolerances.append(None)
-    checked = residual_reject(staged, counter, config, tolerances=tolerances)
-    if config.residual_tol is None and config.polish:
-        checked = _reject_uncertified_crossings(checked, counter, interval)
-    roots, final = _dedupe_candidates(checked, interval, config)
+    vetted = tuple(
+        _vet(cand, counter, newton_df, dseries, interval, config) if cand.accepted else cand
+        for cand in candidates
+    )
+    roots, final = _dedupe_candidates(vetted, interval, config)
     return RootReport(
         roots=tuple(roots),
         candidates=final,

@@ -342,6 +342,30 @@ class TestFindRoots:
         report = find_roots(lambda x: x - 0.25, Interval(-1, 1), RootConfig(degree=2))
         assert report.roots == (0.25,)
 
+    def test_explicit_residual_tol_is_absolute_and_skips_sign_check(self):
+        # exp(-x^2) never crosses zero; its tail sits far below 1e-12
+        gauss = lambda x: math.exp(-x * x)
+        assert find_roots(gauss, BIG, RootConfig(degree=8)).roots == ()
+        report = find_roots(gauss, BIG, RootConfig(degree=8, residual_tol=1e-12))
+        assert len(report.roots) == 6
+        assert all(gauss(x) <= 1e-12 for x in report.roots)
+        # a triple root crosses zero, but p'(x) -> 0 drives the automatic threshold to 0
+        cube = lambda x: (x - 0.2) ** 3
+        assert find_roots(cube, Interval(-1, 1)).roots == ()
+        (root,) = find_roots(cube, Interval(-1, 1), RootConfig(residual_tol=1e-12)).roots
+        assert root == pytest.approx(0.2, abs=1e-7)
+
+    def test_vet_evaluation_budget(self):
+        """The sign check runs only after the residual test passes.
+
+        Candidates the residual test rejects cost no sign-bracket evaluations,
+        so these counts rise if the two checks run in the other order.
+        """
+        f = lambda x: math.exp(-0.5 * x * x) * (12 - 48 * x * x + 16 * x ** 4)
+        assert find_roots(f, BIG, RootConfig(degree=40)).function_evaluations == 292
+        gauss = lambda x: math.exp(-x * x)
+        assert find_roots(gauss, BIG, RootConfig(degree=8)).function_evaluations == 50
+
 
 class TestPipelineInvariants:
     def test_completeness_on_random_polynomials(self):

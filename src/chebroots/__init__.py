@@ -41,12 +41,11 @@ from .rootfinder import (
     RootCandidate,
     RootConfig,
     RootReport,
-    adaptive_degree,
+    build_proxy,
     dedupe_and_sort,
     filter_candidates,
     find_roots,
     newton_polish,
-    residual_reject,
 )
 from .expressions import (
     Expression,
@@ -85,12 +84,11 @@ __all__ = [
     "RootCandidate",
     "RootConfig",
     "RootReport",
-    "adaptive_degree",
+    "build_proxy",
     "dedupe_and_sort",
     "filter_candidates",
     "find_roots",
     "newton_polish",
-    "residual_reject",
     "Expression",
     "ParseError",
     "UnsupportedDerivativeError",

@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
-from .chebyshev import Interval, evaluate
+from .chebyshev import ChebyshevSeries, Interval, evaluate
 from .expressions import eval_expr, parse
-from .rootfinder import RootConfig, _build_proxy, find_roots
+from .rootfinder import RootConfig, build_proxy, find_roots
 from .serialize import FORMAT_VERSION, format_cell, write_csv_rows
 
 __all__ = [
@@ -26,13 +26,14 @@ __all__ = [
     "BenchReport",
     "default_corpus",
     "run_bench",
+    "proxy_grid",
     "bench_to_dict",
     "bench_to_json",
     "bench_to_csv",
     "bench_to_text",
 ]
 
-PROXY_GRID_POINTS = 1001
+GRID_POINTS = 1001
 
 
 @dataclass(frozen=True)
@@ -114,14 +115,14 @@ def default_corpus() -> tuple[BenchCase, ...]:
     )
 
 
-def _proxy_max_error(f, interval: Interval, config: RootConfig) -> float:
-    _, series, _ = _build_proxy(f, interval, config)
-    worst = 0.0
-    step = interval.width / (PROXY_GRID_POINTS - 1)
-    for i in range(PROXY_GRID_POINTS):
+def proxy_grid(f, series: ChebyshevSeries, interval: Interval) -> list[tuple[float, float, float]]:
+    """(x, f(x), proxy(x)) at GRID_POINTS uniform points spanning the interval."""
+    step = interval.width / (GRID_POINTS - 1)
+    grid = []
+    for i in range(GRID_POINTS):
         x = interval.a + i * step
-        worst = max(worst, abs(f(x) - evaluate(series, x)))
-    return worst
+        grid.append((x, f(x), evaluate(series, x)))
+    return grid
 
 
 def run_bench(corpus=None, config: RootConfig | None = None) -> BenchReport:
@@ -146,6 +147,8 @@ def run_bench(corpus=None, config: RootConfig | None = None) -> BenchReport:
             start = time.perf_counter()
             report = find_roots(f, case.interval, run_config)
             wall = time.perf_counter() - start
+            _, series, _ = build_proxy(f, case.interval, run_config)
+            grid = proxy_grid(f, series, case.interval)
             found = len(report.roots)
             if case.oracle_roots is None:
                 expected = None
@@ -170,7 +173,7 @@ def run_bench(corpus=None, config: RootConfig | None = None) -> BenchReport:
                     root_count_matches=matches,
                     max_root_error=max_err,
                     spurious_candidates=sum(1 for c in report.candidates if not c.accepted),
-                    proxy_max_error=_proxy_max_error(f, case.interval, run_config),
+                    proxy_max_error=max(abs(fx - px) for _, fx, px in grid),
                     function_evaluations=report.function_evaluations,
                     proxy_converged=report.proxy_converged,
                     wall_time_s=wall,
@@ -193,23 +196,7 @@ def bench_to_dict(report: BenchReport) -> dict:
             }
             for c in report.cases
         ],
-        "rows": [
-            {
-                "case": r.case,
-                "degree": r.degree,
-                "degree_used": r.degree_used,
-                "roots_found": r.roots_found,
-                "expected_roots": r.expected_roots,
-                "root_count_matches": r.root_count_matches,
-                "max_root_error": r.max_root_error,
-                "spurious_candidates": r.spurious_candidates,
-                "proxy_max_error": r.proxy_max_error,
-                "function_evaluations": r.function_evaluations,
-                "proxy_converged": r.proxy_converged,
-                "wall_time_s": r.wall_time_s,
-            }
-            for r in report.rows
-        ],
+        "rows": [asdict(r) for r in report.rows],
     }
 
 
@@ -217,41 +204,11 @@ def bench_to_json(report: BenchReport) -> str:
     return json.dumps(bench_to_dict(report), indent=2)
 
 
-_BENCH_CSV_HEADER = [
-    "case",
-    "degree",
-    "degree_used",
-    "roots_found",
-    "expected_roots",
-    "root_count_matches",
-    "max_root_error",
-    "spurious_candidates",
-    "proxy_max_error",
-    "function_evaluations",
-    "proxy_converged",
-    "wall_time_s",
-]
-
-
 def bench_to_csv(report: BenchReport) -> str:
-    rows = [
-        [
-            r.case,
-            format_cell(r.degree),
-            format_cell(r.degree_used),
-            format_cell(r.roots_found),
-            format_cell(r.expected_roots),
-            format_cell(r.root_count_matches),
-            format_cell(r.max_root_error),
-            format_cell(r.spurious_candidates),
-            format_cell(r.proxy_max_error),
-            format_cell(r.function_evaluations),
-            format_cell(r.proxy_converged),
-            format_cell(r.wall_time_s),
-        ]
-        for r in report.rows
-    ]
-    return write_csv_rows(_BENCH_CSV_HEADER, rows)
+    return write_csv_rows(
+        [field.name for field in fields(BenchRow)],
+        [[format_cell(v) for v in asdict(r).values()] for r in report.rows],
+    )
 
 
 def bench_to_text(report: BenchReport) -> str:

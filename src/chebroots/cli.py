@@ -8,9 +8,10 @@ Subcommands:
     interp  tabulate the true function against its proxy on a uniform grid
     bench   run the built-in benchmark corpus against its oracles
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure (a non-converged
-proxy without --allow-nonconverged, a non-finite sample, or LAPACK failing
-to converge on the companion eigenvalues).
+Exit codes: 0 success, 1 usage error (an unwritable --output included),
+2 numerical failure (a non-converged proxy without --allow-nonconverged, a
+non-finite sample, or LAPACK failing to converge on the companion
+eigenvalues).
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from dataclasses import replace
 
 from numpy.linalg import LinAlgError
 
-from .bench import bench_to_csv, bench_to_json, bench_to_text, default_corpus, run_bench
-from .chebyshev import Interval, NonFiniteSampleError, evaluate
+from .bench import (GRID_POINTS, bench_to_csv, bench_to_json, bench_to_text, default_corpus,
+                    proxy_grid, run_bench)
+from .chebyshev import Interval, NonFiniteSampleError
 from .expressions import UnsupportedDerivativeError, differentiate_expr, eval_expr, parse, ParseError
-from .rootfinder import RootConfig, _build_proxy, find_roots
+from .rootfinder import RootConfig, build_proxy, find_roots
 from .serialize import (
     FORMAT_VERSION,
     format_cell,
@@ -38,8 +40,6 @@ from .serialize import (
 )
 
 __all__ = ["run_cli", "main"]
-
-INTERP_GRID_POINTS = 1001
 
 
 class _UsageError(Exception):
@@ -126,14 +126,29 @@ def _function_from_args(args):
     return f, df
 
 
-def _emit(text: str, output: str | None):
-    if output is None:
+def _emit(args, **renderers):
+    """Write ``renderers[args.format]()`` to ``--output`` or stdout.
+
+    Each renderer is a zero-argument callable, so only the chosen format
+    is ever built.
+    """
+    text = renderers[args.format]()
+    if args.output is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(output, "w") as handle:
+        with open(args.output, "w") as handle:
             handle.write(text)
+
+
+def _exit_code(converged: bool, args) -> int:
+    """2 for a non-converged proxy unless --allow-nonconverged, else 0."""
+    if converged or args.allow_nonconverged:
+        return 0
+    print("proxy did not converge at the adaptive degree cap "
+          "(pass --allow-nonconverged to accept)", file=sys.stderr)
+    return 2
 
 
 def _cmd_roots(args) -> int:
@@ -141,17 +156,9 @@ def _cmd_roots(args) -> int:
     config = _config_from_args(args, args.degree)
     f, df = _function_from_args(args)
     report = find_roots(f, interval, config, df=df)
-    if args.format == "json":
-        _emit(report_to_json(report, config), args.output)
-    elif args.format == "csv":
-        _emit(report_to_csv(report), args.output)
-    else:
-        _emit(report_to_text(report, config), args.output)
-    if not report.proxy_converged and not args.allow_nonconverged:
-        print("proxy did not converge at the adaptive degree cap "
-              "(pass --allow-nonconverged to accept)", file=sys.stderr)
-        return 2
-    return 0
+    _emit(args, json=lambda: report_to_json(report, config), csv=lambda: report_to_csv(report),
+          text=lambda: report_to_text(report, config))
+    return _exit_code(report.proxy_converged, args)
 
 
 def _parse_degrees(text: str) -> list[int]:
@@ -164,6 +171,15 @@ def _parse_degrees(text: str) -> list[int]:
     return degrees
 
 
+def _sweep_text(runs) -> str:
+    lines = []
+    for degree, _, report in runs:
+        roots = ", ".join(repr(r) for r in report.roots)
+        lines.append(f"N={degree}: {len(report.candidates)} candidates, "
+                     f"{len(report.roots)} roots [{roots}]")
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_sweep(args) -> int:
     interval = Interval(*args.interval)
     degrees = _parse_degrees(args.degrees)
@@ -172,8 +188,9 @@ def _cmd_sweep(args) -> int:
     for degree in degrees:
         config = _config_from_args(args, degree)
         runs.append((degree, config, find_roots(f, interval, config, df=df)))
-    if args.format == "json":
-        doc = {
+    _emit(
+        args,
+        json=lambda: json.dumps({
             "version": FORMAT_VERSION,
             "function": args.function,
             "interval": [interval.a, interval.b],
@@ -181,17 +198,10 @@ def _cmd_sweep(args) -> int:
                 dict(report_to_dict(report, config), degree=degree)
                 for degree, config, report in runs
             ],
-        }
-        _emit(json.dumps(doc, indent=2), args.output)
-    elif args.format == "csv":
-        _emit(sweep_to_csv([(degree, report) for degree, _, report in runs]), args.output)
-    else:
-        lines = []
-        for degree, _, report in runs:
-            roots = ", ".join(repr(r) for r in report.roots)
-            lines.append(f"N={degree}: {len(report.candidates)} candidates, "
-                         f"{len(report.roots)} roots [{roots}]")
-        _emit("\n".join(lines) + "\n", args.output)
+        }, indent=2),
+        csv=lambda: sweep_to_csv([(degree, report) for degree, _, report in runs]),
+        text=lambda: _sweep_text(runs),
+    )
     return 0
 
 
@@ -199,54 +209,37 @@ def _cmd_interp(args) -> int:
     interval = Interval(*args.interval)
     config = _config_from_args(args, args.degree)
     f, _ = _function_from_args(args)
-    _, series, converged = _build_proxy(f, interval, config)
-    step = interval.width / (INTERP_GRID_POINTS - 1)
-    grid = []
-    for i in range(INTERP_GRID_POINTS):
-        x = interval.a + i * step
-        grid.append((x, f(x), evaluate(series, x)))
-    if args.format == "json":
-        doc = {
+    raw, series, converged = build_proxy(f, interval, config)
+    grid = proxy_grid(f, series, interval)
+    # degree_used is the node count of the proxy, as in RootReport
+    _emit(
+        args,
+        json=lambda: json.dumps({
             "version": FORMAT_VERSION,
             "function": args.function,
             "interval": [interval.a, interval.b],
-            "degree_used": len(series.coeffs),
+            "degree_used": len(raw.coeffs),
             "proxy_converged": converged,
             "grid": [{"x": x, "f": fx, "proxy": px} for x, fx, px in grid],
-        }
-        _emit(json.dumps(doc, indent=2), args.output)
-    elif args.format == "csv":
-        rows = [[format_cell(x), format_cell(fx), format_cell(px)] for x, fx, px in grid]
-        _emit(write_csv_rows(["x", "f", "proxy"], rows), args.output)
-    else:
-        worst = max(abs(fx - px) for _, fx, px in grid)
-        _emit(
-            f"degree used: {len(series.coeffs)}\n"
-            f"max |f - proxy| on {INTERP_GRID_POINTS} uniform points: {worst!r}\n",
-            args.output,
-        )
-    if not converged and not args.allow_nonconverged:
-        print("proxy did not converge at the adaptive degree cap "
-              "(pass --allow-nonconverged to accept)", file=sys.stderr)
-        return 2
-    return 0
+        }, indent=2),
+        csv=lambda: write_csv_rows(["x", "f", "proxy"],
+                                   [[format_cell(v) for v in point] for point in grid]),
+        text=lambda: (f"degree used: {len(raw.coeffs)}\n"
+                      f"max |f - proxy| on {GRID_POINTS} uniform points: "
+                      f"{max(abs(fx - px) for _, fx, px in grid)!r}\n"),
+    )
+    return _exit_code(converged, args)
 
 
 def _cmd_bench(args) -> int:
-    config = RootConfig(polish=not args.no_polish)
-    report = run_bench(default_corpus(), config)
-    if args.output and not (args.output.endswith(".json") or args.output.endswith(".csv")):
-        with open(args.output + ".json", "w") as handle:
-            handle.write(bench_to_json(report))
-        with open(args.output + ".csv", "w") as handle:
-            handle.write(bench_to_csv(report))
+    report = run_bench(default_corpus(), RootConfig(polish=not args.no_polish))
+    if args.output and not args.output.endswith((".json", ".csv")):
+        for suffix, render in ((".json", bench_to_json), (".csv", bench_to_csv)):
+            with open(args.output + suffix, "w") as handle:
+                handle.write(render(report))
         return 0
-    if args.format == "json":
-        _emit(bench_to_json(report), args.output)
-    elif args.format == "csv":
-        _emit(bench_to_csv(report), args.output)
-    else:
-        _emit(bench_to_text(report), args.output)
+    _emit(args, json=lambda: bench_to_json(report), csv=lambda: bench_to_csv(report),
+          text=lambda: bench_to_text(report))
     return 0
 
 
@@ -265,7 +258,7 @@ def run_cli(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, OSError) as exc:
         if isinstance(exc, (NonFiniteSampleError, LinAlgError)):
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 2

@@ -13,6 +13,7 @@ stay auditable.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -38,11 +39,10 @@ __all__ = [
     "RootConfig",
     "RootReport",
     "PolishResult",
+    "build_proxy",
     "find_roots",
     "filter_candidates",
     "newton_polish",
-    "adaptive_degree",
-    "residual_reject",
     "dedupe_and_sort",
 ]
 
@@ -115,6 +115,12 @@ class RootConfig:
     dedupe_tol: float = 1e-9
 
     def __post_init__(self):
+        for name in ("degree", "max_adaptive_degree", "polish_max_iter"):
+            value = getattr(self, name)
+            if value is not None:
+                if not isinstance(value, numbers.Integral):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+                object.__setattr__(self, name, int(value))  # numpy ints serialize as ints
         if self.degree is not None and self.degree < 2:
             raise ValueError("fixed degree must be >= 2")
         for name in ("imag_tol", "box_tol", "chop_tol", "adaptive_tol", "dedupe_tol"):
@@ -220,24 +226,6 @@ def _adaptive_raw(f, interval: Interval, config: RootConfig) -> tuple[ChebyshevS
             samples = _sample_at_nodes(f, interval, n)
 
 
-def adaptive_degree(f, interval, config: RootConfig | None = None) -> tuple[ChebyshevSeries, bool]:
-    """Build a chopped proxy series with automatically chosen degree.
-
-    Climbs the node counts 16, 48, 64, 192, 256, 768, ... (16, 48, 64, 128
-    at the default ``max_adaptive_degree``) and accepts the first rung whose
-    trailing 8 coefficients are all below ``adaptive_tol * max|coeff|``.
-    Tripling a power-of-two rung reuses its samples, so each step costs as
-    many new samples as doubling would.  Returns the chopped series and a
-    flag that is False when the cap was reached without the tail decaying
-    (the series is still usable).  ``config.degree`` is ignored.
-    """
-    interval = _as_interval(interval)
-    if config is None:
-        config = RootConfig()
-    _, chopped, converged = _build_proxy(f, interval, replace(config, degree=None))
-    return chopped, converged
-
-
 def newton_polish(f, df, x0: float, interval, max_iter: int) -> PolishResult:
     """Refine a candidate root of f with Newton's iteration.
 
@@ -334,30 +322,6 @@ def filter_candidates(spectrum: Spectrum, config: RootConfig | None = None) -> t
 
 def _reject(cand: RootCandidate, reason: RejectionReason, **changes) -> RootCandidate:
     return replace(cand, accepted=False, rejection_reason=reason, mapped_coord=None, **changes)
-
-
-def residual_reject(candidates, f, config: RootConfig):
-    """Flip accepted candidates with too-large |f| to ``residual_too_large``.
-
-    With an explicit ``config.residual_tol`` every accepted candidate is held
-    to that absolute threshold.  In automatic mode (``residual_tol=None``)
-    the threshold depends on the proxy, which this function does not see, so
-    it only fills in missing residuals and rejects nothing.  Rejections are
-    sticky: candidates already rejected pass through unchanged.
-    """
-    out = []
-    for cand in candidates:
-        if not cand.accepted:
-            out.append(cand)
-            continue
-        residual = cand.residual
-        if residual is None:
-            residual = abs(float(f(cand.mapped_coord)))
-        if config.residual_tol is not None and residual > config.residual_tol:
-            out.append(_reject(cand, RejectionReason.RESIDUAL_TOO_LARGE, residual=residual))
-        else:
-            out.append(replace(cand, residual=residual))
-    return tuple(out)
 
 
 def _crosses(f, x: float, interval: Interval) -> bool:
@@ -460,8 +424,24 @@ def dedupe_and_sort(candidates, interval, config: RootConfig | None = None) -> l
     return roots
 
 
-def _build_proxy(f, interval: Interval, config: RootConfig):
-    """(raw series, chopped series, converged flag): the one proxy builder."""
+def build_proxy(f, interval,
+                config: RootConfig | None = None) -> tuple[ChebyshevSeries, ChebyshevSeries, bool]:
+    """Sample f and build its Chebyshev proxy: (raw, chopped, converged).
+
+    ``raw`` is the transform of the samples, one coefficient per sample
+    node; ``chopped`` is ``raw`` with its tail below ``chop_tol`` trimmed.
+    A fixed ``config.degree`` samples that many nodes.  With ``degree=None``
+    the node count climbs 16, 48, 64, 192, 256, 768, ... (16, 48, 64, 128
+    at the default ``max_adaptive_degree``) and stops at the first rung
+    whose trailing 8 coefficients are all below ``adaptive_tol * max|coeff|``.
+    Tripling a power-of-two rung reuses its samples, so each step costs as
+    many new samples as doubling would.  ``converged`` is False only when
+    the cap was reached without the tail decaying (the series is still
+    usable).
+    """
+    interval = _as_interval(interval)
+    if config is None:
+        config = RootConfig()
     if config.degree is None:
         raw, converged = _adaptive_raw(f, interval, config)
     else:
@@ -508,7 +488,7 @@ def find_roots(f, interval, config: RootConfig | None = None, df=None) -> RootRe
     if config is None:
         config = RootConfig()
     counter = _CountingFunction(f)
-    raw, chopped, proxy_converged = _build_proxy(counter, interval, config)
+    raw, chopped, proxy_converged = build_proxy(counter, interval, config)
     candidates = filter_candidates(series_spectrum(chopped), config)
     dseries = differentiate(chopped)
     newton_df = df if df is not None else (lambda x: evaluate(dseries, x))

@@ -127,15 +127,7 @@ def candidate_csv_header(with_degree: bool = False) -> list[str]:
 
 
 def candidate_csv_row(cand: RootCandidate, degree: int | None = None) -> list[str]:
-    row = [
-        format_cell(cand.standard_coord.real),
-        format_cell(cand.standard_coord.imag),
-        format_cell(cand.accepted),
-        cand.rejection_reason.value,
-        format_cell(cand.residual),
-        format_cell(cand.polish_iterations),
-        format_cell(cand.mapped_coord),
-    ]
+    row = [format_cell(v) for v in _candidate_to_dict(cand).values()]
     return ([format_cell(degree)] + row) if degree is not None else row
 
 

@@ -20,7 +20,7 @@ from chebroots.chebyshev import (
 from chebroots.companion import Spectrum, build_frobenius, eigenvalues
 from chebroots.rootfinder import (
     RootConfig,
-    adaptive_degree,
+    build_proxy,
     filter_candidates,
     find_roots,
     newton_polish,
@@ -210,7 +210,7 @@ def test_criterion_10_decay_diagnostic_and_adaptive_cap():
     assert first_below < 32
     assert mags[31] <= cut  # the tail itself reaches the threshold
     sign = lambda x: math.copysign(1.0, x)
-    _, converged = adaptive_degree(sign, iv)
+    _, _, converged = build_proxy(sign, iv)
     report = find_roots(sign, iv)
     assert not converged
     assert not report.proxy_converged

@@ -100,6 +100,25 @@ class TestRootsCommand:
         assert rows[0][:2] == ["re", "im"]
         assert len(rows) > 10
 
+    def test_text_format_lists_the_json_roots(self, capsys):
+        argv = ["roots", "--function", "cos(x)", "--interval", "-10", "10", "--degree", "30"]
+        _, doc = run_json(capsys, argv)
+        assert run_cli(argv + ["--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "degree used: 30"
+        assert lines[1] == f"function evaluations: {doc['function_evaluations']}"
+        start = lines.index("roots (6):") + 1
+        assert [float(line) for line in lines[start:start + 6]] == doc["roots"]
+        assert lines[-1] == "residual test: automatic"
+
+    def test_only_the_chosen_format_is_rendered(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("json rendered for --format csv")
+
+        monkeypatch.setattr("chebroots.cli.report_to_json", fail)
+        assert run_cli(["roots", "--function", "cos(x)", "--interval", "-10", "10",
+                        "--degree", "30", "--format", "csv"]) == 0
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code = run_cli([
@@ -158,6 +177,24 @@ class TestExitCodes:
         capsys.readouterr()
         assert run_cli(argv + ["--allow-nonconverged"]) == 0
 
+    def test_nonconverged_interp_exits_2(self, capsys):
+        argv = ["interp", "--function", "abs(x)", "--interval", "-1", "1"]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert "did not converge" in captured.err
+        assert json.loads(captured.out)["proxy_converged"] is False  # still written
+        assert run_cli(argv + ["--allow-nonconverged"]) == 0
+
+    @pytest.mark.parametrize("argv, target", [
+        (["roots", "--function", "cos(x)", "--interval", "-10", "10", "--degree", "30"], "r.json"),
+        (["bench"], "r.json"),
+        (["bench"], "bench"),  # no suffix: writes bench.json and bench.csv
+    ], ids=["roots", "bench-json", "bench-stem"])
+    def test_unwritable_output_is_an_error(self, tmp_path, capsys, argv, target):
+        assert run_cli(argv + ["--output", str(tmp_path / "missing" / target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing" in err
+
     def test_non_finite_sample_is_numerical_failure(self, capsys):
         code = run_cli(["roots", "--function", "log(x)", "--interval", "-1", "1",
                         "--degree", "8"])
@@ -209,6 +246,23 @@ class TestSweepCommand:
             assert float(row["im"]) == cand["im"]
             assert row["reason"] == cand["reason"]
 
+    def test_text_format_one_line_per_degree(self, capsys):
+        _, doc = run_json(capsys, self.ARGV)
+        assert run_cli(self.ARGV + ["--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(doc["sweeps"])
+        for line, run in zip(lines, doc["sweeps"]):
+            assert line.startswith(f"N={run['degree']}: {len(run['candidates'])} candidates, "
+                                   f"{len(run['roots'])} roots [")
+            roots = line[line.index("[") + 1:-1]
+            assert [float(r) for r in roots.split(", ")] == run["roots"]
+
+    def test_non_finite_sample_is_numerical_failure(self, capsys):
+        code = run_cli(["sweep", "--function", "log(x)", "--interval", "-1", "1",
+                        "--degrees", "8"])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_candidate_counts_grow_with_degree(self, capsys):
         code, doc = run_json(capsys, self.ARGV)
         counts = [len(run["candidates"]) for run in doc["sweeps"]]
@@ -245,6 +299,25 @@ class TestInterpCommand:
             assert float(row["x"]) == point["x"]
             assert float(row["f"]) == point["f"]
             assert float(row["proxy"]) == point["proxy"]
+
+    def test_text_format_reports_the_json_max_error(self, capsys):
+        argv = ["interp", "--function", "cos(x)", "--interval", "-10", "10", "--degree", "12"]
+        _, doc = run_json(capsys, argv)
+        assert run_cli(argv + ["--format", "text"]) == 0
+        worst = max(abs(p["f"] - p["proxy"]) for p in doc["grid"])
+        assert capsys.readouterr().out == (
+            f"degree used: 12\nmax |f - proxy| on 1001 uniform points: {worst!r}\n")
+
+    @pytest.mark.parametrize("args, degree_used", [
+        (["--function", "x", "--interval", "-1", "1", "--degree", "4"], 4),
+        (["--function", "x", "--interval", "-1", "1"], 16),
+        (["--function", "cos(x)", "--interval", "-10", "10"], 48),
+    ], ids=["fixed", "adaptive-linear", "adaptive-cosine"])
+    def test_degree_used_matches_roots(self, capsys, args, degree_used):
+        _, roots = run_json(capsys, ["roots"] + args)
+        _, interp = run_json(capsys, ["interp"] + args)
+        assert interp["degree_used"] == roots["degree_used"] == degree_used
+        assert interp["proxy_converged"] == roots["proxy_converged"]
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +378,16 @@ class TestBench:
         assert doc["rows"]
         rows = list(csv.DictReader(io.StringIO((tmp_path / "bench.csv").read_text())))
         assert len(rows) == len(doc["rows"])
+
+    def test_bench_cli_text_format(self, capsys, report):
+        assert run_cli(["bench", "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(report.rows)
+        for line, r in zip(lines, report.rows):
+            expect = "?" if r.expected_roots is None else r.expected_roots
+            assert line.startswith(f"{r.case:18s} N={r.degree:<4d} roots {r.roots_found}/{expect}")
+            assert f"proxy err {r.proxy_max_error:.3e}" in line
+            assert line.endswith(" ms")
 
     def test_bench_json_parses(self, report):
         doc = json.loads(bench_to_json(report))

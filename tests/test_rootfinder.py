@@ -9,12 +9,11 @@ from chebroots.companion import Spectrum
 from chebroots.rootfinder import (
     RejectionReason,
     RootConfig,
-    adaptive_degree,
+    build_proxy,
     dedupe_and_sort,
     filter_candidates,
     find_roots,
     newton_polish,
-    residual_reject,
 )
 
 BIG = Interval(-10.0, 10.0)
@@ -119,30 +118,30 @@ class TestFilterCandidates:
 
 class TestAdaptiveDegree:
     def test_cosine_converges_before_the_cap(self):
-        series, converged = adaptive_degree(math.cos, BIG)
+        _, series, converged = build_proxy(math.cos, BIG)
         assert converged
         mags = [abs(c) for c in series.coeffs]
         assert all(m <= 1e-12 * max(mags) for m in mags[-2:]) or len(series.coeffs) < 64
 
     def test_linear_function_chops_to_degree_one(self):
-        series, converged = adaptive_degree(lambda x: x, Interval(-1, 1))
+        _, series, converged = build_proxy(lambda x: x, Interval(-1, 1))
         assert converged
         assert series.degree == 1
 
     def test_step_function_hits_the_cap(self):
-        series, converged = adaptive_degree(lambda x: math.copysign(1.0, x), BIG)
+        _, series, converged = build_proxy(lambda x: math.copysign(1.0, x), BIG)
         assert not converged
         assert len(series.coeffs) >= 100  # chop barely trims the cap-degree series
 
     def test_cosine_reuses_the_16_samples_at_48_nodes(self):
         f = Recorder(math.cos)
-        _, converged = adaptive_degree(f, BIG)
+        _, _, converged = build_proxy(f, BIG)
         assert converged
         assert len(f.xs) == 48
         assert len(set(f.xs)) == 48
 
     def test_reused_samples_match_a_fresh_transform(self):
-        raw, _, converged = rootfinder._build_proxy(math.cos, BIG, RootConfig())
+        raw, _, converged = build_proxy(math.cos, BIG, RootConfig())
         assert converged and len(raw.coeffs) == 48
         fresh = fresh_transform(math.cos, BIG, 48).coeffs
         scale = max(abs(c) for c in fresh)
@@ -154,7 +153,7 @@ class TestAdaptiveDegree:
         seen = set()
         for k in np.geomspace(0.05, 120.0, 60):
             f = Recorder(lambda x, k=k: math.sin(k * x))
-            rootfinder._build_proxy(f, iv, config)
+            build_proxy(f, iv, config)
             budget = doubling_ladder_samples(lambda x, k=k: math.sin(k * x), iv, config)
             assert len(f.xs) <= budget, k
             seen.add(budget)
@@ -175,49 +174,11 @@ class TestAdaptiveDegree:
         ):
             rungs.clear()
             f = Recorder(step)
-            _, _, converged = rootfinder._build_proxy(f, Interval(-1.0, 1.0),
-                                                      RootConfig(max_adaptive_degree=cap))
+            _, _, converged = build_proxy(f, Interval(-1.0, 1.0),
+                                          RootConfig(max_adaptive_degree=cap))
             assert not converged
             assert rungs == ladder, cap
             assert len(f.xs) == len(set(f.xs)) == samples, cap
-
-
-class TestResidualReject:
-    def _accepted(self, x, residual=None):
-        (cand,) = filter_candidates(synthetic_spectrum(x / 10.0))
-        from dataclasses import replace
-
-        return replace(cand, mapped_coord=x, residual=residual)
-
-    def test_explicit_tolerance_flips_large_residuals(self):
-        config = RootConfig(residual_tol=1e-6)
-        good = self._accepted(1.0, residual=1e-12)
-        bad = self._accepted(2.0, residual=1e-3)
-        out = residual_reject([good, bad], math.cos, config)
-        assert out[0].accepted
-        assert not out[1].accepted
-        assert out[1].rejection_reason is RejectionReason.RESIDUAL_TOO_LARGE
-
-    def test_missing_residuals_are_evaluated(self):
-        config = RootConfig(residual_tol=0.5)
-        cand = self._accepted(math.pi / 2, residual=None)
-        (out,) = residual_reject([cand], math.cos, config)
-        assert out.accepted
-        assert out.residual == abs(math.cos(math.pi / 2))
-
-    def test_rejections_are_sticky(self):
-        config = RootConfig(residual_tol=1e300)
-        (rejected,) = filter_candidates(synthetic_spectrum(5.0))
-        (out,) = residual_reject([rejected], math.cos, config)
-        assert not out.accepted
-        assert out.rejection_reason is RejectionReason.OUTSIDE_BOX
-
-    def test_automatic_mode_standalone_only_fills_residuals(self):
-        config = RootConfig()
-        cand = self._accepted(0.1, residual=None)
-        (out,) = residual_reject([cand], math.cos, config)
-        assert out.accepted
-        assert out.residual == pytest.approx(abs(math.cos(0.1)))
 
 
 class TestDedupe:
@@ -476,3 +437,22 @@ class TestRootConfigValidation:
             RootConfig(imag_tol=0.0)
         with pytest.raises(ValueError, match="residual_tol"):
             RootConfig(residual_tol=-1e-9)
+
+    @pytest.mark.parametrize("name, value", [
+        ("degree", 30.5),
+        ("degree", 30.0),
+        ("max_adaptive_degree", 40.5),
+        ("polish_max_iter", 2.5),
+    ])
+    def test_rejects_non_integral_counts(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            RootConfig(**{name: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        config = RootConfig(degree=np.int64(30), max_adaptive_degree=np.int32(64),
+                            polish_max_iter=np.int16(12))
+        plain = RootConfig(degree=30, max_adaptive_degree=64)
+        assert config == plain
+        assert all(type(v) is int for v in (config.degree, config.max_adaptive_degree,
+                                             config.polish_max_iter))
+        assert find_roots(math.cos, BIG, config) == find_roots(math.cos, BIG, plain)

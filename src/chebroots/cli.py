@@ -70,7 +70,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--no-polish", action="store_true")
     common.add_argument("--allow-nonconverged", action="store_true",
                         help="exit 0 even if the adaptive proxy hit its degree cap")
-    common.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    common.add_argument("--format", choices=("json", "csv", "text"),
+                        help="default: csv for an --output ending in .csv, else json")
     common.add_argument("--output", metavar="PATH", help="write here instead of stdout")
 
     degree_opts = argparse.ArgumentParser(add_help=False)
@@ -92,7 +93,8 @@ def _build_parser() -> _Parser:
                    help="tabulate function vs proxy on a uniform grid")
 
     bench = sub.add_parser("bench", help="run the built-in benchmark corpus")
-    bench.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    bench.add_argument("--format", choices=("json", "csv", "text"),
+                       help="default: csv for an --output ending in .csv, else json")
     bench.add_argument("--output", metavar="PATH",
                        help="file to write; without a .json/.csv suffix, writes PATH.json and PATH.csv")
     bench.add_argument("--no-polish", action="store_true")
@@ -113,10 +115,12 @@ def _config_from_args(args, degree: int | None) -> RootConfig:
     return replace(config, **overrides) if overrides else config
 
 
-def _function_from_args(args):
+def _function_from_args(args, derivative=True):
     expr = parse(args.function)
     def f(x):
         return eval_expr(expr, x)
+    if not derivative:
+        return f, None
     try:
         dexpr = differentiate_expr(expr)
     except UnsupportedDerivativeError:
@@ -127,12 +131,14 @@ def _function_from_args(args):
 
 
 def _emit(args, **renderers):
-    """Write ``renderers[args.format]()`` to ``--output`` or stdout.
+    """Write ``renderers[fmt]()`` to ``--output`` or stdout.
 
-    Each renderer is a zero-argument callable, so only the chosen format
-    is ever built.
+    ``fmt`` is ``--format`` if given, else csv for an ``--output`` ending in
+    ``.csv``, else json.  Each renderer is a zero-argument callable, so only
+    the chosen format is ever built.
     """
-    text = renderers[args.format]()
+    fmt = args.format or ("csv" if (args.output or "").endswith(".csv") else "json")
+    text = renderers[fmt]()
     if args.output is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -208,7 +214,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_interp(args) -> int:
     interval = Interval(*args.interval)
     config = _config_from_args(args, args.degree)
-    f, _ = _function_from_args(args)
+    f, _ = _function_from_args(args, derivative=False)
     raw, series, converged = build_proxy(f, interval, config)
     grid = proxy_grid(f, series, interval)
     # degree_used is the node count of the proxy, as in RootReport

@@ -63,6 +63,11 @@ _SIGN_STEP_FACTOR = math.sqrt(float(np.finfo(np.float64).eps))
 # [a, b] before the run counts as diverged.
 _NEWTON_ESCAPE_FRACTION = 0.1
 
+# Fraction of the gap between two roots at which the touching-root test
+# probes f: irrational, so the probe is never a whole number of periods of
+# f away from a root at either end.
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+
 
 class RejectionReason(str, Enum):
     NONE = "none"
@@ -106,8 +111,6 @@ class RootConfig:
     degree: int | None = None
     imag_tol: float = 1e-8
     box_tol: float = 1e-6
-    chop_tol: float = 1e-13
-    adaptive_tol: float = 1e-12
     max_adaptive_degree: int = 128
     polish: bool = True
     polish_max_iter: int = 12
@@ -123,7 +126,7 @@ class RootConfig:
                 object.__setattr__(self, name, int(value))  # numpy ints serialize as ints
         if self.degree is not None and self.degree < 2:
             raise ValueError("fixed degree must be >= 2")
-        for name in ("imag_tol", "box_tol", "chop_tol", "adaptive_tol", "dedupe_tol"):
+        for name in ("imag_tol", "box_tol", "dedupe_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.residual_tol is not None and not self.residual_tol > 0:
@@ -207,17 +210,18 @@ def _sample_at_nodes(f, interval: Interval, n: int, coarse=()) -> list[float]:
     ]
 
 
-def _adaptive_raw(f, interval: Interval, config: RootConfig) -> tuple[ChebyshevSeries, bool]:
-    cap = config.max_adaptive_degree
+def _adaptive_raw(f, interval: Interval, cap: int,
+                  tol: float) -> tuple[ChebyshevSeries, ChebyshevSeries, bool]:
     n = min(16, cap)
     samples = _sample_at_nodes(f, interval, n)
     while True:
         raw = transform(samples, interval)
-        # resolved when chopping at adaptive_tol drops the last 8 coefficients
-        if n - len(chop_series(raw, config.adaptive_tol).coeffs) >= min(8, n - 1):
-            return raw, True
+        chopped = chop_series(raw, tol)
+        # resolved when the chop drops the last 8 coefficients
+        if n - len(chopped.coeffs) >= min(8, n - 1):
+            return raw, chopped, True
         if n >= cap:
-            return raw, False
+            return raw, chopped, False
         if n & (n - 1) == 0 and 3 * n <= cap:
             n *= 3
             samples = _sample_at_nodes(f, interval, n, samples)
@@ -383,12 +387,56 @@ def _vet(cand: RootCandidate, f, df, dseries: ChebyshevSeries, interval: Interva
     return cand
 
 
-def _dedupe_candidates(candidates, interval: Interval, config: RootConfig):
+def _one_touching_root(f, r1: float, r2: float, lo: float, hi: float, tol: float) -> bool:
+    """Whether the accepted roots r1 < r2 are one root that f touches.
+
+    With d = r2 - r1, f is probed inside at the midpoint and at r1 + g*d
+    and r2 - g*d (g the golden-section fraction), where |f| must be within
+    ``tol``, and outside from r1 and r2 in steps of d, 2d, 4d, ... until
+    |f| exceeds its largest inside value, but no further out than ``lo``
+    and ``hi``.  True when every probe has one strict sign and both sides
+    get there: f dips to zero between r1 and r2 without crossing it, as at
+    an even-order root whose proxy eigenvalues split into two real
+    candidates that each pass an explicit ``residual_tol``.  A side that
+    reaches ``lo`` or ``hi`` first keeps the roots apart, as in a tail of f
+    below ``tol`` (a Gaussian's); the golden-section probes keep apart
+    roots a whole number of root spacings apart (sin(20x) with the roots
+    between them missed), where the midpoint and the outside probes land
+    near roots.
+    """
+    d = r2 - r1
+    fm = f(r1 + d / 2.0)
+    if not 0.0 < abs(fm) <= tol:
+        return False
+    def same_sign(v):
+        return v > 0.0 if fm > 0.0 else v < 0.0
+
+    inner = (f(r1 + _GOLDEN * d), f(r2 - _GOLDEN * d), fm)
+    top = max(abs(v) for v in inner)
+    if not (top <= tol and all(same_sign(v) for v in inner)):
+        return False
+    for x, step in ((r1, -d), (r2, d)):
+        while True:
+            x = min(max(x + step, lo), hi)
+            fx = f(x)
+            if not same_sign(fx):
+                return False
+            if abs(fx) > top:
+                break
+            if x in (lo, hi):
+                return False
+            step *= 2.0
+    return True
+
+
+def _dedupe_candidates(candidates, interval: Interval, config: RootConfig, f=None):
     """Merge accepted candidates closer than dedupe_tol * width.
 
     Keeps the smaller-residual member of a cluster (ties keep the leftmost);
-    the losers flip to rejected with reason ``duplicate``.  Returns the
-    sorted root list and the updated candidate tuple.
+    the losers flip to rejected with reason ``duplicate``.  Given f and an
+    explicit ``residual_tol``, adjacent roots that f only touches between
+    (:func:`_one_touching_root`) merge the same way.  Returns the sorted
+    root list and the updated candidate tuple.
     """
     radius = config.dedupe_tol * interval.width
     order = sorted(
@@ -400,13 +448,27 @@ def _dedupe_candidates(candidates, interval: Interval, config: RootConfig):
     def residual_of(cand):
         return cand.residual if cand.residual is not None else math.inf
 
+    touch_tol = config.residual_tol if f is not None else None
     kept: list[int] = []
-    for i in order:
+
+    def same_root(pos):
+        """Whether accepted candidate order[pos] is one root with kept[-1]."""
+        r1, r2 = out[kept[-1]].mapped_coord, out[order[pos]].mapped_coord
+        if r2 - r1 < radius:
+            return True
+        if touch_tol is None:
+            return False
+        # outside probes stop halfway to the neighbouring roots
+        lo = (out[kept[-2]].mapped_coord + r1) / 2.0 if len(kept) > 1 else interval.a
+        hi = (r2 + out[order[pos + 1]].mapped_coord) / 2.0 if pos + 1 < len(order) else interval.b
+        return _one_touching_root(f, r1, r2, lo, hi, touch_tol)
+
+    for pos, i in enumerate(order):
         cand = out[i]
         if kept:
             j = kept[-1]
             prev = out[j]
-            if cand.mapped_coord - prev.mapped_coord < radius:
+            if same_root(pos):
                 loser, winner = (j, i) if residual_of(cand) < residual_of(prev) else (i, j)
                 out[loser] = _reject(out[loser], RejectionReason.DUPLICATE)
                 kept[-1] = winner
@@ -429,11 +491,11 @@ def build_proxy(f, interval,
     """Sample f and build its Chebyshev proxy: (raw, chopped, converged).
 
     ``raw`` is the transform of the samples, one coefficient per sample
-    node; ``chopped`` is ``raw`` with its tail below ``chop_tol`` trimmed.
+    node; ``chopped`` is ``raw`` with its tail below the noise level trimmed.
     A fixed ``config.degree`` samples that many nodes.  With ``degree=None``
     the node count climbs 16, 48, 64, 192, 256, 768, ... (16, 48, 64, 128
     at the default ``max_adaptive_degree``) and stops at the first rung
-    whose trailing 8 coefficients are all below ``adaptive_tol * max|coeff|``.
+    whose chop drops its trailing 8 coefficients.
     Tripling a power-of-two rung reuses its samples, so each step costs as
     many new samples as doubling would.  ``converged`` is False only when
     the cap was reached without the tail decaying (the series is still
@@ -442,12 +504,12 @@ def build_proxy(f, interval,
     interval = _as_interval(interval)
     if config is None:
         config = RootConfig()
+    # noise level: 1e-13, or a node's rounding error in the standard coordinate (Aurentz, Trefethen)
+    tol = max(1e-13, _EPS * max(abs(interval.a), abs(interval.b)) / (interval.width / 2.0))
     if config.degree is None:
-        raw, converged = _adaptive_raw(f, interval, config)
-    else:
-        raw = transform(_sample_at_nodes(f, interval, config.degree), interval)
-        converged = True
-    return raw, chop_series(raw, config.chop_tol), converged
+        return _adaptive_raw(f, interval, config.max_adaptive_degree, tol)
+    raw = transform(_sample_at_nodes(f, interval, config.degree), interval)
+    return raw, chop_series(raw, tol), True
 
 
 def _decay_profile(series: ChebyshevSeries) -> DecayProfile:
@@ -496,7 +558,7 @@ def find_roots(f, interval, config: RootConfig | None = None, df=None) -> RootRe
         _vet(cand, counter, newton_df, dseries, interval, config) if cand.accepted else cand
         for cand in candidates
     )
-    roots, final = _dedupe_candidates(vetted, interval, config)
+    roots, final = _dedupe_candidates(vetted, interval, config, counter)
     return RootReport(
         roots=tuple(roots),
         candidates=final,

@@ -11,6 +11,7 @@ from chebroots.chebyshev import Interval
 from chebroots.cli import run_cli
 from chebroots.rootfinder import RootConfig, find_roots
 from chebroots.serialize import (
+    report_from_dict,
     report_from_json,
     report_to_csv,
     report_to_dict,
@@ -60,6 +61,20 @@ class TestSerializationRoundtrip:
                 assert float(row["mapped"]) == cand["mapped"]
             assert int(row["polish_iterations"]) == cand["polish_iterations"]
 
+    def test_config_keys(self):
+        config = RootConfig(degree=30)
+        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config), config)
+        assert list(doc["config"]) == ["degree", "imag_tol", "box_tol", "max_adaptive_degree",
+                                       "polish", "polish_max_iter", "residual_tol", "dedupe_tol"]
+
+    def test_version_1_document_is_refused(self):
+        config = RootConfig(degree=30)
+        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config), config)
+        doc["version"] = 1
+        doc["config"].update(chop_tol=1e-13, adaptive_tol=1e-12)
+        with pytest.raises(ValueError, match="unsupported report version 1"):
+            report_from_dict(doc)
+
     def test_csv_is_rfc4180(self):
         config = RootConfig(degree=20)
         report = find_roots(math.exp, Interval(-10, 10), config)
@@ -76,7 +91,7 @@ class TestRootsCommand:
             "roots", "--function", "cos(x)", "--interval", "-10", "10", "--degree", "30",
         ])
         assert code == 0
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         assert len(doc["roots"]) == 6
         assert doc["config"]["degree"] == 30
         truth = sorted(s * k * math.pi / 2 for k in (1, 3, 5) for s in (1, -1))
@@ -129,6 +144,24 @@ class TestRootsCommand:
         assert capsys.readouterr().out == ""
         doc = json.loads(target.read_text())
         assert len(doc["roots"]) == 6
+
+    @pytest.mark.parametrize("name, extra, kind", [
+        ("r.csv", [], "csv"),
+        ("r.json", [], "json"),
+        ("r.out", [], "json"),
+        ("r.csv", ["--format", "json"], "json"),
+        ("r.json", ["--format", "csv"], "csv"),
+    ], ids=["csv-suffix", "json-suffix", "other-suffix", "format-beats-csv", "format-beats-json"])
+    def test_output_suffix_picks_the_format(self, tmp_path, name, extra, kind):
+        target = tmp_path / name
+        assert run_cli(["roots", "--function", "cos(x)", "--interval", "-10", "10",
+                        "--degree", "30", "--output", str(target)] + extra) == 0
+        text = target.read_text()
+        if kind == "json":
+            assert len(json.loads(text)["roots"]) == 6
+        else:
+            rows = list(csv.DictReader(io.StringIO(text)))
+            assert sum(row["accepted"] == "true" for row in rows) == 6
 
     def test_abs_function_falls_back_to_proxy_derivative(self, capsys):
         code, doc = run_json(capsys, [
@@ -308,6 +341,16 @@ class TestInterpCommand:
         assert capsys.readouterr().out == (
             f"degree used: 12\nmax |f - proxy| on 1001 uniform points: {worst!r}\n")
 
+    def test_no_derivative_is_built(self, capsys, monkeypatch):
+        def fail(expr):
+            raise AssertionError("interp built a derivative")
+
+        monkeypatch.setattr("chebroots.cli.differentiate_expr", fail)
+        assert run_cli(["interp", "--function", "cos(x)", "--interval", "-10", "10",
+                        "--degree", "12"]) == 0
+        with pytest.raises(AssertionError, match="interp built a derivative"):
+            run_cli(["roots", "--function", "cos(x)", "--interval", "-10", "10", "--degree", "12"])
+
     @pytest.mark.parametrize("args, degree_used", [
         (["--function", "x", "--interval", "-1", "1", "--degree", "4"], 4),
         (["--function", "x", "--interval", "-1", "1"], 16),
@@ -379,6 +422,22 @@ class TestBench:
         rows = list(csv.DictReader(io.StringIO((tmp_path / "bench.csv").read_text())))
         assert len(rows) == len(doc["rows"])
 
+    @pytest.mark.parametrize("name, extra, kind", [
+        ("b.csv", [], "csv"),
+        ("b.json", [], "json"),
+        ("b.csv", ["--format", "json"], "json"),
+    ], ids=["csv-suffix", "json-suffix", "format-beats-suffix"])
+    def test_bench_cli_suffix_picks_the_format(self, tmp_path, report, name, extra, kind):
+        target = tmp_path / name
+        assert run_cli(["bench", "--output", str(target)] + extra) == 0
+        text = target.read_text()
+        if kind == "json":
+            assert len(json.loads(text)["rows"]) == len(report.rows)
+        else:
+            rows = list(csv.DictReader(io.StringIO(text)))
+            assert [row["case"] for row in rows] == [r.case for r in report.rows]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
     def test_bench_cli_text_format(self, capsys, report):
         assert run_cli(["bench", "--format", "text"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -391,5 +450,5 @@ class TestBench:
 
     def test_bench_json_parses(self, report):
         doc = json.loads(bench_to_json(report))
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         assert len(doc["cases"]) == 3

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from chebroots import rootfinder
-from chebroots.chebyshev import Interval, NonFiniteSampleError, from_standard, standard_nodes, transform
+from chebroots.chebyshev import (Interval, NonFiniteSampleError, chop_series, from_standard,
+                                 standard_nodes, transform)
 from chebroots.companion import Spectrum
 from chebroots.rootfinder import (
     RejectionReason,
@@ -43,10 +44,11 @@ def fresh_transform(f, interval, n):
 def doubling_ladder_samples(f, interval, config):
     """Samples the plain doubling ladder 16, 32, 64, ... (fresh each rung) takes."""
     n, total = min(16, config.max_adaptive_degree), 0
+    tol = max(1e-13, np.finfo(float).eps * max(abs(interval.a), abs(interval.b)) / (interval.width / 2))
     while True:
         total += n
         mags = [abs(c) for c in fresh_transform(f, interval, n).coeffs]
-        resolved = all(m <= config.adaptive_tol * max(mags) for m in mags[-8:])
+        resolved = all(m <= tol * max(mags) for m in mags[-8:])
         if resolved or n >= config.max_adaptive_degree:
             return total
         n = min(2 * n, config.max_adaptive_degree)
@@ -180,6 +182,39 @@ class TestAdaptiveDegree:
             assert rungs == ladder, cap
             assert len(f.xs) == len(set(f.xs)) == samples, cap
 
+    @pytest.mark.parametrize("a, width", [(1.0, 1e-12), (1e6, 1e-4)])
+    def test_narrow_interval_resolves_above_its_rounding_noise(self, a, width):
+        # the samples carry rounding noise of eps*|a| relative to a width-sized f
+        c = a + width / 2
+        report = find_roots(lambda x: x - c, Interval(a, a + width))
+        assert report.proxy_converged
+        assert report.degree_used <= 48
+        assert len(report.roots) == 1
+        assert report.roots[0] == pytest.approx(c, abs=1e-3 * width)
+
+    def test_narrow_interval_fixed_degree_is_cut_at_the_noise(self):
+        _, series, _ = build_proxy(lambda x: x - (1 + 5e-13), Interval(1, 1 + 1e-12),
+                                   RootConfig(degree=16))
+        assert series.degree == 1
+
+    def test_ordinary_interval_keeps_its_degree_and_cut(self):
+        assert find_roots(math.cos, BIG).degree_used == 48
+        raw, series, _ = build_proxy(math.cos, BIG, RootConfig(degree=30))
+        assert series == chop_series(raw, 1e-13)
+
+    def test_each_rung_is_chopped_once_and_returned(self, monkeypatch):
+        rungs, chops = [], []
+        transform_, chop_ = rootfinder.transform, rootfinder.chop_series
+        monkeypatch.setattr(rootfinder, "transform",
+                            lambda samples, iv: rungs.append(len(samples)) or transform_(samples, iv))
+        monkeypatch.setattr(rootfinder, "chop_series",
+                            lambda series, tol: chops.append(chop_(series, tol)) or chops[-1])
+        _, series, converged = build_proxy(math.cos, BIG)
+        assert converged
+        assert rungs == [16, 48]
+        assert len(chops) == 2
+        assert series is chops[-1]
+
 
 class TestDedupe:
     def _candidates(self, locations, residuals):
@@ -206,6 +241,18 @@ class TestDedupe:
     def test_missing_residuals_tolerated(self):
         cands = self._candidates([1.0, 1.0 + 1e-11], [None, None])
         assert dedupe_and_sort(cands, BIG) == [1.0]
+
+    def test_roots_whole_periods_apart_are_not_merged(self):
+        # two roots of sin(20x) with the roots between them missed: the
+        # midpoint and the probes one gap outside both land near roots
+        f = lambda x: math.sin(20 * x)
+        step = math.pi / 20
+        config = RootConfig(residual_tol=1e-8)
+        for j in (2, 4, 6):
+            for k in range(-63, 64 - j):
+                cands = self._candidates([k * step, (k + j) * step], [1e-15, 1e-15])
+                roots, _ = rootfinder._dedupe_candidates(tuple(cands), BIG, config, f)
+                assert len(roots) == 2, (k, j)
 
 
 class TestFindRoots:
@@ -315,6 +362,44 @@ class TestFindRoots:
         assert find_roots(cube, Interval(-1, 1)).roots == ()
         (root,) = find_roots(cube, Interval(-1, 1), RootConfig(residual_tol=1e-12)).roots
         assert root == pytest.approx(0.2, abs=1e-7)
+
+    @pytest.mark.parametrize("power", [4, 6])
+    def test_explicit_residual_tol_merges_a_split_even_root(self, power):
+        # the proxy splits the root into two real candidates that both pass
+        report = find_roots(lambda x: (x - 0.3) ** power, Interval(-1, 1),
+                            RootConfig(residual_tol=1e-12))
+        (root,) = report.roots
+        assert root == pytest.approx(0.3, abs=1e-12 ** (1 / power))
+        assert any(c.rejection_reason is RejectionReason.DUPLICATE for c in report.candidates)
+
+    def test_explicit_residual_tol_merges_a_double_root_polished_to_one_side(self):
+        # both candidates of the double root at 0.806 polish to its right, so
+        # |f| only rises again more than one gap to their left
+        f = lambda x: ((x + 0.0311) ** 2 * (x - 0.6579) * (x - 0.6948) ** 3 * (x - 0.806) ** 2
+                       * (1 + 0.3 * math.sin(3 * x)))
+        roots = find_roots(f, Interval(-1, 1), RootConfig(residual_tol=1e-9)).roots
+        assert sum(abs(x - 0.806) < 1e-6 for x in roots) == 1
+        assert min(abs(x - 0.6579) for x in roots) < 1e-9
+
+    @pytest.mark.parametrize("f, roots", [
+        (lambda x: (x - 0.3) ** 2 * (x - 0.5) ** 2, (0.3, 0.5)),
+        (lambda x: (x - 0.3) * (x - 0.3 - 1e-7), (0.3, 0.3 + 1e-7)),
+    ], ids=["two-double-roots", "simple-pair-1e-7-apart"])
+    def test_explicit_residual_tol_keeps_distinct_roots(self, f, roots):
+        report = find_roots(f, Interval(-1, 1), RootConfig(residual_tol=1e-12))
+        assert report.roots == pytest.approx(roots, abs=1e-9)
+
+    def test_explicit_residual_tol_never_merges_sign_changes(self):
+        # adjacent accepted roots an even number of root spacings apart, the
+        # roots between them missed by the unconverged proxy
+        report = find_roots(lambda x: math.sin(20 * x), BIG, RootConfig(residual_tol=1e-8))
+        assert not any(c.rejection_reason is RejectionReason.DUPLICATE for c in report.candidates)
+        assert len(report.roots) == 17
+        # four cubic roots with |f| <= 1e-6 between the middle two; a probe a
+        # whole gap outside them would jump over the outer roots
+        cubes = lambda x: ((x + 0.0142) * (x - 0.0428) * (x - 0.4) * (x - 0.4775)) ** 3 * (
+            1 + 0.3 * math.sin(3 * x))
+        assert len(find_roots(cubes, Interval(-1, 1), RootConfig(residual_tol=1e-6)).roots) == 4
 
     def test_vet_evaluation_budget(self):
         """The sign check runs only after the residual test passes.

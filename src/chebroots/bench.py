@@ -144,10 +144,17 @@ def run_bench(corpus=None, config: RootConfig | None = None) -> BenchReport:
 
         for degree in case.degree_sweep:
             run_config = replace(config, degree=degree)
+            seen = {}
+
+            def f_row(x, _seen=seen):
+                _seen[x] = fx = f(x)
+                return fx
+
             start = time.perf_counter()
-            report = find_roots(f, case.interval, run_config)
+            report = find_roots(f_row, case.interval, run_config)
             wall = time.perf_counter() - start
-            _, series, _ = build_proxy(f, case.interval, run_config)
+            # the proxy again, from the samples find_roots took: f is not called twice
+            _, series, _ = build_proxy(seen.__getitem__, case.interval, run_config)
             grid = proxy_grid(f, series, case.interval)
             found = len(report.roots)
             if case.oracle_roots is None:

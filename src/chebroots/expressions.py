@@ -25,6 +25,7 @@ checks see them.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -42,9 +43,6 @@ __all__ = [
     "differentiate_expr",
     "expression_to_text",
 ]
-
-FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
-
 
 class ParseError(ValueError):
     """Malformed expression text; ``position`` is a 0-based byte offset."""
@@ -145,24 +143,20 @@ class _Parser:
         return node
 
     def expr(self) -> Expression:
-        node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                node = BinaryOp(value, node, self.term())
-            else:
-                return node
+        return self.left_assoc("+-", self.term)
 
     def term(self) -> Expression:
-        node = self.unary()
+        return self.left_assoc("*/", self.unary)
+
+    def left_assoc(self, ops: str, operand) -> Expression:
+        """operand { op operand } for op in ``ops``, grouped to the left."""
+        node = operand()
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                node = BinaryOp(value, node, self.unary())
-            else:
+            kind, value, _ = self.tokens[self.i]
+            if kind != "op" or value not in ops:
                 return node
+            self.i += 1
+            node = BinaryOp(value, node, operand())
 
     def unary(self) -> Expression:
         kind, value, _ = self.peek()
@@ -231,25 +225,36 @@ def _safe_div(num: float, den: float) -> float:
     return num / den
 
 
+# symbol -> (value function, precedence); "^" is right-associative
+_OPERATORS = {
+    "+": (operator.add, 1),
+    "-": (operator.sub, 1),
+    "*": (operator.mul, 2),
+    "/": (_safe_div, 2),
+    "^": (_safe_pow, 4),
+}
+
+# name -> (value function, derivative rule (u, du) -> tree); abs has no rule
+_FUNCTIONS = {
+    "sin": (math.sin, lambda u, du: _mul(FunctionCall("cos", u), du)),
+    "cos": (math.cos, lambda u, du: _neg(_mul(FunctionCall("sin", u), du))),
+    "tan": (math.tan, lambda u, du: _div(du, BinaryOp("^", FunctionCall("cos", u), Number(2.0)))),
+    "exp": (math.exp, lambda u, du: _mul(FunctionCall("exp", u), du)),
+    "log": (math.log, lambda u, du: _div(du, u)),
+    "sqrt": (math.sqrt, lambda u, du: _div(du, _mul(Number(2.0), FunctionCall("sqrt", u)))),
+    "abs": (abs, None),
+}
+
+FUNCTIONS = tuple(_FUNCTIONS)
+
+
 def _call(name: str, arg: float) -> float:
     try:
-        if name == "sin":
-            return math.sin(arg)
-        if name == "cos":
-            return math.cos(arg)
-        if name == "tan":
-            return math.tan(arg)
-        if name == "exp":
-            return math.exp(arg)
-        if name == "log":
-            return math.log(arg) if arg > 0 else math.nan
-        if name == "sqrt":
-            return math.sqrt(arg) if arg >= 0 else math.nan
-        if name == "abs":
-            return abs(arg)
-    except (ValueError, OverflowError):
-        return math.inf if name == "exp" and arg > 0 else math.nan
-    raise ValueError(f"unknown function {name!r}")
+        return _FUNCTIONS[name][0](arg)
+    except ValueError:  # outside the domain, e.g. log(0), sqrt(-1), sin(inf)
+        return math.nan
+    except OverflowError:  # only exp overflows
+        return math.inf
 
 
 def eval_expr(expr: Expression, x: float) -> float:
@@ -265,17 +270,7 @@ def eval_expr(expr: Expression, x: float) -> float:
         return -eval_expr(expr.operand, x)
     if isinstance(expr, FunctionCall):
         return _call(expr.name, eval_expr(expr.argument, x))
-    left = eval_expr(expr.left, x)
-    right = eval_expr(expr.right, x)
-    if expr.op == "+":
-        return left + right
-    if expr.op == "-":
-        return left - right
-    if expr.op == "*":
-        return left * right
-    if expr.op == "/":
-        return _safe_div(left, right)
-    return _safe_pow(left, right)
+    return _OPERATORS[expr.op][0](eval_expr(expr.left, x), eval_expr(expr.right, x))
 
 
 def _num(value: float) -> Expression:
@@ -355,21 +350,10 @@ def differentiate_expr(expr: Expression) -> Expression:
     if isinstance(expr, UnaryNeg):
         return _neg(differentiate_expr(expr.operand))
     if isinstance(expr, FunctionCall):
-        u = expr.argument
-        du = differentiate_expr(u)
-        if expr.name == "sin":
-            return _mul(FunctionCall("cos", u), du)
-        if expr.name == "cos":
-            return _neg(_mul(FunctionCall("sin", u), du))
-        if expr.name == "tan":
-            return _div(du, BinaryOp("^", FunctionCall("cos", u), Number(2.0)))
-        if expr.name == "exp":
-            return _mul(FunctionCall("exp", u), du)
-        if expr.name == "log":
-            return _div(du, u)
-        if expr.name == "sqrt":
-            return _div(du, _mul(Number(2.0), FunctionCall("sqrt", u)))
-        raise UnsupportedDerivativeError("abs(...) is not differentiable at 0")
+        rule = _FUNCTIONS[expr.name][1]
+        if rule is None:
+            raise UnsupportedDerivativeError(f"{expr.name}(...) is not differentiable at 0")
+        return rule(expr.argument, differentiate_expr(expr.argument))
     u, v = expr.left, expr.right
     du = differentiate_expr(u)
     dv = differentiate_expr(v)
@@ -389,23 +373,15 @@ def differentiate_expr(expr: Expression) -> Expression:
     return _mul(BinaryOp("^", u, v), _add(log_term, ratio_term))
 
 
-_PREC_ADD = 1
-_PREC_MUL = 2
+# unary minus binds between "*" and "^" ("-x^2" is -(x^2)); atoms bind tightest
 _PREC_NEG = 3
-_PREC_POW = 4
 _PREC_ATOM = 5
 
 
 def _prec(node: Expression) -> int:
     if isinstance(node, BinaryOp):
-        if node.op in "+-":
-            return _PREC_ADD
-        if node.op in "*/":
-            return _PREC_MUL
-        return _PREC_POW
-    if isinstance(node, UnaryNeg):
-        return _PREC_NEG
-    return _PREC_ATOM
+        return _OPERATORS[node.op][1]
+    return _PREC_NEG if isinstance(node, UnaryNeg) else _PREC_ATOM
 
 
 def _wrap(text: str, needs_parens: bool) -> str:
@@ -425,20 +401,7 @@ def expression_to_text(expr: Expression) -> str:
         return "-" + _wrap(inner, _prec(expr.operand) < _PREC_NEG)
     left = expression_to_text(expr.left)
     right = expression_to_text(expr.right)
-    if expr.op in "+-":
-        return (
-            _wrap(left, _prec(expr.left) < _PREC_ADD)
-            + expr.op
-            + _wrap(right, _prec(expr.right) <= _PREC_ADD)
-        )
-    if expr.op in "*/":
-        return (
-            _wrap(left, _prec(expr.left) < _PREC_MUL)
-            + expr.op
-            + _wrap(right, _prec(expr.right) <= _PREC_MUL)
-        )
-    return (
-        _wrap(left, _prec(expr.left) <= _PREC_POW)
-        + "^"
-        + _wrap(right, _prec(expr.right) < _PREC_NEG)
-    )
+    prec = _OPERATORS[expr.op][1]
+    if expr.op == "^":  # right-associative; the exponent may carry its own sign
+        return _wrap(left, _prec(expr.left) <= prec) + "^" + _wrap(right, _prec(expr.right) < _PREC_NEG)
+    return _wrap(left, _prec(expr.left) < prec) + expr.op + _wrap(right, _prec(expr.right) <= prec)

@@ -394,32 +394,33 @@ def _one_touching_root(f, r1: float, r2: float, lo: float, hi: float, tol: float
     and r2 - g*d (g the golden-section fraction), where |f| must be within
     ``tol``, and outside from r1 and r2 in steps of d, 2d, 4d, ... until
     |f| exceeds its largest inside value, but no further out than ``lo``
-    and ``hi``.  True when every probe has one strict sign and both sides
-    get there: f dips to zero between r1 and r2 without crossing it, as at
-    an even-order root whose proxy eigenvalues split into two real
-    candidates that each pass an explicit ``residual_tol``.  A side that
-    reaches ``lo`` or ``hi`` first keeps the roots apart, as in a tail of f
-    below ``tol`` (a Gaussian's); the golden-section probes keep apart
-    roots a whole number of root spacings apart (sin(20x) with the roots
-    between them missed), where the midpoint and the outside probes land
-    near roots.
+    and ``hi``.  True when every nonzero probe has one sign and both sides
+    get there (a probe may read exactly 0, as 1 - cos(x - c) does within
+    about 1e-8 of c by cancellation): f dips to zero between r1 and r2
+    without crossing it, as at an even-order root whose proxy eigenvalues
+    split into two real candidates that each pass an explicit
+    ``residual_tol``.  A side that reaches ``lo`` or ``hi`` first keeps the
+    roots apart, as in a tail of f below ``tol`` (a Gaussian's); the
+    golden-section probes keep apart roots a whole number of root spacings
+    apart (sin(20x) with the roots between them missed), where the
+    midpoint and the outside probes land near roots.
     """
     d = r2 - r1
     fm = f(r1 + d / 2.0)
-    if not 0.0 < abs(fm) <= tol:
+    if not abs(fm) <= tol:
         return False
-    def same_sign(v):
-        return v > 0.0 if fm > 0.0 else v < 0.0
-
     inner = (f(r1 + _GOLDEN * d), f(r2 - _GOLDEN * d), fm)
-    top = max(abs(v) for v in inner)
-    if not (top <= tol and all(same_sign(v) for v in inner)):
+    signs = {v > 0.0 for v in inner if v != 0.0}
+    if not (all(abs(v) <= tol for v in inner) and len(signs) <= 1):
         return False
+    top = max(abs(v) for v in inner)
     for x, step in ((r1, -d), (r2, d)):
         while True:
             x = min(max(x + step, lo), hi)
             fx = f(x)
-            if not same_sign(fx):
+            if fx != 0.0:
+                signs.add(fx > 0.0)
+            if math.isnan(fx) or len(signs) > 1:
                 return False
             if abs(fx) > top:
                 break

@@ -2,13 +2,24 @@ import csv
 import io
 import json
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from chebroots.bench import bench_to_csv, bench_to_dict, bench_to_json, default_corpus, run_bench
-from chebroots.chebyshev import Interval
+from chebroots import bench
+from chebroots.bench import (
+    GRID_POINTS,
+    bench_to_csv,
+    bench_to_dict,
+    bench_to_json,
+    default_corpus,
+    run_bench,
+)
+from chebroots.chebyshev import Interval, from_standard, standard_nodes
 from chebroots.cli import run_cli
+from chebroots.expressions import eval_expr
 from chebroots.rootfinder import RootConfig, find_roots
 from chebroots.serialize import (
     report_from_dict,
@@ -398,6 +409,22 @@ class TestBench:
         assert sweeps["cosine"] == (12, 13, 20, 30)
         assert sweeps["exponential"] == (8, 13, 20, 30)
         assert sweeps["gaussian_quartic"] == (10, 20, 30, 40)
+
+    def test_each_sample_node_is_evaluated_once(self, monkeypatch):
+        # find_roots and the proxy behind proxy_max_error share one sampling of f
+        calls = Counter()
+
+        def counting_eval(expr, x):
+            calls[x] += 1
+            return eval_expr(expr, x)
+
+        monkeypatch.setattr(bench, "eval_expr", counting_eval)
+        (case,) = [c for c in default_corpus() if c.name == "cosine"]
+        case = replace(case, degree_sweep=(12,))
+        (row,) = run_bench([case]).rows
+        nodes = [from_standard(case.interval, float(t)) for t in standard_nodes(12)]
+        assert [calls[x] for x in nodes] == [1] * 12
+        assert sum(calls.values()) == row.function_evaluations + GRID_POINTS
 
     def test_csv_and_json_payloads_match(self, report):
         doc = bench_to_dict(report)

@@ -124,6 +124,27 @@ class TestEval:
         assert eval_expr(parse("abs(x)"), -2.5) == 2.5
         assert eval_expr(parse("log(x)"), math.e) == pytest.approx(1.0)
 
+    SPECIALS = (math.inf, -math.inf, math.nan, 0.0, -0.0)
+    NAN, INF = math.nan, math.inf
+    EDGES = {
+        # f at each of SPECIALS, then (x, f(x)) at the edges of the domain
+        "sin": ((NAN, NAN, NAN, 0.0, -0.0), ()),
+        "cos": ((NAN, NAN, NAN, 1.0, 1.0), ()),
+        "tan": ((NAN, NAN, NAN, 0.0, -0.0), ()),
+        "exp": ((INF, 0.0, NAN, 1.0, 1.0), ((710.0, INF), (-746.0, 0.0))),
+        "log": ((INF, NAN, NAN, NAN, NAN), ((5e-324, -744.4400719213812), (-5e-324, NAN))),
+        "sqrt": ((INF, NAN, NAN, 0.0, -0.0), ((5e-324, 2.2227587494850775e-162), (-5e-324, NAN))),
+        "abs": ((INF, INF, NAN, 0.0, 0.0), ()),
+    }
+
+    @pytest.mark.parametrize("name", list(EDGES))
+    def test_function_at_non_finite_and_edge_points(self, name):
+        # repr tells nan and the sign of zero apart
+        at_specials, at_edges = self.EDGES[name]
+        tree = parse(f"{name}(x)")
+        for x, expected in list(zip(self.SPECIALS, at_specials)) + list(at_edges):
+            assert repr(eval_expr(tree, x)) == repr(expected), x
+
 
 class TestDifferentiate:
     def test_power_rule(self):
@@ -141,6 +162,21 @@ class TestDifferentiate:
     def test_abs_is_unsupported(self):
         with pytest.raises(UnsupportedDerivativeError):
             differentiate_expr(parse("abs(x)+1"))
+
+    TWO_X = BinaryOp("*", Number(2.0), Variable())
+    RULES = {
+        "sin": BinaryOp("*", FunctionCall("cos", TWO_X), Number(2.0)),
+        "cos": UnaryNeg(BinaryOp("*", FunctionCall("sin", TWO_X), Number(2.0))),
+        "tan": BinaryOp("/", Number(2.0), BinaryOp("^", FunctionCall("cos", TWO_X), Number(2.0))),
+        "exp": BinaryOp("*", FunctionCall("exp", TWO_X), Number(2.0)),
+        "log": BinaryOp("/", Number(2.0), TWO_X),
+        "sqrt": BinaryOp("/", Number(2.0), BinaryOp("*", Number(2.0), FunctionCall("sqrt", TWO_X))),
+    }
+
+    @pytest.mark.parametrize("name", list(RULES))
+    def test_chain_rule_tree(self, name):
+        # the CLI polishes with these trees, so their shape is part of its output
+        assert differentiate_expr(FunctionCall(name, self.TWO_X)) == self.RULES[name]
 
     def test_general_power_rule(self):
         d = differentiate_expr(parse("x^x"))
@@ -219,6 +255,12 @@ class TestPrinterRoundtrip:
         "--x",
         "-(x+1)",
         "1/2/3",
+    ] + [
+        # every ordered pair of operators, grouped either way
+        text
+        for o1 in "+-*/^"
+        for o2 in "+-*/^"
+        for text in (f"x{o1}2{o2}3", f"x{o1}(2{o2}3)", f"(x{o1}2){o2}3")
     ]
 
     @pytest.mark.parametrize("text", SAMPLES)

@@ -381,6 +381,16 @@ class TestFindRoots:
         assert sum(abs(x - 0.806) < 1e-6 for x in roots) == 1
         assert min(abs(x - 0.6579) for x in roots) < 1e-9
 
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("c", [-0.27, 0.3, 0.36, 0.4, 0.45, 0.7, 0.72, 0.75, 0.78, 0.806])
+    def test_explicit_residual_tol_merges_a_double_root_where_f_is_exactly_zero(self, c, tol):
+        # cancellation makes 1 - cos(x - c) exactly 0 within about 1e-8 of c,
+        # so the probes between the two candidates, and some outside, read 0
+        roots = find_roots(lambda x: 1 - math.cos(x - c), Interval(-1, 1),
+                           RootConfig(residual_tol=tol)).roots
+        assert len(roots) == 1
+        assert roots[0] == pytest.approx(c, abs=1e-7)
+
     @pytest.mark.parametrize("f, roots", [
         (lambda x: (x - 0.3) ** 2 * (x - 0.5) ** 2, (0.3, 0.5)),
         (lambda x: (x - 0.3) * (x - 0.3 - 1e-7), (0.3, 0.3 + 1e-7)),

@@ -29,7 +29,6 @@ from .chebyshev import (
 )
 from .companion import (
     DegenerateLeadingCoefficientError,
-    FrobeniusMatrix,
     Spectrum,
     build_frobenius,
     eigenvalues,
@@ -74,7 +73,6 @@ __all__ = [
     "to_standard",
     "transform",
     "DegenerateLeadingCoefficientError",
-    "FrobeniusMatrix",
     "Spectrum",
     "build_frobenius",
     "eigenvalues",

@@ -261,10 +261,14 @@ class DecayProfile:
         return tuple(enumerate(self.magnitudes))
 
 
-def coefficient_decay(series: ChebyshevSeries, zero_tol: float = 1e-14) -> DecayProfile:
+# Relative magnitude at or below which coefficient_decay counts a coefficient as zero.
+_DECAY_ZERO_TOL = 1e-14
+
+
+def coefficient_decay(series: ChebyshevSeries) -> DecayProfile:
     """Diagnostic decay profile of the series coefficients.
 
-    Trailing coefficients at or below ``zero_tol * max|coeff|`` count as an
+    Trailing coefficients at or below ``1e-14 * max|coeff|`` count as an
     exactly-zero tail.  If two or more such trailing coefficients were
     dropped, or fewer than two nonzero points remain, the representation is
     reported as exact (``slope=None``) instead of fitting a rate.  The fit
@@ -277,8 +281,8 @@ def coefficient_decay(series: ChebyshevSeries, zero_tol: float = 1e-14) -> Decay
     if len(c) < 4:
         raise ValueError("need at least 4 coefficients to fit a decay rate")
     mags = tuple(abs(v) for v in c)
-    cut = zero_tol * max(mags)
-    keep = len(chop_series(series, zero_tol).coeffs)
+    cut = _DECAY_ZERO_TOL * max(mags)
+    keep = len(chop_series(series, _DECAY_ZERO_TOL).coeffs)
     points = [(jj, m) for jj, m in enumerate(mags[:keep]) if jj >= 1 and m > cut]
     tail_dropped = len(mags) - keep
     if tail_dropped >= 2 or len(points) < 2:

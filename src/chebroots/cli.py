@@ -96,7 +96,8 @@ def _build_parser() -> _Parser:
     bench.add_argument("--format", choices=("json", "csv", "text"),
                        help="default: csv for an --output ending in .csv, else json")
     bench.add_argument("--output", metavar="PATH",
-                       help="file to write; without a .json/.csv suffix, writes PATH.json and PATH.csv")
+                       help="file to write; without --format or a .json/.csv suffix, "
+                            "writes PATH.json and PATH.csv")
     bench.add_argument("--no-polish", action="store_true")
     return parser
 
@@ -239,7 +240,7 @@ def _cmd_interp(args) -> int:
 
 def _cmd_bench(args) -> int:
     report = run_bench(default_corpus(), RootConfig(polish=not args.no_polish))
-    if args.output and not args.output.endswith((".json", ".csv")):
+    if args.output and args.format is None and not args.output.endswith((".json", ".csv")):
         for suffix, render in ((".json", bench_to_json), (".csv", bench_to_csv)):
             with open(args.output + suffix, "w") as handle:
                 handle.write(render(report))

@@ -16,7 +16,6 @@ import numpy as np
 from .chebyshev import ChebyshevSeries
 
 __all__ = [
-    "FrobeniusMatrix",
     "Spectrum",
     "DegenerateLeadingCoefficientError",
     "build_frobenius",
@@ -29,30 +28,9 @@ class DegenerateLeadingCoefficientError(ValueError):
     """The series' leading coefficient is zero; chop the series first."""
 
 
-@dataclass(frozen=True, eq=False)
-class FrobeniusMatrix:
-    """Dense companion matrix of a Chebyshev series.
-
-    For a series of degree n the matrix is n x n; its eigenvalues are the
-    roots of the series in the standard coordinate.  ``entries`` is
-    write-locked after construction.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
-
-
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of a companion matrix, with per-eigenvalue convergence flags.
+    """Eigenvalues of a companion matrix.
 
     Sorted by real part then imaginary part, so the order is deterministic.
     Complex eigenvalues of these real matrices always appear in conjugate
@@ -60,14 +38,14 @@ class Spectrum:
     """
 
     values: tuple[complex, ...]
-    converged: tuple[bool, ...]
 
-    def __post_init__(self):
-        if len(self.values) != len(self.converged):
-            raise ValueError("one convergence flag per eigenvalue required")
+    @property
+    def converged(self) -> tuple[bool, ...]:
+        """One True per eigenvalue: LAPACK converges on every one or raises."""
+        return (True,) * len(self.values)
 
 
-def build_frobenius(series: ChebyshevSeries) -> FrobeniusMatrix:
+def build_frobenius(series: ChebyshevSeries) -> np.ndarray:
     """Companion matrix of a degree-n Chebyshev series (n >= 1).
 
     With 1-based row/column labels j, k and coefficients a_0..a_n:
@@ -77,10 +55,10 @@ def build_frobenius(series: ChebyshevSeries) -> FrobeniusMatrix:
         row n:           -a_{k-1} / (2 a_n) at every column k,
                          plus an extra 1/2 at column n-1
 
-    The degenerate 1x1 case reduces to the single entry -a_0 / (2 a_1),
-    which is *not* the root of the linear series; use
-    :func:`series_spectrum` for root extraction, which special-cases the
-    linear series analytically.
+    Row j is x*T_{j-1} in the basis T_0..T_{n-1}, with T_n eliminated by the
+    series; x*T_0 = T_1 carries no 1/2, so the 1x1 matrix is -a_0 / a_1,
+    the root of the linear series.  The result is an n x n float64 array,
+    write-locked.
 
     Raises
     ------
@@ -89,7 +67,7 @@ def build_frobenius(series: ChebyshevSeries) -> FrobeniusMatrix:
     DegenerateLeadingCoefficientError
         If the leading coefficient is zero (chop first).
     """
-    c = series.coeffs
+    c = np.asarray(series.coeffs, dtype=float)
     n = len(c) - 1
     if n < 1:
         raise ValueError("companion matrix needs a series of degree >= 1")
@@ -98,23 +76,17 @@ def build_frobenius(series: ChebyshevSeries) -> FrobeniusMatrix:
             "leading coefficient is zero; chop the series before building the matrix"
         )
     m = np.zeros((n, n))
-    if n == 1:
-        m[0, 0] = -c[0] / (2.0 * c[1])
-        return FrobeniusMatrix(m)
-    m[0, 1] = 1.0
-    for j in range(1, n - 1):
-        m[j, j - 1] = 0.5
-        m[j, j + 1] = 0.5
-    m[n - 1, :] = [-c[k] / (2.0 * c[n]) for k in range(n)]
-    m[n - 1, n - 2] += 0.5
-    return FrobeniusMatrix(m)
+    m.flat[1::n + 1] = 0.5  # superdiagonal
+    m.flat[n::n + 1] = 0.5  # subdiagonal
+    m[0, 1:2] = 1.0
+    m[n - 1] = -c[:n] / (c[n] if n == 1 else 2.0 * c[n])
+    m[n - 1, n - 2:n - 1] += 0.5  # empty slice at n == 1
+    m.setflags(write=False)
+    return m
 
 
-def eigenvalues(matrix: FrobeniusMatrix) -> Spectrum:
+def eigenvalues(matrix: np.ndarray) -> Spectrum:
     """Full complex spectrum of the matrix, from ``np.linalg.eigvals``.
-
-    LAPACK either converges on every eigenvalue or fails, so every
-    ``converged`` flag is True.
 
     Raises
     ------
@@ -125,27 +97,21 @@ def eigenvalues(matrix: FrobeniusMatrix) -> Spectrum:
         ValueError, so :func:`~chebroots.rootfinder.find_roots` raises it
         as is and the CLI reports it with exit code 2.
     """
-    if matrix.order < 1:
+    if matrix.shape[0] < 1:
         raise ValueError("matrix order must be >= 1")
-    if not np.all(np.isfinite(matrix.entries)):
+    if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix has non-finite entries")
-    values = np.linalg.eigvals(matrix.entries)
+    values = np.linalg.eigvals(matrix)
     order = np.lexsort((values.imag, values.real))
-    return Spectrum(
-        tuple(complex(v) for v in values[order]),
-        (True,) * len(values),
-    )
+    return Spectrum(tuple(complex(v) for v in values[order]))
 
 
 def series_spectrum(series: ChebyshevSeries) -> Spectrum:
     """Roots of a chopped Chebyshev series in the standard coordinate.
 
-    Degree 0 has no roots to report; degree 1 is solved analytically as
-    -a_0/a_1 (the companion formula degenerates at order 1); everything else
-    goes through :func:`build_frobenius` and :func:`eigenvalues`.
+    Degree 0 has no roots to report; every other degree goes through
+    :func:`build_frobenius` and :func:`eigenvalues`.
     """
     if series.degree == 0:
-        return Spectrum((), ())
-    if series.degree == 1:
-        return Spectrum((complex(-series.coeffs[0] / series.coeffs[1]),), (True,))
+        return Spectrum(())
     return eigenvalues(build_frobenius(series))

@@ -54,10 +54,19 @@ _EPS = float(np.finfo(np.float64).eps)
 # turn proxy noise crossings into accepted roots.
 _AUTO_RESIDUAL_FACTOR = 1000.0
 
-# Half-width (relative to max(1, |x|)) of the bracket used to certify that f
-# actually changes sign across an accepted root in automatic mode.  Far above
-# the polished root error, far below any resolvable root separation.
-_SIGN_STEP_FACTOR = math.sqrt(float(np.finfo(np.float64).eps))
+# Half-width, in the standard coordinate, of the bracket used to certify that
+# f actually changes sign across an accepted root in automatic mode.  Far
+# below any root separation the proxy resolves; scaling with the interval
+# rather than with |x| keeps close roots on a narrow interval far from 0.
+# _crosses floors it at the automatic residual test's scale,
+# 1000*eps*max(1, |x|), to stay above the polished root error.
+_SIGN_STEP_FACTOR = math.sqrt(_EPS)
+
+# Newton polish gives up after this many iterations.
+_POLISH_MAX_ITER = 12
+
+# Accepted roots closer than this fraction of the interval width are one root.
+_DEDUPE_FRACTION = 1e-9
 
 # Newton iterates may wander this fraction of the interval width outside
 # [a, b] before the run counts as diverged.
@@ -113,12 +122,10 @@ class RootConfig:
     box_tol: float = 1e-6
     max_adaptive_degree: int = 128
     polish: bool = True
-    polish_max_iter: int = 12
     residual_tol: float | None = None
-    dedupe_tol: float = 1e-9
 
     def __post_init__(self):
-        for name in ("degree", "max_adaptive_degree", "polish_max_iter"):
+        for name in ("degree", "max_adaptive_degree"):
             value = getattr(self, name)
             if value is not None:
                 if not isinstance(value, numbers.Integral):
@@ -126,15 +133,13 @@ class RootConfig:
                 object.__setattr__(self, name, int(value))  # numpy ints serialize as ints
         if self.degree is not None and self.degree < 2:
             raise ValueError("fixed degree must be >= 2")
-        for name in ("imag_tol", "box_tol", "dedupe_tol"):
+        for name in ("imag_tol", "box_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.residual_tol is not None and not self.residual_tol > 0:
             raise ValueError("residual_tol must be positive (or None for automatic)")
         if self.max_adaptive_degree < 2:
             raise ValueError("max_adaptive_degree must be >= 2")
-        if self.polish_max_iter < 1:
-            raise ValueError("polish_max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -338,7 +343,8 @@ def _crosses(f, x: float, interval: Interval) -> bool:
     interval endpoint there is no room to straddle x, so it passes.
     Tangential (even-order) roots fail this test by nature.
     """
-    h = _SIGN_STEP_FACTOR * max(1.0, abs(x))
+    h = max(_SIGN_STEP_FACTOR * interval.width / 2.0,
+            _AUTO_RESIDUAL_FACTOR * _EPS * max(1.0, abs(x)))
     if x - h < interval.a or x + h > interval.b:
         return True
     f_lo = f(x - h)
@@ -364,7 +370,7 @@ def _vet(cand: RootCandidate, f, df, dseries: ChebyshevSeries, interval: Interva
     residual = None
     iters = 0
     if config.polish:
-        pol = newton_polish(f, df, x, interval, config.polish_max_iter)
+        pol = newton_polish(f, df, x, interval, _POLISH_MAX_ITER)
         iters = pol.iterations
         slack = config.box_tol * interval.width / 2.0
         if pol.diverged or pol.x < interval.a - slack or pol.x > interval.b + slack:
@@ -431,7 +437,7 @@ def _one_touching_root(f, r1: float, r2: float, lo: float, hi: float, tol: float
 
 
 def _dedupe_candidates(candidates, interval: Interval, config: RootConfig, f=None):
-    """Merge accepted candidates closer than dedupe_tol * width.
+    """Merge accepted candidates closer than 1e-9 * width.
 
     Keeps the smaller-residual member of a cluster (ties keep the leftmost);
     the losers flip to rejected with reason ``duplicate``.  Given f and an
@@ -439,7 +445,7 @@ def _dedupe_candidates(candidates, interval: Interval, config: RootConfig, f=Non
     (:func:`_one_touching_root`) merge the same way.  Returns the sorted
     root list and the updated candidate tuple.
     """
-    radius = config.dedupe_tol * interval.width
+    radius = _DEDUPE_FRACTION * interval.width
     order = sorted(
         (i for i, c in enumerate(candidates) if c.accepted),
         key=lambda i: (candidates[i].mapped_coord, i),
@@ -479,11 +485,9 @@ def _dedupe_candidates(candidates, interval: Interval, config: RootConfig, f=Non
     return roots, tuple(out)
 
 
-def dedupe_and_sort(candidates, interval, config: RootConfig | None = None) -> list[float]:
+def dedupe_and_sort(candidates, interval) -> list[float]:
     """Sorted accepted root locations with near-duplicates merged."""
-    if config is None:
-        config = RootConfig()
-    roots, _ = _dedupe_candidates(tuple(candidates), _as_interval(interval), config)
+    roots, _ = _dedupe_candidates(tuple(candidates), _as_interval(interval), RootConfig())
     return roots
 
 

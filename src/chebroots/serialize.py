@@ -32,7 +32,7 @@ __all__ = [
     "format_cell",
 ]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _DECAY_EXACT = "exact"
 

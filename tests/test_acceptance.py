@@ -145,7 +145,7 @@ def test_criterion_7_filter_contract():
         complex(1.0 + 1e-6, 0.0), complex(math.nextafter(1.0 + 1e-6, 2.0), 0.0),
         complex(-(1.0 + 1e-6), 0.0), complex(0.99, -1e-8),
     ]
-    spectrum = Spectrum(tuple(values), tuple([True] * len(values)))
+    spectrum = Spectrum(tuple(values))
     for cand, z in zip(filter_candidates(spectrum, config), values):
         expected = abs(z.imag) <= 1e-8 and abs(z.real) <= 1.0 + 1e-6
         assert cand.accepted == expected, z

@@ -76,7 +76,7 @@ class TestSerializationRoundtrip:
         config = RootConfig(degree=30)
         doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config), config)
         assert list(doc["config"]) == ["degree", "imag_tol", "box_tol", "max_adaptive_degree",
-                                       "polish", "polish_max_iter", "residual_tol", "dedupe_tol"]
+                                       "polish", "residual_tol"]
 
     def test_version_1_document_is_refused(self):
         config = RootConfig(degree=30)
@@ -84,6 +84,14 @@ class TestSerializationRoundtrip:
         doc["version"] = 1
         doc["config"].update(chop_tol=1e-13, adaptive_tol=1e-12)
         with pytest.raises(ValueError, match="unsupported report version 1"):
+            report_from_dict(doc)
+
+    def test_version_2_document_is_refused(self):
+        config = RootConfig(degree=30)
+        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config), config)
+        doc["version"] = 2
+        doc["config"].update(polish_max_iter=12, dedupe_tol=1e-9)
+        with pytest.raises(ValueError, match="unsupported report version 2"):
             report_from_dict(doc)
 
     def test_csv_is_rfc4180(self):
@@ -102,7 +110,7 @@ class TestRootsCommand:
             "roots", "--function", "cos(x)", "--interval", "-10", "10", "--degree", "30",
         ])
         assert code == 0
-        assert doc["version"] == 2
+        assert doc["version"] == 3
         assert len(doc["roots"]) == 6
         assert doc["config"]["degree"] == 30
         truth = sorted(s * k * math.pi / 2 for k in (1, 3, 5) for s in (1, -1))
@@ -453,7 +461,10 @@ class TestBench:
         ("b.csv", [], "csv"),
         ("b.json", [], "json"),
         ("b.csv", ["--format", "json"], "json"),
-    ], ids=["csv-suffix", "json-suffix", "format-beats-suffix"])
+        ("b", ["--format", "csv"], "csv"),
+        ("b", ["--format", "json"], "json"),
+    ], ids=["csv-suffix", "json-suffix", "format-beats-suffix", "format-beats-stem-csv",
+            "format-beats-stem-json"])
     def test_bench_cli_suffix_picks_the_format(self, tmp_path, report, name, extra, kind):
         target = tmp_path / name
         assert run_cli(["bench", "--output", str(target)] + extra) == 0
@@ -477,5 +488,5 @@ class TestBench:
 
     def test_bench_json_parses(self, report):
         doc = json.loads(bench_to_json(report))
-        assert doc["version"] == 2
+        assert doc["version"] == 3
         assert len(doc["cases"]) == 3

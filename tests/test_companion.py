@@ -27,20 +27,20 @@ def real_parts(spectrum):
 class TestBuildFrobenius:
     def test_degree_two_matrix_and_roots(self):
         m = build_frobenius(basis_series(2))
-        assert m.entries.tolist() == [[0.0, 1.0], [0.5, 0.0]]
+        assert m.tolist() == [[0.0, 1.0], [0.5, 0.0]]
         spectrum = eigenvalues(m)
         expected = math.cos(math.pi / 4)
         assert real_parts(spectrum) == pytest.approx([-expected, expected], abs=1e-12)
 
     def test_degree_one_degenerate_entry(self):
         m = build_frobenius(basis_series(1))
-        assert m.order == 1
-        assert m.entries.tolist() == [[0.0]]
+        assert m.shape == (1, 1)
+        assert m.tolist() == [[0.0]]
         assert eigenvalues(m).values == (0j,)
 
     def test_degree_five_layout(self):
         coeffs = (3.0, -1.0, 2.0, 0.5, -4.0, 2.0)
-        m = build_frobenius(ChebyshevSeries(STD, coeffs)).entries
+        m = build_frobenius(ChebyshevSeries(STD, coeffs))
         a = coeffs
         expected = np.zeros((5, 5))
         expected[0, 1] = 1.0
@@ -51,7 +51,7 @@ class TestBuildFrobenius:
         expected[3, 2] = expected[3, 4] = 0.5
         expected[4, :] = [-a[k] / (2 * a[5]) for k in range(5)]
         expected[4, 3] += 0.5
-        assert np.array_equal(m, expected)
+        assert m.dtype == np.float64 and np.array_equal(m, expected)
 
     def test_constant_series_rejected(self):
         with pytest.raises(ValueError, match="degree >= 1"):
@@ -64,7 +64,7 @@ class TestBuildFrobenius:
     def test_entries_are_write_locked(self):
         m = build_frobenius(basis_series(3))
         with pytest.raises(ValueError):
-            m.entries[0, 0] = 99.0
+            m[0, 0] = 99.0
 
 
 class TestEigenvalues:
@@ -92,7 +92,7 @@ class TestEigenvalues:
             m = build_frobenius(ChebyshevSeries(STD, tuple(coeffs)))
             spectrum = eigenvalues(m)
             total = sum(spectrum.values)
-            trace = float(np.trace(m.entries))
+            trace = float(np.trace(m))
             assert abs(total - trace) <= 1e-9 * max(1.0, abs(trace))
             assert abs(total.imag) <= 1e-9
 
@@ -162,14 +162,21 @@ def _bisection_roots(f, lo, hi, grid=4096):
 
 class TestSeriesSpectrum:
     def test_constant_series_has_no_roots(self):
-        assert series_spectrum(ChebyshevSeries(STD, (2.0,))) == Spectrum((), ())
+        assert series_spectrum(ChebyshevSeries(STD, (2.0,))) == Spectrum(())
 
     def test_linear_series_solved_analytically(self):
-        # 0.6 + 1.5*T_1 vanishes at -0.4, where the 1x1 companion entry is -0.2
-        spectrum = series_spectrum(ChebyshevSeries(STD, (0.6, 1.5)))
+        # 0.6 + 1.5*T_1 vanishes at -0.4, which is the 1x1 companion entry:
+        # x*T_0 = T_1 carries no 1/2
+        series = ChebyshevSeries(STD, (0.6, 1.5))
+        assert build_frobenius(series).tolist() == [[-0.6 / 1.5]]
+        spectrum = series_spectrum(series)
         assert spectrum.values == (complex(-0.6 / 1.5),)
         assert spectrum.values[0].real == pytest.approx(-0.4, abs=1e-15)
         assert spectrum.converged == (True,)
+
+    def test_every_value_is_converged(self):
+        assert Spectrum((1 + 0j, 2 - 1j, 2 + 1j)).converged == (True, True, True)
+        assert Spectrum(()).converged == ()
 
     def test_spectrum_is_sorted(self):
         spectrum = series_spectrum(basis_series(9))

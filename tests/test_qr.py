@@ -9,16 +9,16 @@ rejections and accuracy against closed-form spectra.
 import numpy as np
 import pytest
 
-from chebroots.companion import FrobeniusMatrix, Spectrum, eigenvalues
+from chebroots.companion import Spectrum, eigenvalues
 
 
 def spectrum(entries):
-    return eigenvalues(FrobeniusMatrix(np.array(entries, dtype=float)))
+    return eigenvalues(np.array(entries, dtype=float))
 
 
 class TestBasics:
     def test_one_by_one(self):
-        assert spectrum([[2.0]]) == Spectrum((2 + 0j,), (True,))
+        assert spectrum([[2.0]]) == Spectrum((2 + 0j,))
 
     def test_permutation_two_by_two(self):
         assert spectrum([[0.0, 1.0], [1.0, 0.0]]).values == (-1 + 0j, 1 + 0j)

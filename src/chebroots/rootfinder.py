@@ -54,12 +54,13 @@ _EPS = float(np.finfo(np.float64).eps)
 # turn proxy noise crossings into accepted roots.
 _AUTO_RESIDUAL_FACTOR = 1000.0
 
-# Half-width, in the standard coordinate, of the bracket used to certify that
-# f actually changes sign across an accepted root in automatic mode.  Far
-# below any root separation the proxy resolves; scaling with the interval
-# rather than with |x| keeps close roots on a narrow interval far from 0.
-# _crosses floors it at the automatic residual test's scale,
-# 1000*eps*max(1, |x|), to stay above the polished root error.
+# Relative half-width of the bracket used to certify that f actually changes
+# sign across an accepted root in automatic mode.  _crosses scales it by the
+# smaller of the interval's half-width and max(1, |x|), so the bracket is
+# never wider than either: a narrow interval far from 0 keeps close roots
+# (1e-5 apart on [999, 1001]), and a wide interval keeps close roots near 0
+# (0 and 1 on [-1e6, 1e6]).  It is floored at the automatic residual test's
+# scale, 1000*eps*max(1, |x|), to stay above the polished root error.
 _SIGN_STEP_FACTOR = math.sqrt(_EPS)
 
 # Newton polish gives up after this many iterations.
@@ -343,8 +344,9 @@ def _crosses(f, x: float, interval: Interval) -> bool:
     interval endpoint there is no room to straddle x, so it passes.
     Tangential (even-order) roots fail this test by nature.
     """
-    h = max(_SIGN_STEP_FACTOR * interval.width / 2.0,
-            _AUTO_RESIDUAL_FACTOR * _EPS * max(1.0, abs(x)))
+    scale = max(1.0, abs(x))
+    h = max(_SIGN_STEP_FACTOR * min(interval.width / 2.0, scale),
+            _AUTO_RESIDUAL_FACTOR * _EPS * scale)
     if x - h < interval.a or x + h > interval.b:
         return True
     f_lo = f(x - h)
@@ -436,14 +438,14 @@ def _one_touching_root(f, r1: float, r2: float, lo: float, hi: float, tol: float
     return True
 
 
-def _dedupe_candidates(candidates, interval: Interval, config: RootConfig, f=None):
+def _dedupe_candidates(candidates, interval: Interval, f=None, touch_tol: float | None = None):
     """Merge accepted candidates closer than 1e-9 * width.
 
     Keeps the smaller-residual member of a cluster (ties keep the leftmost);
-    the losers flip to rejected with reason ``duplicate``.  Given f and an
-    explicit ``residual_tol``, adjacent roots that f only touches between
-    (:func:`_one_touching_root`) merge the same way.  Returns the sorted
-    root list and the updated candidate tuple.
+    the losers flip to rejected with reason ``duplicate``.  Given f and a
+    ``touch_tol`` (the explicit ``residual_tol``), adjacent roots that f
+    only touches between (:func:`_one_touching_root`) merge the same way.
+    Returns the sorted root list and the updated candidate tuple.
     """
     radius = _DEDUPE_FRACTION * interval.width
     order = sorted(
@@ -455,7 +457,6 @@ def _dedupe_candidates(candidates, interval: Interval, config: RootConfig, f=Non
     def residual_of(cand):
         return cand.residual if cand.residual is not None else math.inf
 
-    touch_tol = config.residual_tol if f is not None else None
     kept: list[int] = []
 
     def same_root(pos):
@@ -463,7 +464,7 @@ def _dedupe_candidates(candidates, interval: Interval, config: RootConfig, f=Non
         r1, r2 = out[kept[-1]].mapped_coord, out[order[pos]].mapped_coord
         if r2 - r1 < radius:
             return True
-        if touch_tol is None:
+        if f is None or touch_tol is None:
             return False
         # outside probes stop halfway to the neighbouring roots
         lo = (out[kept[-2]].mapped_coord + r1) / 2.0 if len(kept) > 1 else interval.a
@@ -487,7 +488,7 @@ def _dedupe_candidates(candidates, interval: Interval, config: RootConfig, f=Non
 
 def dedupe_and_sort(candidates, interval) -> list[float]:
     """Sorted accepted root locations with near-duplicates merged."""
-    roots, _ = _dedupe_candidates(tuple(candidates), _as_interval(interval), RootConfig())
+    roots, _ = _dedupe_candidates(tuple(candidates), _as_interval(interval))
     return roots
 
 
@@ -563,7 +564,7 @@ def find_roots(f, interval, config: RootConfig | None = None, df=None) -> RootRe
         _vet(cand, counter, newton_df, dseries, interval, config) if cand.accepted else cand
         for cand in candidates
     )
-    roots, final = _dedupe_candidates(vetted, interval, config, counter)
+    roots, final = _dedupe_candidates(vetted, interval, counter, config.residual_tol)
     return RootReport(
         roots=tuple(roots),
         candidates=final,

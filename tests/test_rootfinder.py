@@ -247,11 +247,10 @@ class TestDedupe:
         # midpoint and the probes one gap outside both land near roots
         f = lambda x: math.sin(20 * x)
         step = math.pi / 20
-        config = RootConfig(residual_tol=1e-8)
         for j in (2, 4, 6):
             for k in range(-63, 64 - j):
                 cands = self._candidates([k * step, (k + j) * step], [1e-15, 1e-15])
-                roots, _ = rootfinder._dedupe_candidates(tuple(cands), BIG, config, f)
+                roots, _ = rootfinder._dedupe_candidates(tuple(cands), BIG, f, 1e-8)
                 assert len(roots) == 2, (k, j)
 
 
@@ -402,12 +401,16 @@ class TestFindRoots:
     @pytest.mark.parametrize("c, gap, a, b", [
         (1e3 + 0.3, 1e-5, 999.0, 1001.0),
         (1e6 + 0.3, 0.01, 1e6 - 1.0, 1e6 + 1.0),
-    ], ids=["pair-at-1e3", "pair-at-1e6"])
+        (0.0, 1.0, -1e6, 1e6),
+        (0.0, 1e-6, -100.0, 100.0),
+    ], ids=["pair-at-1e3", "pair-at-1e6", "pair-at-0-wide", "pair-at-0-1e-6-apart"])
     def test_sign_check_keeps_close_roots_far_from_zero(self, c, gap, a, b):
-        # the sign-check bracket scales with the interval, not with |x|, so it
-        # does not step over the neighbouring root
+        # the sign-check bracket is no wider than either the interval's
+        # half-width or max(1, |x|) times sqrt(eps), so it does not step over
+        # the neighbouring root on a narrow interval far from 0 or on a wide
+        # interval near 0
         report = find_roots(lambda x: (x - c) * (x - c - gap), Interval(a, b))
-        assert report.roots == pytest.approx((c, c + gap), rel=0, abs=1e-9 * c)
+        assert report.roots == pytest.approx((c, c + gap), rel=0, abs=1e-9 * max(1.0, c))
 
     def test_explicit_residual_tol_never_merges_sign_changes(self):
         # adjacent accepted roots an even number of root spacings apart, the

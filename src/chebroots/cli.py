@@ -8,7 +8,8 @@ Subcommands:
     interp  tabulate the true function against its proxy on a uniform grid
     bench   run the built-in benchmark corpus against its oracles
 
-Exit codes: 0 success, 1 usage error (an unwritable --output included),
+Exit codes: 0 success, 1 usage error (an unparseable or too deeply nested
+function and an unwritable --output included),
 2 numerical failure (a non-converged proxy without --allow-nonconverged, a
 non-finite sample, or LAPACK failing to converge on the companion
 eigenvalues).
@@ -264,6 +265,9 @@ def run_cli(argv=None) -> int:
         return _cmd_bench(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:  # parse loops over a flat sum, but the tree walks recurse
+        print("error: expression is nested too deeply", file=sys.stderr)
         return 1
     except (ParseError, ValueError, OSError) as exc:
         if isinstance(exc, (NonFiniteSampleError, LinAlgError)):

@@ -79,7 +79,7 @@ def build_frobenius(series: ChebyshevSeries) -> np.ndarray:
     m.flat[1::n + 1] = 0.5  # superdiagonal
     m.flat[n::n + 1] = 0.5  # subdiagonal
     m[0, 1:2] = 1.0
-    m[n - 1] = -c[:n] / (c[n] if n == 1 else 2.0 * c[n])
+    m[n - 1] = -(c[:n] / c[n]) / (1.0 if n == 1 else 2.0)  # 2*c[n] could overflow
     m[n - 1, n - 2:n - 1] += 0.5  # empty slice at n == 1
     m.setflags(write=False)
     return m

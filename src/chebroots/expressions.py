@@ -87,116 +87,86 @@ class FunctionCall:
 Expression = Number | Variable | UnaryNeg | BinaryOp | FunctionCall
 
 
+# one token after optional whitespace; "end" and "bad" make every scan total
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>[-+*/^()])
-    """,
-    re.VERBOSE,
+    r"""\s*(?:
+      (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
+    | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+    | (?P<op>[-+*/^()])
+    | (?P<end>\Z)
+    | (?P<bad>.))""",
+    re.VERBOSE | re.DOTALL,
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", n))
-    return tokens
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
+        if kind == "end":
+            return tokens
 
 
 class _Parser:
+    """Precedence climbing; binding strengths come from ``_OPERATORS`` and ``_PREC_NEG``."""
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
+    def expect(self, value: str, message: str):
+        _, got, pos = self.tokens[self.i]
+        if got != value:
+            raise ParseError(message, pos)
         self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, value, pos = self.peek()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}", pos)
-        self.advance()
 
     def parse(self) -> Expression:
-        node = self.expr()
-        kind, value, pos = self.peek()
+        node = self.binary()
+        kind, value, pos = self.tokens[self.i]
         if kind != "end":
             raise ParseError(f"trailing input starting with {value!r}", pos)
         return node
 
-    def expr(self) -> Expression:
-        return self.left_assoc("+-", self.term)
-
-    def term(self) -> Expression:
-        return self.left_assoc("*/", self.unary)
-
-    def left_assoc(self, ops: str, operand) -> Expression:
-        """operand { op operand } for op in ``ops``, grouped to the left."""
-        node = operand()
+    def binary(self, floor: int = 0) -> Expression:
+        """An operand and every binary operator that binds tighter than ``floor``."""
+        node = self.operand()
         while True:
-            kind, value, _ = self.tokens[self.i]
-            if kind != "op" or value not in ops:
+            op = self.tokens[self.i][1]
+            entry = _OPERATORS.get(op)
+            if entry is None or entry[1] <= floor:
                 return node
             self.i += 1
-            node = BinaryOp(value, node, operand())
+            # an operator binding tighter than unary minus ("^") groups to the
+            # right, and its right operand may carry its own sign
+            node = BinaryOp(op, node, self.binary(min(entry[1], _PREC_NEG)))
 
-    def unary(self) -> Expression:
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            return UnaryNeg(self.unary())
-        return self.power()
-
-    def power(self) -> Expression:
-        node = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            # right-associative, and the exponent may carry its own sign
-            return BinaryOp("^", node, self.unary())
-        return node
-
-    def atom(self) -> Expression:
-        kind, value, pos = self.advance()
+    def operand(self) -> Expression:
+        """A number, x, a call, a parenthesised group, or "-" before a signed power."""
+        kind, value, pos = self.tokens[self.i]
+        self.i += 1
+        if value == "-":  # a run of minus signs costs one stack frame per sign
+            return UnaryNeg(self.operand() if self.tokens[self.i][1] == "-" else self.binary(_PREC_NEG))
         if kind == "number":
             num = float(value)
             if not math.isfinite(num):
                 raise ParseError(f"number literal {value!r} overflows", pos)
             return Number(num)
-        if kind == "name":
-            if value == "x":
-                return Variable()
-            if value in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return FunctionCall(value, arg)
-            raise ParseError(f"unknown identifier {value!r}", pos)
-        if kind == "op" and value == "(":
-            node = self.expr()
-            kind, _, pos = self.peek()
-            if kind != "op" or self.peek()[1] != ")":
-                raise ParseError("unbalanced parenthesis", pos)
-            self.advance()
+        if value == "x":
+            return Variable()
+        if value == "(":
+            node = self.binary()
+            self.expect(")", "unbalanced parenthesis")
             return node
+        if value in _FUNCTIONS:
+            self.expect("(", "expected '('")
+            node = FunctionCall(value, self.binary())
+            self.expect(")", "expected ')'")
+            return node
+        if kind == "name":
+            raise ParseError(f"unknown identifier {value!r}", pos)
         raise ParseError(f"expected a value, got {value!r}" if value else "unexpected end of input", pos)
 
 
@@ -234,6 +204,10 @@ _OPERATORS = {
     "^": (_safe_pow, 4),
 }
 
+# unary minus binds between "*" and "^" ("-x^2" is -(x^2)); atoms bind tightest
+_PREC_NEG = 3
+_PREC_ATOM = 5
+
 # name -> (value function, derivative rule (u, du) -> tree); abs has no rule
 _FUNCTIONS = {
     "sin": (math.sin, lambda u, du: _mul(FunctionCall("cos", u), du)),
@@ -244,8 +218,6 @@ _FUNCTIONS = {
     "sqrt": (math.sqrt, lambda u, du: _div(du, _mul(Number(2.0), FunctionCall("sqrt", u)))),
     "abs": (abs, None),
 }
-
-FUNCTIONS = tuple(_FUNCTIONS)
 
 
 def _call(name: str, arg: float) -> float:
@@ -371,11 +343,6 @@ def differentiate_expr(expr: Expression) -> Expression:
     log_term = _mul(dv, FunctionCall("log", u))
     ratio_term = _mul(v, _div(du, u))
     return _mul(BinaryOp("^", u, v), _add(log_term, ratio_term))
-
-
-# unary minus binds between "*" and "^" ("-x^2" is -(x^2)); atoms bind tightest
-_PREC_NEG = 3
-_PREC_ATOM = 5
 
 
 def _prec(node: Expression) -> int:

@@ -216,26 +216,6 @@ def _sample_at_nodes(f, interval: Interval, n: int, coarse=()) -> list[float]:
     ]
 
 
-def _adaptive_raw(f, interval: Interval, cap: int,
-                  tol: float) -> tuple[ChebyshevSeries, ChebyshevSeries, bool]:
-    n = min(16, cap)
-    samples = _sample_at_nodes(f, interval, n)
-    while True:
-        raw = transform(samples, interval)
-        chopped = chop_series(raw, tol)
-        # resolved when the chop drops the last 8 coefficients
-        if n - len(chopped.coeffs) >= min(8, n - 1):
-            return raw, chopped, True
-        if n >= cap:
-            return raw, chopped, False
-        if n & (n - 1) == 0 and 3 * n <= cap:
-            n *= 3
-            samples = _sample_at_nodes(f, interval, n, samples)
-        else:  # fresh samples at the next 16*2^k above n
-            n = min(16 << (n // 16).bit_length(), cap)
-            samples = _sample_at_nodes(f, interval, n)
-
-
 def newton_polish(f, df, x0: float, interval, max_iter: int) -> PolishResult:
     """Refine a candidate root of f with Newton's iteration.
 
@@ -512,10 +492,23 @@ def build_proxy(f, interval,
         config = RootConfig()
     # noise level: 1e-13, or a node's rounding error in the standard coordinate (Aurentz, Trefethen)
     tol = max(1e-13, _EPS * max(abs(interval.a), abs(interval.b)) / (interval.width / 2.0))
-    if config.degree is None:
-        return _adaptive_raw(f, interval, config.max_adaptive_degree, tol)
-    raw = transform(_sample_at_nodes(f, interval, config.degree), interval)
-    return raw, chop_series(raw, tol), True
+    fixed = config.degree is not None
+    cap = config.degree if fixed else config.max_adaptive_degree
+    n = cap if fixed else min(16, cap)
+    samples = _sample_at_nodes(f, interval, n)
+    while True:
+        raw = transform(samples, interval)
+        chopped = chop_series(raw, tol)
+        # resolved when the chop drops the last 8 coefficients
+        resolved = n - len(chopped.coeffs) >= min(8, n - 1)
+        if resolved or n >= cap:
+            return raw, chopped, resolved or fixed
+        if n & (n - 1) == 0 and 3 * n <= cap:
+            n *= 3
+            samples = _sample_at_nodes(f, interval, n, samples)
+        else:  # fresh samples at the next 16*2^k above n
+            n = min(16 << (n // 16).bit_length(), cap)
+            samples = _sample_at_nodes(f, interval, n)
 
 
 def _decay_profile(series: ChebyshevSeries) -> DecayProfile:

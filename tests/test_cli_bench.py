@@ -212,6 +212,12 @@ class TestExitCodes:
         assert code == 1
         assert "unknown identifier" in capsys.readouterr().err
 
+    def test_too_deeply_nested_function(self, capsys):
+        # the sum parses in a loop; its 3000-deep tree is too deep to differentiate
+        code = run_cli(["roots", "--function", "+".join(["x"] * 3000), "--interval", "0", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: expression is nested too deeply\n"
+
     def test_bad_interval(self, capsys):
         code = run_cli(["roots", "--function", "cos(x)", "--interval", "5", "1"])
         assert code == 1

@@ -174,6 +174,12 @@ class TestSeriesSpectrum:
         assert spectrum.values[0].real == pytest.approx(-0.4, abs=1e-15)
         assert spectrum.converged == (True,)
 
+    def test_huge_leading_coefficient(self):
+        # 2*a_n overflows above ~9e307; the spectrum must not depend on the scale
+        huge = series_spectrum(ChebyshevSeries(STD, (1e308, 0.0, 1.7e308)))
+        assert huge == series_spectrum(ChebyshevSeries(STD, (1e300, 0.0, 1.7e300)))
+        assert abs(huge.values[-1].real) == pytest.approx(0.4537, abs=1e-4)
+
     def test_every_value_is_converged(self):
         assert Spectrum((1 + 0j, 2 - 1j, 2 + 1j)).converged == (True, True, True)
         assert Spectrum(()).converged == ()

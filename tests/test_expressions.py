@@ -1,3 +1,4 @@
+import itertools
 import math
 import zlib
 
@@ -52,6 +53,50 @@ class TestParse:
     def test_exponent_may_be_signed(self):
         assert parse("x^-2") == BinaryOp("^", Variable(), UnaryNeg(Number(2.0)))
 
+    # op1 -> one letter per op2 in "+-*/^": "L" groups x op1 2 op2 3 as
+    # (x op1 2) op2 3, "R" as x op1 (2 op2 3)
+    GROUPS = {
+        "+": "LLRRR",
+        "-": "LLRRR",
+        "*": "LLLLR",
+        "/": "LLLLR",
+        "^": "LLLLR",
+    }
+
+    @staticmethod
+    def grouped(op1, op2, signs):
+        """The tree of x op1 2 op2 3 with signs[k] before operand k.
+
+        A leading minus negates its operand and the "^" chain that follows
+        it: "-x^2" is -(x^2), "x*-2^3" is x*(-(2^3)).
+        """
+        def neg(k, node):
+            return UnaryNeg(node) if signs[k] else node
+
+        a, b, c = Variable(), Number(2.0), Number(3.0)
+        if TestParse.GROUPS[op1]["+-*/^".index(op2)] == "L":
+            left = (neg(0, BinaryOp("^", a, neg(1, b))) if op1 == "^"
+                    else BinaryOp(op1, neg(0, a), neg(1, b)))
+            return BinaryOp(op2, left, neg(2, c))
+        right = (neg(1, BinaryOp("^", b, neg(2, c))) if op2 == "^"
+                 else BinaryOp(op2, neg(1, b), neg(2, c)))
+        return neg(0, BinaryOp("^", a, right)) if op1 == "^" else BinaryOp(op1, neg(0, a), right)
+
+    @pytest.mark.parametrize("op1", "+-*/^")
+    @pytest.mark.parametrize("op2", "+-*/^")
+    def test_grouping_of_every_operator_pair(self, op1, op2):
+        for signs in itertools.product((False, True), repeat=3):
+            s = ["-" if sign else "" for sign in signs]
+            text = f"{s[0]}x{op1}{s[1]}2{op2}{s[2]}3"
+            assert parse(text) == self.grouped(op1, op2, signs), text
+
+    def test_deep_nesting_parses(self):
+        assert parse("(" * 120 + "x" + ")" * 120) == Variable()
+        tree = parse("-" * 900 + "x")
+        for _ in range(900):
+            tree = tree.operand
+        assert tree == Variable()
+
 
 class TestParseErrors:
     def test_unknown_identifier_with_offset(self):
@@ -92,6 +137,24 @@ class TestParseErrors:
     def test_empty_input(self):
         with pytest.raises(ParseError, match="end of input"):
             parse("")
+
+    @pytest.mark.parametrize("text, message, position", [
+        ("1 + @", "unexpected character '@'", 4),
+        ("1e999", "number literal '1e999' overflows", 0),
+        ("2*y", "unknown identifier 'y'", 2),
+        ("sin x", "expected '('", 4),
+        ("sin(x", "expected ')'", 5),
+        ("(1+2", "unbalanced parenthesis", 4),
+        ("()", "expected a value, got ')'", 1),
+        ("1+", "unexpected end of input", 2),
+        ("", "unexpected end of input", 0),
+        ("1+2 3", "trailing input starting with '3'", 4),
+    ])
+    def test_every_message_with_its_offset(self, text, message, position):
+        with pytest.raises(ParseError) as excinfo:
+            parse(text)
+        assert str(excinfo.value) == f"{message} (at offset {position})"
+        assert excinfo.value.position == position
 
 
 class TestEval:

@@ -266,7 +266,7 @@ def run_cli(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:  # parse loops over a flat sum, but the tree walks recurse
+    except RecursionError:  # parse and evaluation loop; differentiation and printing recurse
         print("error: expression is nested too deeply", file=sys.stderr)
         return 1
     except (ParseError, ValueError, OSError) as exc:

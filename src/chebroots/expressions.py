@@ -19,7 +19,8 @@ byte offset.
 Evaluation follows real arithmetic; domain violations (log of a
 non-positive number, sqrt of a negative, division by zero) produce a
 non-finite value rather than raising, so the rootfinder's own sampling
-checks see them.
+checks see them.  A tree is compiled once, on its first evaluation, into a
+flat tape that one loop runs, so evaluation depth is unbounded.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from __future__ import annotations
 import math
 import operator
 import re
+import weakref
+from array import array
 from dataclasses import dataclass
 
 __all__ = [
@@ -178,13 +181,18 @@ def parse(text: str) -> Expression:
     return _Parser(text).parse()
 
 
-def _safe_pow(base: float, exponent: float) -> float:
-    try:
-        return math.pow(base, exponent)
-    except ValueError:  # e.g. negative base with fractional exponent
-        return math.nan
-    except OverflowError:
-        return math.inf
+def _guarded(fn):
+    """``fn`` with domain errors as values: NaN for ValueError (log(0),
+    sqrt(-1), sin(inf), a negative base to a fractional power), inf for
+    OverflowError (exp and pow)."""
+    def guarded(*args):
+        try:
+            return fn(*args)
+        except ValueError:
+            return math.nan
+        except OverflowError:
+            return math.inf
+    return guarded
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -201,7 +209,7 @@ _OPERATORS = {
     "-": (operator.sub, 1),
     "*": (operator.mul, 2),
     "/": (_safe_div, 2),
-    "^": (_safe_pow, 4),
+    "^": (_guarded(math.pow), 4),
 }
 
 # unary minus binds between "*" and "^" ("-x^2" is -(x^2)); atoms bind tightest
@@ -210,23 +218,64 @@ _PREC_ATOM = 5
 
 # name -> (value function, derivative rule (u, du) -> tree); abs has no rule
 _FUNCTIONS = {
-    "sin": (math.sin, lambda u, du: _mul(FunctionCall("cos", u), du)),
-    "cos": (math.cos, lambda u, du: _neg(_mul(FunctionCall("sin", u), du))),
-    "tan": (math.tan, lambda u, du: _div(du, BinaryOp("^", FunctionCall("cos", u), Number(2.0)))),
-    "exp": (math.exp, lambda u, du: _mul(FunctionCall("exp", u), du)),
-    "log": (math.log, lambda u, du: _div(du, u)),
-    "sqrt": (math.sqrt, lambda u, du: _div(du, _mul(Number(2.0), FunctionCall("sqrt", u)))),
-    "abs": (abs, None),
+    "sin": (_guarded(math.sin), lambda u, du: _mul(FunctionCall("cos", u), du)),
+    "cos": (_guarded(math.cos), lambda u, du: _neg(_mul(FunctionCall("sin", u), du))),
+    "tan": (_guarded(math.tan), lambda u, du: _div(du, BinaryOp("^", FunctionCall("cos", u), Number(2.0)))),
+    "exp": (_guarded(math.exp), lambda u, du: _mul(FunctionCall("exp", u), du)),
+    "log": (_guarded(math.log), lambda u, du: _div(du, u)),
+    "sqrt": (_guarded(math.sqrt), lambda u, du: _div(du, _mul(Number(2.0), FunctionCall("sqrt", u)))),
+    "abs": (_guarded(abs), None),
 }
 
 
-def _call(name: str, arg: float) -> float:
-    try:
-        return _FUNCTIONS[name][0](arg)
-    except ValueError:  # outside the domain, e.g. log(0), sqrt(-1), sin(inf)
-        return math.nan
-    except OverflowError:  # only exp overflows
-        return math.inf
+# id(tree) -> its tape (constants, functions, left slots, right slots).  A
+# tree's entry is dropped when the tree is collected, so a later tree that
+# reuses the id never finds it.
+_TAPES: dict[int, tuple] = {}
+
+
+def _operation(node: Expression) -> tuple:
+    """The value function of a node other than a leaf, and its operands."""
+    if isinstance(node, BinaryOp):
+        return _OPERATORS[node.op][0], (node.left, node.right)
+    if isinstance(node, UnaryNeg):
+        return operator.neg, (node.operand,)
+    return _FUNCTIONS[node.name][0], (node.argument,)
+
+
+def _compile(expr: Expression) -> tuple:
+    """Flatten a tree into a slot tape and memoize it under ``id(expr)``.
+
+    Slot 0 holds x, the next slots the tree's numbers, then one slot per
+    instruction (function, left slot, right slot or -1), children before
+    parents, so the root's value is the last slot.  A subtree shared by
+    reference gets one slot.
+    """
+    numbers, steps = [], []  # steps: (node, fn, operands), each after its operands
+    seen = set()
+    stack = [(expr, None)]
+    while stack:
+        node, operation = stack.pop()
+        if operation is not None:  # its operands are compiled
+            steps.append((node, *operation))
+        elif id(node) not in seen and not isinstance(node, Variable):
+            seen.add(id(node))
+            if isinstance(node, Number):
+                numbers.append(node)
+            else:
+                operation = _operation(node)
+                stack.append((node, operation))
+                stack += [(operand, None) for operand in operation[1]]
+
+    slot = {id(node): k for k, node in enumerate(numbers, 1)}  # x is slot 0
+    slot.update((id(node), k) for k, (node, _, _) in enumerate(steps, len(slot) + 1))
+    lefts = array("i", [slot.get(id(operands[0]), 0) for _, _, operands in steps])
+    rights = array("i", [slot.get(id(operands[1]), 0) if len(operands) == 2 else -1 for _, _, operands in steps])
+    tape = (tuple(node.value for node in numbers), tuple(fn for _, fn, _ in steps), lefts, rights)
+    stored = _TAPES.setdefault(id(expr), tape)
+    if stored is tape:  # another thread may have compiled the same tree first
+        weakref.finalize(expr, _TAPES.pop, id(expr), None).atexit = False
+    return stored
 
 
 def eval_expr(expr: Expression, x: float) -> float:
@@ -234,15 +283,12 @@ def eval_expr(expr: Expression, x: float) -> float:
 
     Never raises on domain violations; the result is NaN or +/-inf instead.
     """
-    if isinstance(expr, Number):
-        return expr.value
-    if isinstance(expr, Variable):
-        return float(x)
-    if isinstance(expr, UnaryNeg):
-        return -eval_expr(expr.operand, x)
-    if isinstance(expr, FunctionCall):
-        return _call(expr.name, eval_expr(expr.argument, x))
-    return _OPERATORS[expr.op][0](eval_expr(expr.left, x), eval_expr(expr.right, x))
+    numbers, fns, lefts, rights = _TAPES.get(id(expr)) or _compile(expr)
+    values = [float(x), *numbers]
+    push = values.append
+    for fn, i, j in zip(fns, lefts, rights):
+        push(fn(values[i]) if j < 0 else fn(values[i], values[j]))
+    return values[-1]
 
 
 def _num(value: float) -> Expression:

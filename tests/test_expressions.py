@@ -1,10 +1,15 @@
+import gc
 import itertools
 import math
+import operator
+import sys
+import threading
 import zlib
 
 import numpy as np
 import pytest
 
+from chebroots import expressions, find_roots
 from chebroots.expressions import (
     BinaryOp,
     FunctionCall,
@@ -348,3 +353,141 @@ class TestPrinterRoundtrip:
             got = eval_expr(tree, x)
             if math.isfinite(expected) and abs(expected) < 1e12:
                 assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+def _guarded(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return math.nan
+    except OverflowError:
+        return math.inf
+
+
+def _divide(a, b):
+    if b == 0.0:
+        if a == 0.0 or math.isnan(a):
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+    return a / b
+
+
+REFERENCE_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+    "^": lambda a, b: _guarded(math.pow, a, b),
+}
+
+
+def reference_eval(expr, x):
+    """The recursive tree walk, with the documented NaN/inf rules."""
+    if isinstance(expr, Number):
+        return expr.value
+    if isinstance(expr, Variable):
+        return float(x)
+    if isinstance(expr, UnaryNeg):
+        return -reference_eval(expr.operand, x)
+    if isinstance(expr, FunctionCall):
+        fn = abs if expr.name == "abs" else getattr(math, expr.name)
+        return _guarded(fn, reference_eval(expr.argument, x))
+    return REFERENCE_BINARY[expr.op](reference_eval(expr.left, x), reference_eval(expr.right, x))
+
+
+def assert_bit_identical(tree, xs):
+    # repr tells nan and the sign of zero apart
+    for x in xs:
+        assert repr(eval_expr(tree, x)) == repr(reference_eval(tree, x)), x
+
+
+def costly_text(rng, terms=600, group=25):
+    """sin(k*x+phi)*exp(0.5*(sum of a_j*cos(w_j*x+psi_j))) in parenthesised groups."""
+    amp = 1.0 / math.sqrt(terms)
+    coefficients = rng.uniform((-amp, 0.0, 0.0), (amp, 0.5, 2 * math.pi), size=(terms, 3)).round(6).tolist()
+    groups = [
+        "(" + "".join(f"{'-' if c < 0 else '+'}{abs(c)!r}*cos({w!r}*x+{psi!r})"
+                      for c, w, psi in coefficients[start:start + group]).lstrip("+") + ")"
+        for start in range(0, terms, group)
+    ]
+    return "sin(2.1*x+0.7)*exp(0.5*(" + "+".join(groups) + "))"
+
+
+class TestTape:
+    """eval_expr runs a tape compiled once per tree; it must match the tree walk bit for bit."""
+
+    POINTS = TestEval.SPECIALS + (1.0, -1.0, 0.5, 2.0, -3.25, 710.0, -746.0, 5e-324, -5e-324, 1e308)
+
+    @pytest.mark.parametrize("name", list(TestEval.EDGES))
+    def test_functions_at_edge_points(self, name):
+        edges = [x for x, _ in TestEval.EDGES[name][1]]
+        assert_bit_identical(parse(f"{name}(x)"), self.POINTS + tuple(edges))
+        assert_bit_identical(parse(f"-{name}(x/x)^x"), self.POINTS + tuple(edges))
+
+    @pytest.mark.parametrize("op", "+-*/^")
+    def test_operators_at_edge_points(self, op):
+        for text in (f"x{op}x", f"x{op}2", f"2{op}x", f"x{op}-0.5", f"0{op}x"):
+            assert_bit_identical(parse(text), self.POINTS)
+
+    def test_random_trees(self):
+        rng = np.random.default_rng(101)
+        for _ in range(300):
+            tree, _ = random_expression(rng, depth=4)
+            # numpy scalars too: x enters the arithmetic as a Python float
+            xs = list(rng.uniform(-2.5, 2.5, size=4)) + [0.0, math.inf]
+            assert_bit_identical(tree, xs)
+
+    @pytest.mark.parametrize("text", TestDifferentiate.CORPUS)
+    def test_derivative_trees(self, text):
+        d = differentiate_expr(parse(text))
+        assert_bit_identical(d, np.linspace(-3, 3, 41).tolist() + [0.0, -0.0])
+
+    def test_shared_subtree_gets_one_slot(self):
+        d = differentiate_expr(parse("exp(-0.5*x^2)"))
+        # the product rule reuses the -0.5 node of the argument by reference
+        assert d.right.left is d.left.argument.left
+        assert_bit_identical(d, self.POINTS)
+
+    def test_costly_text(self):
+        tree = parse(costly_text(np.random.default_rng(3)))
+        assert_bit_identical(tree, np.linspace(-4, 4, 17).tolist())
+
+    def test_depth_is_unbounded(self):
+        tree = parse("+".join(["x"] * 3000) + "-1500")
+        assert eval_expr(tree, 0.5) == 0.0
+        report = find_roots(lambda x: eval_expr(tree, x), (-1.0, 2.0))
+        assert len(report.roots) == 1
+        assert abs(report.roots[0] - 0.5) <= 1e-12
+
+    def test_tape_dropped_with_its_tree(self):
+        tree = parse("sin(x)+1")
+        eval_expr(tree, 0.5)
+        key = id(tree)
+        assert key in expressions._TAPES
+        del tree
+        gc.collect()
+        assert key not in expressions._TAPES
+
+    def test_threads_share_a_fresh_tree(self):
+        # four threads race to compile the same tree, switching every microsecond
+        tree = parse(costly_text(np.random.default_rng(9), terms=100))
+        xs = np.linspace(-4, 4, 25).tolist()
+        start = threading.Barrier(4, timeout=30)
+        results = [None] * 4
+
+        def worker(k):
+            start.wait()
+            results[k] = [repr(eval_expr(tree, x)) for x in xs]
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[repr(reference_eval(tree, x)) for x in xs]] * 4

@@ -1,6 +1,6 @@
 """Chebyshev interpolation core: nodes, the discrete transform, evaluation,
-differentiation, and the affine maps between an interval [a, b] and the
-standard interval [-1, 1].
+differentiation, restriction to a sub-interval, and the affine maps between
+an interval [a, b] and the standard interval [-1, 1].
 
 A :class:`ChebyshevSeries` is the polynomial proxy used throughout the
 package: an ordered list of first-kind Chebyshev coefficients attached to
@@ -10,6 +10,7 @@ values, so series and intervals can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ __all__ = [
     "transform",
     "evaluate",
     "differentiate",
+    "restrict",
     "chop_series",
     "coefficient_decay",
 ]
@@ -134,6 +136,16 @@ def standard_nodes(n: int) -> np.ndarray:
     return np.sin(np.pi * (n - 2 * k + 1) / (2.0 * n))
 
 
+@functools.lru_cache(maxsize=8)
+def _cosine_basis(n: int) -> np.ndarray:
+    """n x n matrix cos(j*pi*(2k-1)/(2n)), j = 0..n-1 by k = 1..n."""
+    k = np.arange(1, n + 1)
+    j = np.arange(n)
+    basis = np.cos(np.outer(j, np.pi * (2 * k - 1) / (2.0 * n)))
+    basis.setflags(write=False)
+    return basis
+
+
 def transform(samples, interval: Interval) -> ChebyshevSeries:
     """Discrete Chebyshev transform of function samples taken at the nodes.
 
@@ -177,10 +189,7 @@ def transform(samples, interval: Interval) -> ChebyshevSeries:
         idx = int(bad[0])
         node = from_standard(interval, float(standard_nodes(n)[idx]))
         raise NonFiniteSampleError(idx, node, float(y[idx]))
-    k = np.arange(1, n + 1)
-    j = np.arange(n)
-    basis = np.cos(np.outer(j, np.pi * (2 * k - 1) / (2.0 * n)))
-    coeffs = (2.0 / n) * (basis @ y)
+    coeffs = (2.0 / n) * (_cosine_basis(n) @ y)
     coeffs[0] *= 0.5
     return ChebyshevSeries(interval, tuple(float(c) for c in coeffs))
 
@@ -223,18 +232,64 @@ def differentiate(series: ChebyshevSeries) -> ChebyshevSeries:
     return ChebyshevSeries(series.interval, tuple(v * scale for v in d[:n]))
 
 
-def chop_series(series: ChebyshevSeries, rel_tol: float = 1e-13) -> ChebyshevSeries:
-    """Drop trailing coefficients with |coeff| <= rel_tol * max|coeff|.
+@functools.lru_cache(maxsize=8)
+def _restriction(lo: float, hi: float, m: int) -> np.ndarray:
+    """m x m matrix whose row j holds the coefficients of T_j(mid + half*u).
 
-    Restores a nonzero leading coefficient whenever any coefficient clears
-    the threshold, which the companion matrix requires.  Always keeps at
-    least one coefficient, so an all-zero series chops to the single
-    coefficient 0.
+    mid and half are the centre and half-width of [lo, hi], and the
+    coefficients are in T_0(u)..T_{m-1}(u).  Built row by row from
+    T_{j+1} = 2t*T_j - T_{j-1} in coefficient space, with u*T_0 = T_1 and
+    u*T_k = (T_{k+1} + T_{k-1})/2, so no temporary is larger than a row and
+    the leading n x n block does not depend on m.
+    """
+    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    r = np.zeros((m, m))
+    r[0, 0] = 1.0
+    if m > 1:
+        r[1, :2] = mid, half
+    for j in range(1, m - 1):
+        p = r[j, :j + 1]
+        row = r[j + 1, :j + 2]
+        row[:j + 1] = 2.0 * mid * p
+        row[1:] += half * p
+        row[1] += half * p[0]
+        row[:j] += half * p[1:]
+        row[:j] -= r[j - 1, :j]
+    r.setflags(write=False)
+    return r
+
+
+def restrict(series: ChebyshevSeries, lo: float, hi: float) -> ChebyshevSeries:
+    """The series on the part [lo, hi] of its standard interval, re-expanded.
+
+    Requires -1 <= lo < hi <= 1.  The result is the same polynomial (up to
+    roundoff) on the interval that [lo, hi] maps to, with as many
+    coefficients as the series.  The coefficient map is a matrix cached per
+    (lo, hi) and power-of-two size, so each restriction to a part seen
+    before costs one vector-matrix product.
+    """
+    n = len(series.coeffs)
+    m = 1 << (n - 1).bit_length()
+    coeffs = np.asarray(series.coeffs) @ _restriction(lo, hi, m)[:n, :n]
+    part = Interval(from_standard(series.interval, lo), from_standard(series.interval, hi))
+    return ChebyshevSeries(part, coeffs)
+
+
+def chop_series(series: ChebyshevSeries, rel_tol: float = 1e-13,
+                scale: float | None = None) -> ChebyshevSeries:
+    """Drop trailing coefficients with |coeff| <= rel_tol * scale.
+
+    ``scale`` defaults to the series' own max|coeff|; a piece restricted
+    from a longer series passes that series' instead, so the piece is cut
+    at the same absolute noise level.  Restores a nonzero leading
+    coefficient whenever any coefficient clears the threshold, which the
+    companion matrix requires.  Always keeps at least one coefficient, so
+    an all-zero series chops to the single coefficient 0.
     """
     if rel_tol < 0:
         raise ValueError("chop tolerance must be >= 0")
     c = series.coeffs
-    cut = rel_tol * max(abs(v) for v in c)
+    cut = rel_tol * (max(abs(v) for v in c) if scale is None else scale)
     keep = len(c)
     while keep > 1 and abs(c[keep - 1]) <= cut:
         keep -= 1

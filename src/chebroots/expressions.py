@@ -183,8 +183,7 @@ def parse(text: str) -> Expression:
 
 def _guarded(fn):
     """``fn`` with domain errors as values: NaN for ValueError (log(0),
-    sqrt(-1), sin(inf), a negative base to a fractional power), inf for
-    OverflowError (exp and pow)."""
+    sqrt(-1), sin(inf)), inf for OverflowError (exp)."""
     def guarded(*args):
         try:
             return fn(*args)
@@ -193,6 +192,24 @@ def _guarded(fn):
         except OverflowError:
             return math.inf
     return guarded
+
+
+def _safe_pow(base: float, exponent: float) -> float:
+    """``math.pow`` with IEEE pow's values where it raises.
+
+    An overflow, or a zero base to a negative power, is an infinity whose
+    sign is the base's for an odd integer exponent and + otherwise
+    ((-10)^1001 is -inf, 0^-1 is inf as 1/0 is); a negative base to a
+    fractional power is NaN.
+    """
+    try:
+        return math.pow(base, exponent)
+    except OverflowError:
+        pass
+    except ValueError:
+        if base != 0.0:
+            return math.nan
+    return math.copysign(math.inf, base) if exponent % 2.0 == 1.0 else math.inf
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -209,7 +226,7 @@ _OPERATORS = {
     "-": (operator.sub, 1),
     "*": (operator.mul, 2),
     "/": (_safe_div, 2),
-    "^": (_guarded(math.pow), 4),
+    "^": (_safe_pow, 4),
 }
 
 # unary minus binds between "*" and "^" ("-x^2" is -(x^2)); atoms bind tightest

@@ -1,13 +1,14 @@
 """End-to-end global rootfinder.
 
 Pipeline: sample the function at mapped Chebyshev nodes, build the series
-proxy (fixed or adaptive degree), chop it, take companion-matrix
-eigenvalues, filter them to the near-real near-interval box, then vet each
-survivor in one pass (map back to the interval, Newton-polish, reject it
-by residual and, in automatic mode, by a sign check of f across it),
-deduplicate and sort.  The result is a :class:`RootReport` carrying the
-roots plus every eigenvalue candidate with its fate, so dropped candidates
-stay auditable.
+proxy (fixed or adaptive degree), chop it, split a proxy longer than 64
+coefficients into leaves on sub-intervals (no new samples of f), take each
+leaf's companion-matrix eigenvalues, filter them to the near-real
+near-interval box, then vet each survivor in one pass (map back to the
+interval, Newton-polish, reject it by residual and, in automatic mode, by a
+sign check of f across it), deduplicate and sort.  The result is a
+:class:`RootReport` carrying the roots plus every eigenvalue candidate with
+its fate, so dropped candidates stay auditable.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .chebyshev import (
     differentiate,
     evaluate,
     from_standard,
+    restrict,
     standard_nodes,
     transform,
 )
@@ -72,6 +74,16 @@ _DEDUPE_FRACTION = 1e-9
 # Newton iterates may wander this fraction of the interval width outside
 # [a, b] before the run counts as diverged.
 _NEWTON_ESCAPE_FRACTION = 0.1
+
+# A chopped proxy with more coefficients than this is split for the eigen
+# stage, and so is each piece, until every leaf has at most this many: the
+# eigen stage costs O(n^3), and two leaves of about 35 coefficients cost
+# about as much as one of 64 (Boyd, Appl. Numer. Math. 56, 2006).
+_LEAF = 64
+
+# Where a piece is split, in its own standard coordinate: Chebfun's point,
+# off centre so that a root at the centre of a symmetric problem is not on it.
+_SPLIT = -0.004849834917525
 
 # Fraction of the gap between two roots at which the touching-root test
 # probes f: irrational, so the probe is never a whole number of periods of
@@ -148,8 +160,12 @@ class RootReport:
     """Outcome of one :func:`find_roots` run.
 
     ``roots`` are the accepted locations, strictly increasing.  ``candidates``
-    lists every eigenvalue of the proxy's companion matrix with its
-    acceptance status.  ``degree_used`` is the number of sample nodes of the
+    lists every eigenvalue of each leaf's companion matrix with its
+    acceptance status, leaf by leaf from left to right: one leaf, the whole
+    chopped proxy, when it has at most 64 coefficients; otherwise the leaves
+    of the split proxy, whose eigenvalues outside their own leaf are
+    candidates too, so there can be more than ``degree_used - 1`` of them.
+    ``degree_used`` is the number of sample nodes of the
     final proxy; ``proxy_converged`` is False only when the adaptive degree
     loop hit its cap without the coefficient tail decaying.
     """
@@ -279,19 +295,28 @@ def newton_polish(f, df, x0: float, interval, max_iter: int) -> PolishResult:
     return PolishResult(best_x, iterations, converged, diverged, best_f, corr)
 
 
-def filter_candidates(spectrum: Spectrum, config: RootConfig | None = None) -> tuple[RootCandidate, ...]:
+def filter_candidates(spectrum: Spectrum, config: RootConfig | None = None,
+                      piece: tuple[float, float] = (-1.0, 1.0)) -> tuple[RootCandidate, ...]:
     """Turn every eigenvalue into a candidate, accepted iff it sits in the box.
 
-    Accepted means |imag| <= imag_tol and |real| <= 1 + box_tol.  The
-    imaginary-part test runs first, so a candidate failing both reports
-    ``imag_too_large``.  Mapped coordinates are filled in later by the
-    pipeline (the spectrum does not know the interval).
+    ``piece`` = (lo, hi) is the part of the standard interval whose own
+    standard coordinate the eigenvalues z are in (a leaf of a split proxy);
+    t is z mapped to the whole interval's standard coordinate.  Accepted
+    means |t.imag| <= imag_tol and |z.real| <= 1 + box_tol: the box is the
+    leaf's own, ``imag_tol`` keeps its meaning on every leaf, and t is the
+    candidate's ``standard_coord``.  The imaginary-part test runs first, so
+    a candidate failing both reports ``imag_too_large``.  Mapped
+    coordinates are filled in later by the pipeline (the spectrum does not
+    know the interval).
     """
     if config is None:
         config = RootConfig()
+    whole = piece == (-1.0, 1.0)
+    mid, half = (piece[0] + piece[1]) / 2.0, (piece[1] - piece[0]) / 2.0
     out = []
     for z in spectrum.values:
-        if abs(z.imag) > config.imag_tol:
+        t = z if whole else complex(mid + half * z.real, half * z.imag)
+        if abs(t.imag) > config.imag_tol:
             reason = RejectionReason.IMAG_TOO_LARGE
         elif abs(z.real) > 1.0 + config.box_tol:
             reason = RejectionReason.OUTSIDE_BOX
@@ -299,7 +324,7 @@ def filter_candidates(spectrum: Spectrum, config: RootConfig | None = None) -> t
             reason = RejectionReason.NONE
         out.append(
             RootCandidate(
-                standard_coord=complex(z),
+                standard_coord=complex(t),
                 mapped_coord=None,
                 accepted=reason is RejectionReason.NONE,
                 rejection_reason=reason,
@@ -472,6 +497,35 @@ def dedupe_and_sort(candidates, interval) -> list[float]:
     return roots
 
 
+def _noise_tol(interval: Interval) -> float:
+    """A proxy's noise level relative to its largest coefficient: 1e-13, or
+    a node's rounding error in the standard coordinate (Aurentz, Trefethen)."""
+    return max(1e-13, _EPS * max(abs(interval.a), abs(interval.b)) / (interval.width / 2.0))
+
+
+def _leaves(series: ChebyshevSeries, tol: float, scale: float,
+            lo: float = -1.0, hi: float = 1.0) -> list[tuple[float, float, ChebyshevSeries]]:
+    """The pieces of a chopped proxy whose eigenvalues are taken, left to right.
+
+    Each is (lo, hi, leaf), with [lo, hi] the leaf's part of the whole
+    interval in the whole interval's standard coordinate.  A series of at
+    most ``_LEAF`` coefficients is its own one leaf.  A longer one is split
+    at ``_SPLIT`` of its own standard coordinate; each side is re-expanded
+    exactly (:func:`~chebroots.chebyshev.restrict`), chopped at the whole
+    proxy's absolute noise level ``tol * scale`` so that a side where f is
+    small does not turn rounding noise into candidates, and split in turn.
+    A side re-expands an n-term polynomial with a leading coefficient about
+    2^-n of the parent's, far below the noise level, so every split
+    shortens both sides.
+    """
+    if len(series.coeffs) <= _LEAF:
+        return [(lo, hi, series)]
+    cut = lo + (hi - lo) * (1.0 + _SPLIT) / 2.0
+    left = chop_series(restrict(series, -1.0, _SPLIT), tol, scale)
+    right = chop_series(restrict(series, _SPLIT, 1.0), tol, scale)
+    return _leaves(left, tol, scale, lo, cut) + _leaves(right, tol, scale, cut, hi)
+
+
 def build_proxy(f, interval,
                 config: RootConfig | None = None) -> tuple[ChebyshevSeries, ChebyshevSeries, bool]:
     """Sample f and build its Chebyshev proxy: (raw, chopped, converged).
@@ -490,8 +544,7 @@ def build_proxy(f, interval,
     interval = _as_interval(interval)
     if config is None:
         config = RootConfig()
-    # noise level: 1e-13, or a node's rounding error in the standard coordinate (Aurentz, Trefethen)
-    tol = max(1e-13, _EPS * max(abs(interval.a), abs(interval.b)) / (interval.width / 2.0))
+    tol = _noise_tol(interval)
     fixed = config.degree is not None
     cap = config.degree if fixed else config.max_adaptive_degree
     n = cap if fixed else min(16, cap)
@@ -520,6 +573,13 @@ def _decay_profile(series: ChebyshevSeries) -> DecayProfile:
 def find_roots(f, interval, config: RootConfig | None = None, df=None) -> RootReport:
     """All real roots of f on the interval by Chebyshev proxy rootfinding.
 
+    f is sampled on the whole interval only.  A chopped proxy of more than
+    64 coefficients is split into leaves of at most 64 on sub-intervals
+    (:func:`_leaves`), and the roots are the eigenvalues of each leaf's
+    companion matrix, so the report can list more candidates than
+    ``degree_used - 1``; a root found from both sides of a split is merged
+    as a ``duplicate``.
+
     Parameters
     ----------
     f : callable
@@ -532,7 +592,7 @@ def find_roots(f, interval, config: RootConfig | None = None, df=None) -> RootRe
         polishing on.
     df : callable, optional
         Derivative of f for Newton polishing.  When omitted, the
-        differentiated proxy series is used instead.
+        differentiated series of the candidate's leaf is used instead.
 
     Returns
     -------
@@ -550,14 +610,16 @@ def find_roots(f, interval, config: RootConfig | None = None, df=None) -> RootRe
         config = RootConfig()
     counter = _CountingFunction(f)
     raw, chopped, proxy_converged = build_proxy(counter, interval, config)
-    candidates = filter_candidates(series_spectrum(chopped), config)
-    dseries = differentiate(chopped)
-    newton_df = df if df is not None else (lambda x: evaluate(dseries, x))
-    vetted = tuple(
-        _vet(cand, counter, newton_df, dseries, interval, config) if cand.accepted else cand
-        for cand in candidates
-    )
-    roots, final = _dedupe_candidates(vetted, interval, counter, config.residual_tol)
+    vetted = []
+    scale = max(abs(c) for c in chopped.coeffs)
+    for lo, hi, leaf in _leaves(chopped, _noise_tol(interval), scale):
+        dseries = differentiate(leaf)
+        newton_df = df if df is not None else (lambda x, d=dseries: evaluate(d, x))
+        vetted += [
+            _vet(cand, counter, newton_df, dseries, interval, config) if cand.accepted else cand
+            for cand in filter_candidates(series_spectrum(leaf), config, (lo, hi))
+        ]
+    roots, final = _dedupe_candidates(tuple(vetted), interval, counter, config.residual_tol)
     return RootReport(
         roots=tuple(roots),
         candidates=final,

@@ -185,6 +185,23 @@ class TestEval:
         assert eval_expr(parse("exp(x)"), 1e4) == math.inf
         assert eval_expr(parse("10^x"), 1e3) == math.inf
 
+    @pytest.mark.parametrize("text, x, expected", [
+        # IEEE pow: an overflow keeps the sign of a negative base to an odd power
+        ("(-10)^x", 1001.0, -math.inf),
+        ("(-10)^x", 1000.0, math.inf),
+        # a zero base to a negative power is infinite, as 1/x is at 0
+        ("x^-1", 0.0, math.inf),
+        ("x^-1", -0.0, -math.inf),
+        ("x^-2", -0.0, math.inf),
+        ("x^-0.5", 0.0, math.inf),
+        # a negative base to a fractional power stays NaN
+        ("(-2)^x", 0.5, math.nan),
+        ("x^2.5", -1e300, math.nan),
+    ])
+    def test_power_follows_ieee_pow(self, text, x, expected):
+        # repr tells nan and the sign of infinity apart
+        assert repr(eval_expr(parse(text), x)) == repr(expected)
+
     def test_all_functions(self):
         assert eval_expr(parse("sin(x)"), math.pi / 2) == pytest.approx(1.0)
         assert eval_expr(parse("tan(x)"), math.pi / 4) == pytest.approx(1.0)
@@ -364,6 +381,18 @@ def _guarded(fn, *args):
         return math.inf
 
 
+def _power(a, b):
+    """IEEE pow: a signed infinity for an overflow and for a zero base to a
+    negative power, NaN for a negative base to a fractional power."""
+    try:
+        return math.pow(a, b)
+    except (OverflowError, ValueError):
+        if a < 0.0 and not b.is_integer():
+            return math.nan
+        odd = b.is_integer() and abs(b) < 2.0**53 and int(b) % 2 == 1
+        return -math.inf if odd and math.copysign(1.0, a) < 0.0 else math.inf
+
+
 def _divide(a, b):
     if b == 0.0:
         if a == 0.0 or math.isnan(a):
@@ -377,7 +406,7 @@ REFERENCE_BINARY = {
     "-": operator.sub,
     "*": operator.mul,
     "/": _divide,
-    "^": lambda a, b: _guarded(math.pow, a, b),
+    "^": _power,
 }
 
 

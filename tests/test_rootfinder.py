@@ -1,12 +1,14 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from chebroots import rootfinder
-from chebroots.chebyshev import (Interval, NonFiniteSampleError, chop_series, from_standard,
-                                 standard_nodes, transform)
-from chebroots.companion import Spectrum
+from chebroots import chebyshev, rootfinder
+from chebroots.chebyshev import (Interval, NonFiniteSampleError, chop_series, evaluate, from_standard,
+                                 restrict, standard_nodes, transform)
+from chebroots.companion import Spectrum, series_spectrum
 from chebroots.rootfinder import (
     RejectionReason,
     RootConfig,
@@ -116,6 +118,20 @@ class TestFilterCandidates:
         )
         results = filter_candidates(spectrum, config)
         assert all(c.accepted for c in results)
+
+    def test_whole_interval_keeps_eigenvalues_as_they_are(self):
+        (cand,) = filter_candidates(synthetic_spectrum(complex(-0.0, 0.0)))
+        assert repr(cand.standard_coord) == repr(complex(-0.0, 0.0))
+
+    def test_leaf_box_is_its_own_and_imag_test_the_whole_intervals(self):
+        # on the leaf [0, 0.5] of the standard interval, z maps to 0.25 + 0.25*z
+        near_real, off_box, tilted = filter_candidates(
+            synthetic_spectrum(0.5 + 2e-8j, 1.1, -1.0000005 + 8e-8j), RootConfig(), (0.0, 0.5))
+        assert near_real.accepted  # |imag| is 5e-9 in the whole interval's coordinate
+        assert near_real.standard_coord == complex(0.375, 5e-9)
+        assert off_box.rejection_reason is RejectionReason.OUTSIDE_BOX
+        assert off_box.standard_coord == complex(0.525, 0.0)
+        assert tilted.rejection_reason is RejectionReason.IMAG_TOO_LARGE
 
 
 class TestAdaptiveDegree:
@@ -533,6 +549,165 @@ class TestPipelineInvariants:
             first = find_roots(math.cos, BIG, config)
             second = find_roots(math.cos, BIG, config)
             assert first == second
+
+
+def gaussian_sine(k):
+    return lambda x: math.sin(k * x + 0.3) * math.exp(-x * x / 4)
+
+
+def wilkinson20(x):
+    return math.prod(x - k for k in range(1, 21))
+
+
+class TestLeaves:
+    """A chopped proxy above _LEAF coefficients is split for the eigen stage."""
+
+    OFF = 10**9
+
+    def test_root_on_the_split_point(self):
+        s = rootfinder._SPLIT
+        report = find_roots(lambda x: math.sin(60 * (x - s)), Interval(-1, 1), RootConfig(degree=128))
+        assert len(report.roots) == 39
+        assert min(abs(r - s) for r in report.roots) <= 1e-15
+        # both leaves find the root on the split; the second copy is merged
+        duplicates = [c for c in report.candidates if c.rejection_reason is RejectionReason.DUPLICATE]
+        assert len(duplicates) == 1
+        assert abs(from_standard(Interval(-1, 1), duplicates[0].standard_coord.real) - s) <= 1e-12
+
+    @pytest.mark.parametrize("f, interval, degree", [
+        *[pytest.param(gaussian_sine(k), (-3.0, 3.0), degree, id=f"gaussian-sin{k:g}x-{degree}")
+          for k in (3.0, 7.0, 12.0) for degree in (None, 100, 200)],
+        pytest.param(wilkinson20, (0.0, 21.0), None, id="wilkinson20"),
+        pytest.param(lambda x: math.sin(20 * x), (-10.0, 10.0), 257, id="sin20x-257"),
+    ])
+    def test_same_roots_split_on_and_off(self, monkeypatch, f, interval, degree):
+        reports = {}
+        for leaf in (16, self.OFF):
+            monkeypatch.setattr(rootfinder, "_LEAF", leaf)
+            reports[leaf] = find_roots(f, interval, RootConfig(degree=degree))
+        split, whole = reports[16], reports[self.OFF]
+        assert len(split.candidates) > len(whole.candidates)  # it did split
+        assert len(split.roots) == len(whole.roots) > 0
+        width = interval[1] - interval[0]
+        assert max(abs(x - y) for x, y in zip(split.roots, whole.roots)) <= 1e-12 * width
+
+    @pytest.mark.parametrize("f, interval", [
+        pytest.param(math.cos, (-10.0, 10.0), id="cos"),
+        pytest.param(wilkinson20, (0.0, 21.0), id="wilkinson20"),
+        pytest.param(gaussian_sine(7.0), (-3.0, 3.0), id="gaussian-sin7x"),
+    ])
+    def test_small_proxy_report_is_unchanged(self, monkeypatch, f, interval):
+        _, chopped, _ = build_proxy(f, interval)
+        assert len(chopped.coeffs) <= rootfinder._LEAF
+        report = find_roots(f, interval)
+        monkeypatch.setattr(rootfinder, "_LEAF", self.OFF)
+        assert repr(find_roots(f, interval)) == repr(report)
+
+    def test_candidates_are_in_the_whole_interval_coordinate(self):
+        interval = Interval(-4.0, 4.0)
+        f = lambda x: math.sin(30 * x)
+        report = find_roots(f, interval, RootConfig(degree=256))
+        assert len(report.roots) == 77
+        # the candidates are the leaves' eigenvalues, each mapped from its leaf
+        _, chopped, _ = build_proxy(f, interval, RootConfig(degree=256))
+        leaves = rootfinder._leaves(chopped, 1e-13, max(abs(c) for c in chopped.coeffs))
+        assert len(leaves) > 1
+        expected = []
+        for lo, hi, leaf in leaves:
+            assert leaf.interval.a == pytest.approx(from_standard(interval, lo), abs=1e-15)
+            assert leaf.interval.b == pytest.approx(from_standard(interval, hi), abs=1e-15)
+            expected += [complex((lo + hi) / 2 + (hi - lo) / 2 * z.real, (hi - lo) / 2 * z.imag)
+                         for z in series_spectrum(leaf).values]
+        assert [c.standard_coord for c in report.candidates] == expected
+        for cand in report.candidates:
+            if cand.accepted:
+                assert interval.a <= cand.mapped_coord <= interval.b
+                assert abs(from_standard(interval, cand.standard_coord.real) - cand.mapped_coord) <= 1e-9
+
+    def test_each_leaf_vets_with_its_own_derivative(self, monkeypatch):
+        lengths = {"differentiate": [], "evaluate": []}
+        for name in lengths:
+            original = getattr(rootfinder, name)
+            monkeypatch.setattr(rootfinder, name, lambda series, *args, n=name, fn=original:
+                                lengths[n].append(len(series.coeffs)) or fn(series, *args))
+        f = lambda x: math.sin(30 * x)
+        report = find_roots(f, Interval(-4.0, 4.0), RootConfig(degree=256))
+        assert len(report.roots) == 77
+        _, chopped, _ = build_proxy(f, Interval(-4.0, 4.0), RootConfig(degree=256))
+        leaves = rootfinder._leaves(chopped, 1e-13, max(abs(c) for c in chopped.coeffs))
+        assert lengths["differentiate"] == [len(leaf.coeffs) for _, _, leaf in leaves]
+        assert lengths["evaluate"] and max(lengths["evaluate"]) < rootfinder._LEAF
+
+    def test_leaf_below_the_noise_level_has_no_candidates(self):
+        # right of about -0.1, f is below the proxy's noise level
+        f = lambda x: (x + 0.5) * math.exp(-300 * (x + 0.5) ** 2)
+        _, chopped, _ = build_proxy(f, Interval(-1, 1), RootConfig(degree=256))
+        leaves = rootfinder._leaves(chopped, 1e-13, max(abs(c) for c in chopped.coeffs))
+        lo, hi, last = leaves[-1]
+        assert lo < 0.0 and hi == 1.0 and last.coeffs == (last.coeffs[0],)
+        report = find_roots(f, Interval(-1, 1), RootConfig(degree=256))
+        assert report.roots == pytest.approx((-0.5,), abs=1e-15)
+        assert all(c.standard_coord.real < 0.0 for c in report.candidates if c.residual is not None)
+
+    def test_restricted_piece_matches_its_parent(self):
+        _, parent, _ = build_proxy(lambda x: math.sin(30 * x), Interval(-4.0, 4.0), RootConfig(degree=256))
+        assert len(parent.coeffs) > 128
+        scale = sum(abs(c) for c in parent.coeffs)
+        s = rootfinder._SPLIT
+        # each level restricts in its own standard coordinate
+        for piece in (restrict(parent, -1.0, s), restrict(parent, s, 1.0),
+                      restrict(restrict(parent, s, 1.0), -1.0, s)):
+            assert len(piece.coeffs) == len(parent.coeffs)
+            for x in np.linspace(piece.interval.a, piece.interval.b, 50):
+                assert abs(evaluate(piece, x) - evaluate(parent, x)) <= 1e-14 * scale, x
+
+    def test_restriction_of_a_chebyshev_polynomial(self):
+        # T_2(t) on [0, 1], with t = (1 + u)/2: 2t^2 - 1 = (T_0(u) + 4 T_1(u) + T_2(u)) / 4 - 1/2
+        piece = restrict(chebyshev.ChebyshevSeries(Interval(-1, 1), (0.0, 0.0, 1.0)), 0.0, 1.0)
+        assert piece.interval == Interval(0.0, 1.0)
+        assert piece.coeffs == pytest.approx((-0.25, 1.0, 0.25), abs=1e-16)
+
+    def test_threads_share_fresh_caches(self):
+        # four threads race to fill the restriction and transform caches
+        f = lambda x: math.sin(30 * x)
+        config = RootConfig(degree=256)
+        expected = repr(find_roots(f, (-4.0, 4.0), config))
+        chebyshev._restriction.cache_clear()
+        chebyshev._cosine_basis.cache_clear()
+        start = threading.Barrier(4, timeout=30)
+        results = [None] * 4
+
+        def worker(k):
+            start.wait()
+            results[k] = repr(find_roots(f, (-4.0, 4.0), config))
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 4
+
+    def test_one_transform_per_ladder_rung(self, monkeypatch):
+        calls = []
+        for module in (rootfinder, chebyshev):
+            original = module.transform
+            monkeypatch.setattr(module, "transform",
+                                lambda samples, iv, t=original: calls.append(len(samples)) or t(samples, iv))
+        f = lambda x: math.sin(4.6 * x + 0.1)
+        split = find_roots(f, BIG)
+        assert calls == [16, 48, 64, 128]
+        calls.clear()
+        monkeypatch.setattr(rootfinder, "_LEAF", self.OFF)
+        whole = find_roots(f, BIG)
+        assert calls == [16, 48, 64, 128]
+        assert len(split.candidates) > len(whole.candidates)  # the first proxy was split
 
 
 class TestRootConfigValidation:

@@ -15,6 +15,8 @@ import math
 import time
 from dataclasses import asdict, dataclass, fields, replace
 
+import numpy as np
+
 from .chebyshev import ChebyshevSeries, Interval, evaluate
 from .expressions import eval_expr, parse
 from .rootfinder import RootConfig, build_proxy, find_roots
@@ -116,13 +118,9 @@ def default_corpus() -> tuple[BenchCase, ...]:
 
 
 def proxy_grid(f, series: ChebyshevSeries, interval: Interval) -> list[tuple[float, float, float]]:
-    """(x, f(x), proxy(x)) at GRID_POINTS uniform points spanning the interval."""
-    step = interval.width / (GRID_POINTS - 1)
-    grid = []
-    for i in range(GRID_POINTS):
-        x = interval.a + i * step
-        grid.append((x, f(x), evaluate(series, x)))
-    return grid
+    """(x, f(x), proxy(x)) at GRID_POINTS uniform points from a to b exactly."""
+    xs = np.linspace(interval.a, interval.b, GRID_POINTS)
+    return [(x, f(x), px) for x, px in zip(xs.tolist(), evaluate(series, xs).tolist())]
 
 
 def run_bench(corpus=None, config: RootConfig | None = None) -> BenchReport:

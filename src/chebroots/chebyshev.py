@@ -3,9 +3,10 @@ differentiation, restriction to a sub-interval, and the affine maps between
 an interval [a, b] and the standard interval [-1, 1].
 
 A :class:`ChebyshevSeries` is the polynomial proxy used throughout the
-package: an ordered list of first-kind Chebyshev coefficients attached to
-an :class:`Interval`.  Everything here is a pure function over immutable
-values, so series and intervals can be shared freely across threads.
+package: a write-locked float64 array of first-kind Chebyshev coefficients
+attached to an :class:`Interval`, used as it is by every other module.
+Everything here is a pure function over immutable values, so series and
+intervals can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -71,28 +72,35 @@ class Interval:
         return self.b - self.a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChebyshevSeries:
     """A finite series sum_j coeffs[j] * T_j on an interval.
 
     ``coeffs[j]`` multiplies the degree-j first-kind Chebyshev polynomial of
-    the standard coordinate.  The series is immutable; all operations return
-    new series.  A nonzero leading coefficient is *not* enforced here --
-    callers that need one (the companion matrix does) chop first with
-    :func:`chop_series`.
+    the standard coordinate; ``coeffs`` is a write-locked 1-D float64 copy of
+    the input.  The series is immutable and compares by value (it is not
+    hashable); all operations return new series.  A nonzero leading
+    coefficient is *not* enforced here -- callers that need one (the
+    companion matrix does) chop first with :func:`chop_series`.
     """
 
     interval: Interval
-    coeffs: tuple[float, ...]
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
-        if len(coeffs) == 0:
-            raise ValueError("series needs at least one coefficient")
-        for j, c in enumerate(coeffs):
-            if not math.isfinite(c):
-                raise ValueError(f"series coefficient {j} is non-finite ({c!r})")
-        object.__setattr__(self, "coeffs", coeffs)
+        c = np.array(self.coeffs, dtype=float)
+        if c.ndim != 1 or c.size == 0:
+            raise ValueError("series needs a non-empty 1-D coefficient vector")
+        if not np.isfinite(c).all():
+            j = int(np.flatnonzero(~np.isfinite(c))[0])
+            raise ValueError(f"series coefficient {j} is non-finite ({float(c[j])!r})")
+        c.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
+
+    def __eq__(self, other):
+        if not isinstance(other, ChebyshevSeries):
+            return NotImplemented
+        return self.interval == other.interval and bool(np.array_equal(self.coeffs, other.coeffs))
 
     @property
     def degree(self) -> int:
@@ -191,24 +199,25 @@ def transform(samples, interval: Interval) -> ChebyshevSeries:
         raise NonFiniteSampleError(idx, node, float(y[idx]))
     coeffs = (2.0 / n) * (_cosine_basis(n) @ y)
     coeffs[0] *= 0.5
-    return ChebyshevSeries(interval, tuple(float(c) for c in coeffs))
+    return ChebyshevSeries(interval, coeffs)
 
 
-def evaluate(series: ChebyshevSeries, x: float) -> float:
+def evaluate(series: ChebyshevSeries, x: float | np.ndarray) -> float | np.ndarray:
     """Evaluate the series at x using the Clenshaw recurrence.
 
-    x is mapped to the standard coordinate first.  Points outside the
-    interval are evaluated by polynomial extrapolation; that is permitted
-    (the recurrence does not need arccos) but accuracy decays quickly away
-    from the interval.
+    x is a point, giving a float, or an array of points, giving an array
+    whose entries are bit-identical to the calls on each point.  x is mapped
+    to the standard coordinate first.  Points outside the interval are
+    evaluated by polynomial extrapolation; that is permitted (the recurrence
+    does not need arccos) but accuracy decays quickly away from the interval.
     """
-    t = to_standard(series.interval, x)
-    c = series.coeffs
+    t = to_standard(series.interval, x if isinstance(x, np.ndarray) else float(x))
+    c = series.coeffs.tolist()
     b1 = 0.0
     b2 = 0.0
     two_t = 2.0 * t
-    for jj in range(len(c) - 1, 0, -1):
-        b1, b2 = c[jj] + two_t * b1 - b2, b1
+    for cj in c[:0:-1]:
+        b1, b2 = cj + two_t * b1 - b2, b1
     return c[0] + t * b1 - b2
 
 
@@ -224,12 +233,14 @@ def differentiate(series: ChebyshevSeries) -> ChebyshevSeries:
     n = len(c) - 1
     if n == 0:
         return ChebyshevSeries(series.interval, (0.0,))
-    d = [0.0] * (n + 2)
-    for jj in range(n, 0, -1):
-        d[jj - 1] = d[jj + 1] + 2.0 * jj * c[jj]
+    # w starts at the recurrence's d[n+1] = d[n] = 0 and adds the terms 2*j*c[j]
+    # for j = n, n-1, n-2, ... paired by row, so each column's running sum is
+    # one parity chain of d, added in the recurrence's order.
+    w = np.zeros(n + n % 2)
+    w[:n] += 2.0 * np.arange(n, 0, -1) * c[:0:-1]
+    d = w.reshape(-1, 2).cumsum(axis=0).ravel()[n - 1::-1]
     d[0] *= 0.5
-    scale = 2.0 / series.interval.width
-    return ChebyshevSeries(series.interval, tuple(v * scale for v in d[:n]))
+    return ChebyshevSeries(series.interval, d * (2.0 / series.interval.width))
 
 
 @functools.lru_cache(maxsize=8)
@@ -270,7 +281,7 @@ def restrict(series: ChebyshevSeries, lo: float, hi: float) -> ChebyshevSeries:
     """
     n = len(series.coeffs)
     m = 1 << (n - 1).bit_length()
-    coeffs = np.asarray(series.coeffs) @ _restriction(lo, hi, m)[:n, :n]
+    coeffs = series.coeffs @ _restriction(lo, hi, m)[:n, :n]
     part = Interval(from_standard(series.interval, lo), from_standard(series.interval, hi))
     return ChebyshevSeries(part, coeffs)
 
@@ -289,10 +300,10 @@ def chop_series(series: ChebyshevSeries, rel_tol: float = 1e-13,
     if rel_tol < 0:
         raise ValueError("chop tolerance must be >= 0")
     c = series.coeffs
-    cut = rel_tol * (max(abs(v) for v in c) if scale is None else scale)
-    keep = len(c)
-    while keep > 1 and abs(c[keep - 1]) <= cut:
-        keep -= 1
+    mags = np.abs(c)
+    cut = rel_tol * (mags.max() if scale is None else scale)
+    above = (mags > cut).nonzero()[0]
+    keep = int(above[-1]) + 1 if above.size else 1
     if keep == len(c):
         return series
     return ChebyshevSeries(series.interval, c[:keep])
@@ -335,15 +346,15 @@ def coefficient_decay(series: ChebyshevSeries) -> DecayProfile:
     c = series.coeffs
     if len(c) < 4:
         raise ValueError("need at least 4 coefficients to fit a decay rate")
-    mags = tuple(abs(v) for v in c)
-    cut = _DECAY_ZERO_TOL * max(mags)
+    mags = np.abs(c)
+    cut = _DECAY_ZERO_TOL * mags.max()
     keep = len(chop_series(series, _DECAY_ZERO_TOL).coeffs)
-    points = [(jj, m) for jj, m in enumerate(mags[:keep]) if jj >= 1 and m > cut]
+    points = (mags[1:keep] > cut).nonzero()[0] + 1
     tail_dropped = len(mags) - keep
     if tail_dropped >= 2 or len(points) < 2:
-        return DecayProfile(mags, None)
-    lj = np.log([p[0] for p in points])
-    lm = np.log([p[1] for p in points])
+        return DecayProfile(tuple(mags.tolist()), None)
+    lj = np.log(points)
+    lm = np.log(mags[points])
     lj_c = lj - lj.mean()
     slope = float((lj_c @ (lm - lm.mean())) / (lj_c @ lj_c))
-    return DecayProfile(mags, slope)
+    return DecayProfile(tuple(mags.tolist()), slope)

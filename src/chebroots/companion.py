@@ -67,7 +67,7 @@ def build_frobenius(series: ChebyshevSeries) -> np.ndarray:
     DegenerateLeadingCoefficientError
         If the leading coefficient is zero (chop first).
     """
-    c = np.asarray(series.coeffs, dtype=float)
+    c = series.coeffs
     n = len(c) - 1
     if n < 1:
         raise ValueError("companion matrix needs a series of degree >= 1")

@@ -567,7 +567,7 @@ def build_proxy(f, interval,
 def _decay_profile(series: ChebyshevSeries) -> DecayProfile:
     if len(series.coeffs) >= 4:
         return coefficient_decay(series)
-    return DecayProfile(tuple(abs(c) for c in series.coeffs), None)
+    return DecayProfile(tuple(np.abs(series.coeffs).tolist()), None)
 
 
 def find_roots(f, interval, config: RootConfig | None = None, df=None) -> RootReport:
@@ -611,7 +611,7 @@ def find_roots(f, interval, config: RootConfig | None = None, df=None) -> RootRe
     counter = _CountingFunction(f)
     raw, chopped, proxy_converged = build_proxy(counter, interval, config)
     vetted = []
-    scale = max(abs(c) for c in chopped.coeffs)
+    scale = np.abs(chopped.coeffs).max()
     for lo, hi, leaf in _leaves(chopped, _noise_tol(interval), scale):
         dseries = differentiate(leaf)
         newton_df = df if df is not None else (lambda x, d=dseries: evaluate(d, x))

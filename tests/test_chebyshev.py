@@ -160,18 +160,18 @@ class TestEvaluate:
 class TestDifferentiate:
     def test_derivative_of_linear_basis(self):
         d = differentiate(series_on(-1, 1, 0.0, 1.0))
-        assert d.coeffs == (1.0,)
+        assert d.coeffs.tolist() == [1.0]
 
     def test_derivative_of_quadratic_basis(self):
         d = differentiate(series_on(-1, 1, 0.0, 0.0, 1.0))
-        assert d.coeffs == (0.0, 4.0)
+        assert d.coeffs.tolist() == [0.0, 4.0]
 
     def test_chain_rule_scaling(self):
         d = differentiate(series_on(0, 10, 0.0, 1.0))
-        assert d.coeffs == (0.2,)
+        assert d.coeffs.tolist() == [0.2]
 
     def test_constant_differentiates_to_zero(self):
-        assert differentiate(series_on(-1, 1, 3.0)).coeffs == (0.0,)
+        assert differentiate(series_on(-1, 1, 3.0)).coeffs.tolist() == [0.0]
 
     def test_against_central_differences(self):
         rng = np.random.default_rng(23)
@@ -187,18 +187,18 @@ class TestDifferentiate:
 class TestChop:
     def test_drops_roundoff_tail(self):
         series = series_on(-1, 1, 1.0, 0.5, 1e-15, 1e-16)
-        assert chop_series(series).coeffs == (1.0, 0.5)
+        assert chop_series(series).coeffs.tolist() == [1.0, 0.5]
 
     def test_keeps_significant_leading_coefficient(self):
         series = series_on(-1, 1, 1.0, 0.5, 1e-3)
         assert chop_series(series) is series
 
     def test_all_zero_series_keeps_one_coefficient(self):
-        assert chop_series(series_on(-1, 1, 0.0, 0.0, 0.0)).coeffs == (0.0,)
+        assert chop_series(series_on(-1, 1, 0.0, 0.0, 0.0)).coeffs.tolist() == [0.0]
 
     def test_interior_small_coefficients_survive(self):
         series = series_on(-1, 1, 1.0, 1e-16, 1.0, 1e-16)
-        assert chop_series(series).coeffs == (1.0, 1e-16, 1.0)
+        assert chop_series(series).coeffs.tolist() == [1.0, 1e-16, 1.0]
 
 
 class TestCoefficientDecay:
@@ -277,3 +277,130 @@ class TestInterpolationInvariants:
             assert np.allclose(recovered, coeffs, atol=1e-12, rtol=0)
             if len(series.coeffs) > d + 1:
                 assert max(abs(c) for c in series.coeffs[d + 1:]) <= 1e-12
+
+
+class TestSeriesConstruction:
+    def test_rejects_empty_and_two_dimensional_input(self):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            ChebyshevSeries(Interval(-1, 1), ())
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            ChebyshevSeries(Interval(-1, 1), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            ChebyshevSeries(Interval(-1, 1), 1.0)
+
+    def test_non_finite_coefficient_names_the_first_bad_index(self):
+        with pytest.raises(ValueError, match=r"^series coefficient 2 is non-finite \(nan\)$"):
+            series_on(-1, 1, 1.0, 2.0, math.nan, math.inf)
+        with pytest.raises(ValueError, match=r"^series coefficient 0 is non-finite \(-inf\)$"):
+            series_on(-1, 1, -math.inf)
+
+    def test_coefficients_are_a_write_locked_float64_copy(self):
+        source = np.array([1.0, 2.0, 3.0])
+        series = ChebyshevSeries(Interval(-1, 1), source)
+        assert series.coeffs.dtype == np.float64 and series.coeffs.shape == (3,)
+        assert not series.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            series.coeffs[0] = 5.0
+        source[0] = 5.0
+        assert series.coeffs.tolist() == [1.0, 2.0, 3.0]
+
+    def test_equality_by_value_and_not_hashable(self):
+        a = series_on(-1, 1, 1.0, 0.0)
+        assert a == series_on(-1, 1, 1.0, -0.0)
+        assert a == ChebyshevSeries(Interval(-1, 1), np.array([1, 0]))
+        assert a != series_on(-1, 1, 1.0, 0.0, 0.0)
+        assert a != series_on(-1, 2, 1.0, 0.0)
+        assert a != (1.0, 0.0)
+        with pytest.raises(TypeError):
+            hash(a)
+
+
+# Plain-Python references: the coefficient loops the array code replaced.
+
+def reference_differentiate(coeffs, width):
+    n = len(coeffs) - 1
+    if n == 0:
+        return [0.0]
+    d = [0.0] * (n + 2)
+    for jj in range(n, 0, -1):
+        d[jj - 1] = d[jj + 1] + 2.0 * jj * coeffs[jj]
+    d[0] *= 0.5
+    scale = 2.0 / width
+    return [v * scale for v in d[:n]]
+
+
+def reference_chop_length(coeffs, rel_tol, scale=None):
+    cut = rel_tol * (max(abs(v) for v in coeffs) if scale is None else scale)
+    keep = len(coeffs)
+    while keep > 1 and abs(coeffs[keep - 1]) <= cut:
+        keep -= 1
+    return keep
+
+
+def bits(values):
+    """Bytes of a float64 vector, so -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def random_series(rng):
+    """Degree 0-130, per-coefficient scales up to 1e+-200, signed zeros and
+    exact-zero tails."""
+    n = int(rng.integers(1, 132))
+    c = rng.normal(size=n)
+    if rng.random() < 0.5:
+        c *= 10.0 ** rng.integers(-200, 201, size=n)
+    c[rng.random(n) < 0.1] = 0.0
+    c[rng.random(n) < 0.1] = -0.0
+    tail = int(rng.integers(0, n))
+    if rng.random() < 0.3 and tail:
+        c[-tail:] = rng.choice([0.0, -0.0], size=tail)
+    a = float(rng.uniform(-50, 50))
+    return ChebyshevSeries(Interval(a, a + float(rng.uniform(1e-3, 100))), c)
+
+
+class TestArrayEquivalence:
+    def test_differentiate_matches_the_recurrence_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        for _ in range(400):
+            series = random_series(rng)
+            expected = reference_differentiate(series.coeffs.tolist(), series.interval.width)
+            assert bits(differentiate(series).coeffs) == bits(expected)
+
+    def test_differentiate_keeps_a_negative_zero_term_positive(self):
+        # d[n-1] = 0.0 + 2n*c[n] is +0.0 even when c[n] is -0.0
+        for coeffs in ((1.0, -0.0), (1.0, 2.0, -0.0), (3.0, -0.0, -0.0, -0.0)):
+            d = differentiate(series_on(-1, 1, *coeffs)).coeffs
+            assert bits(d) == bits(reference_differentiate(coeffs, 2.0))
+            assert not np.signbit(d).any()
+
+    def test_chop_matches_the_loop(self):
+        rng = np.random.default_rng(43)
+        for _ in range(400):
+            series = random_series(rng)
+            c = series.coeffs.tolist()
+            for rel_tol, scale in ((1e-13, None), (1e-3, None), (0.0, None), (1.0, None),
+                                   (1e-13, max(abs(v) for v in c) * 10.0), (1e-13, 0.0)):
+                chopped = chop_series(series, rel_tol, scale)
+                keep = reference_chop_length(c, rel_tol, scale)
+                assert bits(chopped.coeffs) == bits(c[:keep])
+                assert (chopped is series) == (keep == len(c))
+
+    def test_array_evaluate_matches_scalar_calls(self):
+        rng = np.random.default_rng(47)
+        for _ in range(100):
+            series = random_series(rng)
+            if rng.random() < 0.2:
+                series = ChebyshevSeries(series.interval, series.coeffs[:1])
+            iv = series.interval
+            # points inside, at the ends and up to a width outside the interval
+            xs = np.concatenate([[iv.a, iv.b], rng.uniform(iv.a - iv.width, iv.b + iv.width, 40)])
+            values = evaluate(series, xs)
+            assert isinstance(values, np.ndarray) and values.shape == xs.shape
+            assert bits(values) == bits([evaluate(series, x) for x in xs.tolist()])
+
+    def test_scalar_evaluate_returns_a_python_float(self):
+        for series in (series_on(-1, 1, 2.5), series_on(0, 3, 1.0, -2.0, 0.5)):
+            for x in (0.25, 1, np.float64(0.25), np.float32(0.25)):
+                value = evaluate(series, x)
+                assert type(value) is float, (series, x)
+                assert value == evaluate(series, float(x))

@@ -17,7 +17,14 @@ from chebroots.bench import (
     default_corpus,
     run_bench,
 )
-from chebroots.chebyshev import Interval, from_standard, standard_nodes
+from chebroots.chebyshev import (
+    ChebyshevSeries,
+    Interval,
+    evaluate,
+    from_standard,
+    standard_nodes,
+    transform,
+)
 from chebroots.cli import run_cli
 from chebroots.expressions import eval_expr
 from chebroots.rootfinder import RootConfig, find_roots
@@ -365,6 +372,33 @@ class TestInterpCommand:
         worst = max(abs(p["f"] - p["proxy"]) for p in doc["grid"])
         assert capsys.readouterr().out == (
             f"degree used: 12\nmax |f - proxy| on 1001 uniform points: {worst!r}\n")
+
+    def test_grid_ends_at_b_exactly(self, capsys):
+        # a + 1000*(b - a)/1000 rounds past b = 0.1 here, where sqrt(0.1 - x) is NaN
+        argv = ["interp", "--function", "sqrt(0.1-x)", "--interval", "-0.2", "0.1", "--degree", "64"]
+        assert run_cli(argv) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert doc["grid"][-1]["x"] == 0.1 and doc["grid"][-1]["f"] == 0.0
+        assert run_cli(argv + ["--format", "text"]) == 0
+        worst = max(abs(p["f"] - p["proxy"]) for p in doc["grid"])
+        assert capsys.readouterr().out.endswith(f"points: {worst!r}\n")
+        # every other point is a + i*(b - a)/1000, as before
+        series = ChebyshevSeries(Interval(0, 1), (1.0,))
+        rng = np.random.default_rng(17)
+        for a, b in np.sort(rng.uniform(-100, 100, size=(200, 2)) * 10.0 ** rng.integers(-3, 3, size=(200, 1))):
+            xs = [x for x, _, _ in bench.proxy_grid(lambda x: x, series, Interval(a, b))]
+            assert xs[:-1] == [a + i * ((b - a) / 1000) for i in range(1000)] and xs[-1] == b
+
+    def test_proxy_grid_is_python_floats_from_one_array_evaluate(self, monkeypatch):
+        series = transform([math.cos(from_standard(Interval(0, 1), float(t))) for t in standard_nodes(9)],
+                           Interval(0, 1))
+        calls = []
+        monkeypatch.setattr(bench, "evaluate", lambda s, x: calls.append(x) or evaluate(s, x))
+        grid = bench.proxy_grid(math.cos, series, Interval(0, 1))
+        assert len(calls) == 1 and len(grid) == GRID_POINTS
+        assert all(type(v) is float for point in grid for v in point)
+        assert grid[-1][0] == 1.0 and grid[-1][1] == math.cos(1.0)
+        assert [p for _, _, p in grid] == [evaluate(series, x) for x, _, _ in grid]
 
     def test_no_derivative_is_built(self, capsys, monkeypatch):
         def fail(expr):

@@ -644,7 +644,7 @@ class TestLeaves:
         _, chopped, _ = build_proxy(f, Interval(-1, 1), RootConfig(degree=256))
         leaves = rootfinder._leaves(chopped, 1e-13, max(abs(c) for c in chopped.coeffs))
         lo, hi, last = leaves[-1]
-        assert lo < 0.0 and hi == 1.0 and last.coeffs == (last.coeffs[0],)
+        assert lo < 0.0 and hi == 1.0 and last.coeffs.tolist() == [last.coeffs[0]]
         report = find_roots(f, Interval(-1, 1), RootConfig(degree=256))
         assert report.roots == pytest.approx((-0.5,), abs=1e-15)
         assert all(c.standard_coord.real < 0.0 for c in report.candidates if c.residual is not None)
@@ -665,7 +665,7 @@ class TestLeaves:
         # T_2(t) on [0, 1], with t = (1 + u)/2: 2t^2 - 1 = (T_0(u) + 4 T_1(u) + T_2(u)) / 4 - 1/2
         piece = restrict(chebyshev.ChebyshevSeries(Interval(-1, 1), (0.0, 0.0, 1.0)), 0.0, 1.0)
         assert piece.interval == Interval(0.0, 1.0)
-        assert piece.coeffs == pytest.approx((-0.25, 1.0, 0.25), abs=1e-16)
+        assert piece.coeffs.tolist() == pytest.approx([-0.25, 1.0, 0.25], abs=1e-16)
 
     def test_threads_share_fresh_caches(self):
         # four threads race to fill the restriction and transform caches

@@ -11,93 +11,23 @@ Typical use::
 
     report = find_roots(math.cos, Interval(-10, 10), RootConfig(degree=30))
     print(report.roots)
+
+The package exports every name in the ``__all__`` of its modules
+``chebyshev``, ``companion``, ``rootfinder``, ``expressions`` and ``bench``.
 """
 
-from .chebyshev import (
-    ChebyshevSeries,
-    DecayProfile,
-    Interval,
-    NonFiniteSampleError,
-    chop_series,
-    coefficient_decay,
-    differentiate,
-    evaluate,
-    from_standard,
-    standard_nodes,
-    to_standard,
-    transform,
-)
-from .companion import (
-    DegenerateLeadingCoefficientError,
-    Spectrum,
-    build_frobenius,
-    eigenvalues,
-    series_spectrum,
-)
-from .rootfinder import (
-    PolishResult,
-    RejectionReason,
-    RootCandidate,
-    RootConfig,
-    RootReport,
-    build_proxy,
-    dedupe_and_sort,
-    filter_candidates,
-    find_roots,
-    newton_polish,
-)
-from .expressions import (
-    Expression,
-    ParseError,
-    UnsupportedDerivativeError,
-    differentiate_expr,
-    eval_expr,
-    expression_to_text,
-    parse,
-)
-from .bench import BenchCase, BenchReport, BenchRow, default_corpus, run_bench
+from . import bench, chebyshev, companion, expressions, rootfinder
+from .bench import *
+from .chebyshev import *
+from .companion import *
+from .expressions import *
+from .rootfinder import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChebyshevSeries",
-    "DecayProfile",
-    "Interval",
-    "NonFiniteSampleError",
-    "chop_series",
-    "coefficient_decay",
-    "differentiate",
-    "evaluate",
-    "from_standard",
-    "standard_nodes",
-    "to_standard",
-    "transform",
-    "DegenerateLeadingCoefficientError",
-    "Spectrum",
-    "build_frobenius",
-    "eigenvalues",
-    "series_spectrum",
-    "PolishResult",
-    "RejectionReason",
-    "RootCandidate",
-    "RootConfig",
-    "RootReport",
-    "build_proxy",
-    "dedupe_and_sort",
-    "filter_candidates",
-    "find_roots",
-    "newton_polish",
-    "Expression",
-    "ParseError",
-    "UnsupportedDerivativeError",
-    "differentiate_expr",
-    "eval_expr",
-    "expression_to_text",
-    "parse",
-    "BenchCase",
-    "BenchReport",
-    "BenchRow",
-    "default_corpus",
-    "run_bench",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += chebyshev.__all__
+__all__ += companion.__all__
+__all__ += rootfinder.__all__
+__all__ += expressions.__all__
+__all__ += bench.__all__

@@ -20,7 +20,7 @@ import numpy as np
 from .chebyshev import ChebyshevSeries, Interval, evaluate
 from .expressions import eval_expr, parse
 from .rootfinder import RootConfig, build_proxy, find_roots
-from .serialize import FORMAT_VERSION, format_cell, write_csv_rows
+from .serialize import FORMAT_VERSION, format_cell, json_number, write_csv_rows
 
 __all__ = [
     "BenchCase",
@@ -123,6 +123,12 @@ def proxy_grid(f, series: ChebyshevSeries, interval: Interval) -> list[tuple[flo
     return [(x, f(x), px) for x, px in zip(xs.tolist(), evaluate(series, xs).tolist())]
 
 
+def grid_max_error(grid) -> float:
+    """max |f - proxy| over a :func:`proxy_grid`, or NaN if any |f - proxy| is not finite."""
+    errors = [abs(fx - px) for _, fx, px in grid]
+    return max(errors) if all(map(math.isfinite, errors)) else math.nan
+
+
 def run_bench(corpus=None, config: RootConfig | None = None) -> BenchReport:
     """Run every (case, degree) pair and collect one row per run.
 
@@ -178,7 +184,7 @@ def run_bench(corpus=None, config: RootConfig | None = None) -> BenchReport:
                     root_count_matches=matches,
                     max_root_error=max_err,
                     spurious_candidates=sum(1 for c in report.candidates if not c.accepted),
-                    proxy_max_error=max(abs(fx - px) for _, fx, px in grid),
+                    proxy_max_error=grid_max_error(grid),
                     function_evaluations=report.function_evaluations,
                     proxy_converged=report.proxy_converged,
                     wall_time_s=wall,
@@ -201,7 +207,7 @@ def bench_to_dict(report: BenchReport) -> dict:
             }
             for c in report.cases
         ],
-        "rows": [asdict(r) for r in report.rows],
+        "rows": [{k: json_number(v) for k, v in asdict(r).items()} for r in report.rows],
     }
 
 

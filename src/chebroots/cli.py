@@ -20,18 +20,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 from numpy.linalg import LinAlgError
 
 from .bench import (GRID_POINTS, bench_to_csv, bench_to_json, bench_to_text, default_corpus,
-                    proxy_grid, run_bench)
+                    grid_max_error, proxy_grid, run_bench)
 from .chebyshev import Interval, NonFiniteSampleError
-from .expressions import UnsupportedDerivativeError, differentiate_expr, eval_expr, parse, ParseError
+from .expressions import UnsupportedDerivativeError, differentiate_expr, eval_expr, parse
 from .rootfinder import RootConfig, build_proxy, find_roots
 from .serialize import (
     FORMAT_VERSION,
     format_cell,
+    json_number,
     report_to_csv,
     report_to_dict,
     report_to_json,
@@ -41,6 +42,8 @@ from .serialize import (
 )
 
 __all__ = ["run_cli", "main"]
+
+_CONFIG_FIELDS = frozenset(field.name for field in fields(RootConfig))
 
 
 class _UsageError(Exception):
@@ -54,67 +57,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="chebroots", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+def _config_from_args(args, **fixed) -> RootConfig:
+    """A :class:`RootConfig` from every parsed flag whose dest is one of its fields.
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--function", required=True, metavar="TEXT",
-                        help="expression in x, e.g. 'cos(x)' (multiplication is explicit: 2*x)")
-    common.add_argument("--interval", required=True, nargs=2, type=float, metavar=("A", "B"))
-    common.add_argument("--imag-tol", type=float, default=None,
-                        help="max |imag| for an eigenvalue to count as real")
-    common.add_argument("--box-tol", type=float, default=None,
-                        help="how far outside [-1,1] an eigenvalue may sit")
-    common.add_argument("--residual-tol", type=float, default=None,
-                        help="absolute |f(x)| acceptance threshold (default: automatic)")
-    common.add_argument("--no-polish", action="store_true")
-    common.add_argument("--allow-nonconverged", action="store_true",
-                        help="exit 0 even if the adaptive proxy hit its degree cap")
-    common.add_argument("--format", choices=("json", "csv", "text"),
-                        help="default: csv for an --output ending in .csv, else json")
-    common.add_argument("--output", metavar="PATH", help="write here instead of stdout")
-
-    degree_opts = argparse.ArgumentParser(add_help=False)
-    group = degree_opts.add_mutually_exclusive_group()
-    group.add_argument("--degree", type=int, metavar="N",
-                       help="number of interpolation nodes (proxy degree N-1)")
-    group.add_argument("--adaptive", action="store_true",
-                       help="choose the degree automatically (default)")
-
-    sub.add_parser("roots", parents=[common, degree_opts],
-                   help="find all real roots on the interval")
-
-    sweep = sub.add_parser("sweep", parents=[common],
-                           help="rerun across several degrees, keeping all candidates")
-    sweep.add_argument("--degrees", required=True, metavar="N1,N2,...",
-                       help="comma-separated list of node counts")
-
-    sub.add_parser("interp", parents=[common, degree_opts],
-                   help="tabulate function vs proxy on a uniform grid")
-
-    bench = sub.add_parser("bench", help="run the built-in benchmark corpus")
-    bench.add_argument("--format", choices=("json", "csv", "text"),
-                       help="default: csv for an --output ending in .csv, else json")
-    bench.add_argument("--output", metavar="PATH",
-                       help="file to write; without --format or a .json/.csv suffix, "
-                            "writes PATH.json and PATH.csv")
-    bench.add_argument("--no-polish", action="store_true")
-    return parser
-
-
-def _config_from_args(args, degree: int | None) -> RootConfig:
-    config = RootConfig(degree=degree)
-    overrides = {}
-    if args.imag_tol is not None:
-        overrides["imag_tol"] = args.imag_tol
-    if args.box_tol is not None:
-        overrides["box_tol"] = args.box_tol
-    if args.residual_tol is not None:
-        overrides["residual_tol"] = args.residual_tol
-    if args.no_polish:
-        overrides["polish"] = False
-    return replace(config, **overrides) if overrides else config
+    ``polish`` comes from ``--no-polish``; ``fixed`` sets fields no flag of the
+    subcommand does (``degree`` for each run of a sweep).
+    """
+    knobs = {name: value for name, value in vars(args).items()
+             if name in _CONFIG_FIELDS and value is not None}
+    return RootConfig(**knobs, polish=not args.no_polish, **fixed)
 
 
 def _function_from_args(args, derivative=True):
@@ -161,7 +112,7 @@ def _exit_code(converged: bool, args) -> int:
 
 def _cmd_roots(args) -> int:
     interval = Interval(*args.interval)
-    config = _config_from_args(args, args.degree)
+    config = _config_from_args(args)
     f, df = _function_from_args(args)
     report = find_roots(f, interval, config, df=df)
     _emit(args, json=lambda: report_to_json(report, config), csv=lambda: report_to_csv(report),
@@ -170,12 +121,13 @@ def _cmd_roots(args) -> int:
 
 
 def _parse_degrees(text: str) -> list[int]:
+    """The argparse ``type`` of ``--degrees``: comma-separated node counts."""
     try:
         degrees = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise _UsageError(f"bad --degrees list: {exc}") from None
+        raise argparse.ArgumentTypeError(f"bad --degrees list: {exc}") from None
     if not degrees:
-        raise _UsageError("--degrees needs at least one value")
+        raise argparse.ArgumentTypeError("needs at least one value")
     return degrees
 
 
@@ -190,11 +142,10 @@ def _sweep_text(runs) -> str:
 
 def _cmd_sweep(args) -> int:
     interval = Interval(*args.interval)
-    degrees = _parse_degrees(args.degrees)
     f, df = _function_from_args(args)
     runs = []
-    for degree in degrees:
-        config = _config_from_args(args, degree)
+    for degree in args.degrees:
+        config = _config_from_args(args, degree=degree)
         runs.append((degree, config, find_roots(f, interval, config, df=df)))
     _emit(
         args,
@@ -215,7 +166,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_interp(args) -> int:
     interval = Interval(*args.interval)
-    config = _config_from_args(args, args.degree)
+    config = _config_from_args(args)
     f, _ = _function_from_args(args, derivative=False)
     raw, series, converged = build_proxy(f, interval, config)
     grid = proxy_grid(f, series, interval)
@@ -228,19 +179,19 @@ def _cmd_interp(args) -> int:
             "interval": [interval.a, interval.b],
             "degree_used": len(raw.coeffs),
             "proxy_converged": converged,
-            "grid": [{"x": x, "f": fx, "proxy": px} for x, fx, px in grid],
+            "grid": [{"x": x, "f": json_number(fx), "proxy": json_number(px)} for x, fx, px in grid],
         }, indent=2),
         csv=lambda: write_csv_rows(["x", "f", "proxy"],
                                    [[format_cell(v) for v in point] for point in grid]),
         text=lambda: (f"degree used: {len(raw.coeffs)}\n"
                       f"max |f - proxy| on {GRID_POINTS} uniform points: "
-                      f"{max(abs(fx - px) for _, fx, px in grid)!r}\n"),
+                      f"{grid_max_error(grid)!r}\n"),
     )
     return _exit_code(converged, args)
 
 
 def _cmd_bench(args) -> int:
-    report = run_bench(default_corpus(), RootConfig(polish=not args.no_polish))
+    report = run_bench(default_corpus(), _config_from_args(args))
     if args.output and args.format is None and not args.output.endswith((".json", ".csv")):
         for suffix, render in ((".json", bench_to_json), (".csv", bench_to_csv)):
             with open(args.output + suffix, "w") as handle:
@@ -251,25 +202,67 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="chebroots", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--format", choices=("json", "csv", "text"),
+                        help="default: csv for an --output ending in .csv, else json")
+    shared.add_argument("--output", metavar="PATH", help="write here instead of stdout")
+    shared.add_argument("--no-polish", action="store_true", help="skip the Newton polish")
+
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--function", required=True, metavar="TEXT",
+                        help="expression in x, e.g. 'cos(x)' (multiplication is explicit: 2*x)")
+    common.add_argument("--interval", required=True, nargs=2, type=float, metavar=("A", "B"))
+    common.add_argument("--imag-tol", type=float,
+                        help="max |imag| for an eigenvalue to count as real")
+    common.add_argument("--box-tol", type=float,
+                        help="how far outside [-1,1] an eigenvalue may sit")
+    common.add_argument("--residual-tol", type=float,
+                        help="absolute |f(x)| acceptance threshold (default: automatic)")
+    common.add_argument("--allow-nonconverged", action="store_true",
+                        help="exit 0 even if the adaptive proxy hit its degree cap")
+
+    degree_opts = argparse.ArgumentParser(add_help=False)
+    group = degree_opts.add_mutually_exclusive_group()
+    group.add_argument("--degree", type=int, metavar="N",
+                       help="number of interpolation nodes (proxy degree N-1)")
+    group.add_argument("--adaptive", action="store_true",
+                       help="choose the degree automatically (default)")
+
+    sub.add_parser("roots", parents=[common, shared, degree_opts],
+                   help="find all real roots on the interval").set_defaults(run=_cmd_roots)
+
+    sweep = sub.add_parser("sweep", parents=[common, shared],
+                           help="rerun across several degrees, keeping all candidates")
+    sweep.add_argument("--degrees", required=True, type=_parse_degrees, metavar="N1,N2,...",
+                       help="comma-separated list of node counts")
+    sweep.set_defaults(run=_cmd_sweep)
+
+    sub.add_parser("interp", parents=[common, shared, degree_opts],
+                   help="tabulate function vs proxy on a uniform grid").set_defaults(run=_cmd_interp)
+
+    sub.add_parser("bench", parents=[shared], help="run the built-in benchmark corpus",
+                   description="An --output PATH with neither --format nor a .json/.csv "
+                               "suffix writes PATH.json and PATH.csv.").set_defaults(run=_cmd_bench)
+    return parser
+
+
 def run_cli(argv=None) -> int:
     """Run the CLI on an argument list.  Returns the process exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "roots":
-            return _cmd_roots(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "interp":
-            return _cmd_interp(args)
-        return _cmd_bench(args)
+        return args.run(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:  # parse and evaluation loop; differentiation and printing recurse
         print("error: expression is nested too deeply", file=sys.stderr)
         return 1
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         if isinstance(exc, (NonFiniteSampleError, LinAlgError)):
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 2

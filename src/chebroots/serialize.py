@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import asdict
 
 from .chebyshev import DecayProfile
@@ -30,6 +31,7 @@ __all__ = [
     "report_to_text",
     "write_csv_rows",
     "format_cell",
+    "json_number",
 ]
 
 FORMAT_VERSION = 3
@@ -119,6 +121,11 @@ def format_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def json_number(value):
+    """``value``, or None (JSON null) in place of a non-finite float."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def candidate_csv_header(with_degree: bool = False) -> list[str]:

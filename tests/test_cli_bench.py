@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -8,9 +9,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chebroots import bench
+import chebroots
+from chebroots import bench, chebyshev, companion, expressions, rootfinder
 from chebroots.bench import (
     GRID_POINTS,
+    BenchCase,
     bench_to_csv,
     bench_to_dict,
     bench_to_json,
@@ -25,10 +28,11 @@ from chebroots.chebyshev import (
     standard_nodes,
     transform,
 )
-from chebroots.cli import run_cli
+from chebroots.cli import _build_parser, run_cli
 from chebroots.expressions import eval_expr
 from chebroots.rootfinder import RootConfig, find_roots
 from chebroots.serialize import (
+    config_to_dict,
     report_from_dict,
     report_from_json,
     report_to_csv,
@@ -41,6 +45,69 @@ def run_json(capsys, argv):
     code = run_cli(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and infinities."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestDeclarations:
+    # the names the package exported before it took them from its modules' __all__
+    EARLIER_EXPORTS = {
+        "ChebyshevSeries", "DecayProfile", "Interval", "NonFiniteSampleError", "chop_series",
+        "coefficient_decay", "differentiate", "evaluate", "from_standard", "standard_nodes",
+        "to_standard", "transform", "DegenerateLeadingCoefficientError", "Spectrum",
+        "build_frobenius", "eigenvalues", "series_spectrum", "PolishResult", "RejectionReason",
+        "RootCandidate", "RootConfig", "RootReport", "build_proxy", "dedupe_and_sort",
+        "filter_candidates", "find_roots", "newton_polish", "Expression", "ParseError",
+        "UnsupportedDerivativeError", "differentiate_expr", "eval_expr", "expression_to_text",
+        "parse", "BenchCase", "BenchReport", "BenchRow", "default_corpus", "run_bench",
+    }
+
+    def test_package_exports_each_module_list_once(self):
+        modules = (chebyshev, companion, rootfinder, expressions, bench)
+        assert chebroots.__all__ == ["__version__"] + [n for m in modules for n in m.__all__]
+        assert len(set(chebroots.__all__)) == len(chebroots.__all__)
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(chebroots, name) is getattr(module, name)
+        assert self.EARLIER_EXPORTS <= set(chebroots.__all__)
+
+    def test_every_subcommand_has_a_handler(self):
+        (subcommands,) = [action for action in _build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction)]
+        assert set(subcommands.choices) == {"roots", "sweep", "interp", "bench"}
+        for name, parser in subcommands.choices.items():
+            assert callable(parser.get_default("run")), name
+
+    @pytest.mark.parametrize("flags, changed", [
+        ([], {}),
+        (["--imag-tol", "1e-6"], {"imag_tol": 1e-6}),
+        (["--box-tol", "0.001"], {"box_tol": 0.001}),
+        (["--residual-tol", "1e-10"], {"residual_tol": 1e-10}),
+        (["--no-polish"], {"polish": False}),
+        (["--imag-tol", "1e-6", "--box-tol", "0.001", "--residual-tol", "1e-10", "--no-polish"],
+         {"imag_tol": 1e-6, "box_tol": 0.001, "residual_tol": 1e-10, "polish": False}),
+    ], ids=["defaults", "imag-tol", "box-tol", "residual-tol", "no-polish", "all"])
+    @pytest.mark.parametrize("command", ["roots", "sweep"])
+    def test_flag_reaches_its_config_field(self, capsys, command, flags, changed):
+        degree = ["--degree", "30"] if command == "roots" else ["--degrees", "30"]
+        code, doc = run_json(capsys, [command, "--function", "cos(x)", "--interval", "-10", "10"]
+                             + degree + flags)
+        assert code == 0
+        config = doc["config"] if command == "roots" else doc["sweeps"][0]["config"]
+        assert config == dict(config_to_dict(RootConfig(degree=30)), **changed)
+
+    @pytest.mark.parametrize("flags, polish", [([], True), (["--no-polish"], False)])
+    def test_bench_no_polish_reaches_its_config_field(self, capsys, monkeypatch, flags, polish):
+        configs = []
+        monkeypatch.setattr("chebroots.cli.run_bench",
+                            lambda corpus, config: configs.append(config) or run_bench(corpus[:0]))
+        assert run_cli(["bench", "--format", "text"] + flags) == 0
+        assert configs == [RootConfig(polish=polish)]
 
 
 class TestSerializationRoundtrip:
@@ -333,6 +400,15 @@ class TestSweepCommand:
         counts = [len(run["candidates"]) for run in doc["sweeps"]]
         assert counts[0] < counts[1] < counts[2]
 
+    @pytest.mark.parametrize("degrees, message", [
+        ("8,x", "usage error: argument --degrees: bad --degrees list: "
+                "invalid literal for int() with base 10: 'x'\n"),
+        (",", "usage error: argument --degrees: needs at least one value\n"),
+    ], ids=["not-an-integer", "empty"])
+    def test_bad_degrees_list_is_usage_error(self, capsys, degrees, message):
+        assert run_cli(self.ARGV[:-1] + [degrees]) == 1
+        assert capsys.readouterr().err == message
+
 
 class TestInterpCommand:
     def test_grid_size_and_proxy_accuracy(self, capsys):
@@ -409,6 +485,23 @@ class TestInterpCommand:
                         "--degree", "12"]) == 0
         with pytest.raises(AssertionError, match="interp built a derivative"):
             run_cli(["roots", "--function", "cos(x)", "--interval", "-10", "10", "--degree", "12"])
+
+    @pytest.mark.parametrize("function", ["log(x)", "log(1-x)"])
+    def test_non_finite_f_gives_a_nan_max_error(self, capsys, function):
+        # x = 0 is a grid point but no sample node, so the proxy builds
+        argv = ["interp", "--function", function, "--interval", "0", "1", "--degree", "16"]
+        assert run_cli(argv + ["--format", "text"]) == 0
+        assert capsys.readouterr().out == (
+            "degree used: 16\nmax |f - proxy| on 1001 uniform points: nan\n")
+
+    def test_non_finite_f_is_null_in_json(self, capsys):
+        argv = ["interp", "--function", "log(x)", "--interval", "0", "1", "--degree", "16"]
+        assert run_cli(argv) == 0
+        grid = strict_json(capsys.readouterr().out)["grid"]
+        assert grid[0]["x"] == 0.0 and grid[0]["f"] is None and math.isfinite(grid[0]["proxy"])
+        assert all(math.isfinite(p["f"]) for p in grid[1:])
+        assert run_cli(argv + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[:2] == ["0.0", "nan"]
 
     @pytest.mark.parametrize("args, degree_used", [
         (["--function", "x", "--interval", "-1", "1", "--degree", "4"], 4),
@@ -525,6 +618,15 @@ class TestBench:
             assert line.startswith(f"{r.case:18s} N={r.degree:<4d} roots {r.roots_found}/{expect}")
             assert f"proxy err {r.proxy_max_error:.3e}" in line
             assert line.endswith(" ms")
+
+    def test_non_finite_f_gives_a_nan_row_and_null_json(self):
+        case = BenchCase("log", "log(x)", Interval(0.0, 1.0), (16,), None)
+        nan_report = run_bench([case])
+        (row,) = nan_report.rows
+        assert math.isnan(row.proxy_max_error)
+        (doc_row,) = strict_json(bench_to_json(nan_report))["rows"]
+        assert doc_row["proxy_max_error"] is None
+        assert bench_to_csv(nan_report).splitlines()[1].split(",")[8] == "nan"
 
     def test_bench_json_parses(self, report):
         doc = json.loads(bench_to_json(report))

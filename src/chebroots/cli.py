@@ -18,7 +18,9 @@ eigenvalues).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
 from dataclasses import fields
 
@@ -45,13 +47,37 @@ __all__ = ["run_cli", "main"]
 
 _CONFIG_FIELDS = frozenset(field.name for field in fields(RootConfig))
 
+# argparse's own pattern for a negative number has no exponent
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+
 
 class _UsageError(Exception):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems instead of exiting the process."""
+    """argparse that reports usage problems instead of exiting the process.
+
+    A negative number with an exponent ("-1e-3") is a value, as "-0.001"
+    is, and "--interval=A B" is "--interval A B".
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse binds "--opt=value" to one value, so an option that takes
+        # two ("--interval") would refuse "--interval=A B"
+        split = []
+        for arg in sys.argv[1:] if args is None else args:
+            option, equals, value = arg.partition("=")
+            action = self._option_string_actions.get(option) if equals else None
+            if isinstance(getattr(action, "nargs", None), int) and action.nargs > 1:
+                split += [option, value]
+            else:
+                split.append(arg)
+        return super().parse_known_args(split, namespace)
 
     def error(self, message):
         raise _UsageError(message)
@@ -202,6 +228,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="chebroots", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -259,7 +286,7 @@ def run_cli(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:  # parse and evaluation loop; differentiation and printing recurse
+    except RecursionError:  # the parser recurses once per parenthesis, sign and power
         print("error: expression is nested too deeply", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:  # ParseError is a ValueError

@@ -19,17 +19,19 @@ byte offset.
 Evaluation follows real arithmetic; domain violations (log of a
 non-positive number, sqrt of a negative, division by zero) produce a
 non-finite value rather than raising, so the rootfinder's own sampling
-checks see them.  A tree is compiled once, on its first evaluation, into a
-flat tape that one loop runs, so evaluation depth is unbounded.
+checks see them.  A tree is compiled once, on its first evaluation, into
+straight-line Python: one assignment per node, split into functions of at
+most 256 statements that run one after another.  Compiling, differentiating
+and printing walk the tree with their own stack, so tree depth is unbounded.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
+import sys
+import types
 import weakref
-from array import array
 from dataclasses import dataclass
 
 __all__ = [
@@ -184,9 +186,9 @@ def parse(text: str) -> Expression:
 def _guarded(fn):
     """``fn`` with domain errors as values: NaN for ValueError (log(0),
     sqrt(-1), sin(inf)), inf for OverflowError (exp)."""
-    def guarded(*args):
+    def guarded(value):
         try:
-            return fn(*args)
+            return fn(value)
         except ValueError:
             return math.nan
         except OverflowError:
@@ -220,13 +222,15 @@ def _safe_div(num: float, den: float) -> float:
     return num / den
 
 
-# symbol -> (value function, precedence); "^" is right-associative
+# symbol -> (the Python expression the compiled code computes it with from
+# operands {a} and {b}, precedence); "^" is right-associative.  Division
+# and powers call _safe_div and _safe_pow for their IEEE values.
 _OPERATORS = {
-    "+": (operator.add, 1),
-    "-": (operator.sub, 1),
-    "*": (operator.mul, 2),
-    "/": (_safe_div, 2),
-    "^": (_safe_pow, 4),
+    "+": ("{a} + {b}", 1),
+    "-": ("{a} - {b}", 1),
+    "*": ("{a} * {b}", 2),
+    "/": ("{a} / {b} if {b} else div({a}, {b})", 2),
+    "^": ("pow({a}, {b})", 4),
 }
 
 # unary minus binds between "*" and "^" ("-x^2" is -(x^2)); atoms bind tightest
@@ -244,54 +248,131 @@ _FUNCTIONS = {
     "abs": (_guarded(abs), None),
 }
 
+# the names compiled code calls; a tree's numbers join them as c0, c1, ...
+# and its values live in r0, r1, ..., so no name is taken twice
+_NAMESPACE = {"div": _safe_div, "pow": _safe_pow, **{name: entry[0] for name, entry in _FUNCTIONS.items()}}
 
-# id(tree) -> its tape (constants, functions, left slots, right slots).  A
-# tree's entry is dropped when the tree is collected, so a later tree that
-# reuses the id never finds it.
-_TAPES: dict[int, tuple] = {}
+# Most statements in one compiled function.  One function per tree runs
+# faster, but compiling a body of thousands of statements takes megabytes.
+_CHUNK = 256
+
+# id(tree) -> the functions of its compiled code.  A tree's entry is dropped
+# when the tree is collected, so a later tree that reuses the id never finds it.
+_COMPILED: dict[int, tuple] = {}
 
 
-def _operation(node: Expression) -> tuple:
-    """The value function of a node other than a leaf, and its operands."""
+def _children(node: Expression) -> tuple:
     if isinstance(node, BinaryOp):
-        return _OPERATORS[node.op][0], (node.left, node.right)
+        return node.left, node.right
     if isinstance(node, UnaryNeg):
-        return operator.neg, (node.operand,)
-    return _FUNCTIONS[node.name][0], (node.argument,)
+        return (node.operand,)
+    if isinstance(node, FunctionCall):
+        return (node.argument,)
+    return ()
+
+
+def _post_order(expr: Expression) -> list:
+    """Each distinct node of the tree once, children before parents.
+
+    A left child's subtree is listed before the right child's, so a chain
+    of left-associative operators holds few values at a time.  A subtree
+    shared by reference is listed once.  The walk keeps its own stack, so
+    tree depth is unbounded.
+    """
+    order, seen = [], set()
+    stack = [(expr, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack += [(child, False) for child in reversed(_children(node))]
+    return order
+
+
+def _fold(expr: Expression, rule):
+    """``rule(node, done)`` for each node after its children, where ``done``
+    maps the id of each child to its result; the root's result.
+
+    A result is dropped once its last parent has read it: a printed subtree
+    shared by many parents would otherwise keep every partial text alive.
+    """
+    order = _post_order(expr)
+    last_read = {id(child): k for k, node in enumerate(order) for child in _children(node)}
+    done = {}
+    for k, node in enumerate(order):
+        done[id(node)] = rule(node, done)
+        for child in _children(node):
+            if last_read[id(child)] == k:
+                done.pop(id(child), None)
+    return done[id(expr)]
+
+
+def _function(params: list, body: list, returns: list, namespace: dict):
+    """A function of x and ``params`` that runs ``body`` and returns ``returns`` as a tuple."""
+    source = "\n    ".join([f"def chunk({', '.join(['x', *params])}):", *body,
+                            f"return ({''.join(name + ', ' for name in returns)})"])
+    module = compile(source, "<expression>", "exec")
+    code = next(const for const in module.co_consts if isinstance(const, types.CodeType))
+    return types.FunctionType(code, namespace)
 
 
 def _compile(expr: Expression) -> tuple:
-    """Flatten a tree into a slot tape and memoize it under ``id(expr)``.
+    """Compile a tree to straight-line Python and memoize it under ``id(expr)``.
 
-    Slot 0 holds x, the next slots the tree's numbers, then one slot per
-    instruction (function, left slot, right slot or -1), children before
-    parents, so the root's value is the last slot.  A subtree shared by
-    reference gets one slot.
+    Each interior node becomes one assignment, children before parents; a
+    subtree shared by reference is computed once.  A value's name is reused
+    once its last reader has run, so few names are live at any point.  The
+    statements are split into functions of at most ``_CHUNK`` of them, each
+    taking x and the values live at its start and returning those live at
+    its end; the last returns the root's value.  Numbers are read from the
+    functions' namespace, never written into the source.
     """
-    numbers, steps = [], []  # steps: (node, fn, operands), each after its operands
-    seen = set()
-    stack = [(expr, None)]
-    while stack:
-        node, operation = stack.pop()
-        if operation is not None:  # its operands are compiled
-            steps.append((node, *operation))
-        elif id(node) not in seen and not isinstance(node, Variable):
-            seen.add(id(node))
-            if isinstance(node, Number):
-                numbers.append(node)
-            else:
-                operation = _operation(node)
-                stack.append((node, operation))
-                stack += [(operand, None) for operand in operation[1]]
+    namespace = dict(_NAMESPACE)
+    name, steps = {}, []  # id(node) -> the name its value is read by
+    for node in _post_order(expr):
+        if isinstance(node, Variable):
+            name[id(node)] = "x"
+        elif isinstance(node, Number):
+            # interned: the compiled code's names are, so each tree's
+            # namespace shares them instead of holding copies
+            name[id(node)] = key = sys.intern(f"c{len(name)}")
+            namespace[key] = node.value
+        else:
+            steps.append(node)
+    last_read = {id(child): k for k, node in enumerate(steps) for child in _children(node)}
+    last_read[id(expr)] = len(steps)  # the root is returned
 
-    slot = {id(node): k for k, node in enumerate(numbers, 1)}  # x is slot 0
-    slot.update((id(node), k) for k, (node, _, _) in enumerate(steps, len(slot) + 1))
-    lefts = array("i", [slot.get(id(operands[0]), 0) for _, _, operands in steps])
-    rights = array("i", [slot.get(id(operands[1]), 0) if len(operands) == 2 else -1 for _, _, operands in steps])
-    tape = (tuple(node.value for node in numbers), tuple(fn for _, fn, _ in steps), lefts, rights)
-    stored = _TAPES.setdefault(id(expr), tape)
-    if stored is tape:  # another thread may have compiled the same tree first
-        weakref.finalize(expr, _TAPES.pop, id(expr), None).atexit = False
+    chunks, body, params, free, held = [], [], [], [], set()
+    for k, node in enumerate(steps):
+        if k and k % _CHUNK == 0:
+            live = sorted(held)
+            chunks.append(_function(params, body, live, namespace))
+            body, params = [], live
+        children = _children(node)
+        operands = [name[id(child)] for child in children]
+        for child in {id(child) for child in children}:
+            if last_read[child] == k and name[child] in held:  # x and numbers hold no name
+                held.remove(name[child])
+                free.append(name[child])
+        out = free.pop() if free else f"r{len(held)}"  # with none free, every name is held
+        held.add(out)
+        name[id(node)] = out
+        if isinstance(node, BinaryOp):
+            value = _OPERATORS[node.op][0].format(a=operands[0], b=operands[1])
+        elif isinstance(node, UnaryNeg):
+            value = f"-{operands[0]}"
+        else:
+            value = f"{node.name}({operands[0]})"
+        body.append(f"{out} = {value}")
+    chunks.append(_function(params, body, [name[id(expr)]], namespace))
+
+    compiled = tuple(chunks)
+    stored = _COMPILED.setdefault(id(expr), compiled)
+    if stored is compiled:  # another thread may have compiled the same tree first
+        weakref.finalize(expr, _COMPILED.pop, id(expr), None).atexit = False
     return stored
 
 
@@ -300,12 +381,11 @@ def eval_expr(expr: Expression, x: float) -> float:
 
     Never raises on domain violations; the result is NaN or +/-inf instead.
     """
-    numbers, fns, lefts, rights = _TAPES.get(id(expr)) or _compile(expr)
-    values = [float(x), *numbers]
-    push = values.append
-    for fn, i, j in zip(fns, lefts, rights):
-        push(fn(values[i]) if j < 0 else fn(values[i], values[j]))
-    return values[-1]
+    x = float(x)
+    live = ()
+    for chunk in _COMPILED.get(id(expr)) or _compile(expr):
+        live = chunk(x, *live)
+    return live[0]
 
 
 def _num(value: float) -> Expression:
@@ -370,35 +450,28 @@ def _neg(a: Expression) -> Expression:
     return UnaryNeg(a)
 
 
-def differentiate_expr(expr: Expression) -> Expression:
-    """Symbolic derivative with respect to x.
-
-    Standard rules; no simplification is promised beyond folding of literal
-    arithmetic.  Raises :class:`UnsupportedDerivativeError` if the
-    expression contains abs (not differentiable at 0); callers are expected
-    to fall back to the differentiated proxy series.
-    """
-    if isinstance(expr, Number):
+def _derivative(node: Expression, d: dict) -> Expression:
+    """The derivative of ``node``, given ``d``: id -> derivative of each child."""
+    if isinstance(node, Number):
         return Number(0.0)
-    if isinstance(expr, Variable):
+    if isinstance(node, Variable):
         return Number(1.0)
-    if isinstance(expr, UnaryNeg):
-        return _neg(differentiate_expr(expr.operand))
-    if isinstance(expr, FunctionCall):
-        rule = _FUNCTIONS[expr.name][1]
+    if isinstance(node, UnaryNeg):
+        return _neg(d[id(node.operand)])
+    if isinstance(node, FunctionCall):
+        rule = _FUNCTIONS[node.name][1]
         if rule is None:
-            raise UnsupportedDerivativeError(f"{expr.name}(...) is not differentiable at 0")
-        return rule(expr.argument, differentiate_expr(expr.argument))
-    u, v = expr.left, expr.right
-    du = differentiate_expr(u)
-    dv = differentiate_expr(v)
-    if expr.op == "+":
+            raise UnsupportedDerivativeError(f"{node.name}(...) is not differentiable at 0")
+        return rule(node.argument, d[id(node.argument)])
+    u, v = node.left, node.right
+    du, dv = d[id(u)], d[id(v)]
+    if node.op == "+":
         return _add(du, dv)
-    if expr.op == "-":
+    if node.op == "-":
         return _sub(du, dv)
-    if expr.op == "*":
+    if node.op == "*":
         return _add(_mul(du, v), _mul(u, dv))
-    if expr.op == "/":
+    if node.op == "/":
         return _div(_sub(_mul(du, v), _mul(u, dv)), BinaryOp("^", v, Number(2.0)))
     # power rule; the general case goes through u^v * (v'*log(u) + v*u'/u)
     if isinstance(v, Number):
@@ -406,6 +479,18 @@ def differentiate_expr(expr: Expression) -> Expression:
     log_term = _mul(dv, FunctionCall("log", u))
     ratio_term = _mul(v, _div(du, u))
     return _mul(BinaryOp("^", u, v), _add(log_term, ratio_term))
+
+
+def differentiate_expr(expr: Expression) -> Expression:
+    """Symbolic derivative with respect to x.
+
+    Standard rules; no simplification is promised beyond folding of literal
+    arithmetic.  Each distinct node is differentiated once, children first,
+    so tree depth is unbounded.  Raises :class:`UnsupportedDerivativeError`
+    if the expression contains abs (not differentiable at 0); callers are
+    expected to fall back to the differentiated proxy series.
+    """
+    return _fold(expr, _derivative)
 
 
 def _prec(node: Expression) -> int:
@@ -418,20 +503,27 @@ def _wrap(text: str, needs_parens: bool) -> str:
     return f"({text})" if needs_parens else text
 
 
-def expression_to_text(expr: Expression) -> str:
-    """Render an AST back to text that reparses to the same structure."""
-    if isinstance(expr, Number):
-        return repr(expr.value)
-    if isinstance(expr, Variable):
+def _text(node: Expression, text: dict) -> str:
+    """``node`` as text, given ``text``: id -> text of each child."""
+    if isinstance(node, Number):
+        return repr(node.value)
+    if isinstance(node, Variable):
         return "x"
-    if isinstance(expr, FunctionCall):
-        return f"{expr.name}({expression_to_text(expr.argument)})"
-    if isinstance(expr, UnaryNeg):
-        inner = expression_to_text(expr.operand)
-        return "-" + _wrap(inner, _prec(expr.operand) < _PREC_NEG)
-    left = expression_to_text(expr.left)
-    right = expression_to_text(expr.right)
-    prec = _OPERATORS[expr.op][1]
-    if expr.op == "^":  # right-associative; the exponent may carry its own sign
-        return _wrap(left, _prec(expr.left) <= prec) + "^" + _wrap(right, _prec(expr.right) < _PREC_NEG)
-    return _wrap(left, _prec(expr.left) < prec) + expr.op + _wrap(right, _prec(expr.right) <= prec)
+    if isinstance(node, FunctionCall):
+        return f"{node.name}({text[id(node.argument)]})"
+    if isinstance(node, UnaryNeg):
+        return "-" + _wrap(text[id(node.operand)], _prec(node.operand) < _PREC_NEG)
+    left, right = text[id(node.left)], text[id(node.right)]
+    prec = _OPERATORS[node.op][1]
+    if node.op == "^":  # right-associative; the exponent may carry its own sign
+        return _wrap(left, _prec(node.left) <= prec) + "^" + _wrap(right, _prec(node.right) < _PREC_NEG)
+    return _wrap(left, _prec(node.left) < prec) + node.op + _wrap(right, _prec(node.right) <= prec)
+
+
+def expression_to_text(expr: Expression) -> str:
+    """Render an AST back to text that reparses to the same structure.
+
+    Each distinct node is rendered once, children first, so tree depth is
+    unbounded.
+    """
+    return _fold(expr, _text)

@@ -287,10 +287,40 @@ class TestExitCodes:
         assert "unknown identifier" in capsys.readouterr().err
 
     def test_too_deeply_nested_function(self, capsys):
-        # the sum parses in a loop; its 3000-deep tree is too deep to differentiate
-        code = run_cli(["roots", "--function", "+".join(["x"] * 3000), "--interval", "0", "1"])
+        # the parser recurses once per parenthesis
+        code = run_cli(["roots", "--function", "(" * 3000 + "x" + ")" * 3000, "--interval", "0", "1"])
         assert code == 1
         assert capsys.readouterr().err == "error: expression is nested too deeply\n"
+
+    def test_deep_sum_solves(self, capsys):
+        # the sum parses in a loop into a 3000-deep tree, which is differentiated,
+        # compiled and evaluated without recursion
+        code, doc = run_json(capsys, ["roots", "--function", "+".join(["x"] * 3000) + "-1500",
+                                      "--interval", "-1", "2"])
+        assert code == 0
+        assert len(doc["roots"]) == 1 and abs(doc["roots"][0] - 0.5) <= 1e-12
+
+    def test_usage_error_leaves_the_next_call_working(self, capsys):
+        assert _build_parser() is _build_parser()  # built once per process
+        assert run_cli(["roots", "--function", "x-0.5", "--interval", "0"]) == 1
+        assert "usage error" in capsys.readouterr().err
+        code, doc = run_json(capsys, ["roots", "--function", "x-0.5", "--interval", "0", "1"])
+        assert code == 0
+        assert doc["roots"] == [pytest.approx(0.5, abs=1e-15)]
+
+    @pytest.mark.parametrize("bound", ["-1e-3", "-1E+5"])
+    @pytest.mark.parametrize("joined", [False, True], ids=["space", "equals"])
+    @pytest.mark.parametrize("command, extra", [
+        ("roots", []), ("sweep", ["--degrees", "16"]), ("interp", ["--degree", "16"]),
+    ])
+    def test_negative_bound_with_an_exponent(self, capsys, command, extra, joined, bound):
+        interval = [f"--interval={bound}", "1"] if joined else ["--interval", bound, "1"]
+        code, doc = run_json(capsys, [command, "--function", "x-0.5"] + interval + extra)
+        assert code == 0
+        if command == "roots":
+            assert doc["roots"] == [pytest.approx(0.5, abs=1e-12)]
+        else:
+            assert doc["interval"] == [float(bound), 1.0]
 
     def test_bad_interval(self, capsys):
         code = run_cli(["roots", "--function", "cos(x)", "--interval", "5", "1"])

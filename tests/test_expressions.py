@@ -4,6 +4,7 @@ import math
 import operator
 import sys
 import threading
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -424,6 +425,95 @@ def reference_eval(expr, x):
     return REFERENCE_BINARY[expr.op](reference_eval(expr.left, x), reference_eval(expr.right, x))
 
 
+def recursive_derivative(expr):
+    """differentiate_expr as a recursion over the tree, one call per level."""
+    e = expressions
+    if isinstance(expr, Number):
+        return Number(0.0)
+    if isinstance(expr, Variable):
+        return Number(1.0)
+    if isinstance(expr, UnaryNeg):
+        return e._neg(recursive_derivative(expr.operand))
+    if isinstance(expr, FunctionCall):
+        return e._FUNCTIONS[expr.name][1](expr.argument, recursive_derivative(expr.argument))
+    u, v = expr.left, expr.right
+    du, dv = recursive_derivative(u), recursive_derivative(v)
+    if expr.op == "+":
+        return e._add(du, dv)
+    if expr.op == "-":
+        return e._sub(du, dv)
+    if expr.op == "*":
+        return e._add(e._mul(du, v), e._mul(u, dv))
+    if expr.op == "/":
+        return e._div(e._sub(e._mul(du, v), e._mul(u, dv)), BinaryOp("^", v, Number(2.0)))
+    if isinstance(v, Number):
+        return e._mul(e._mul(v, BinaryOp("^", u, e._num(v.value - 1.0))), du)
+    return e._mul(BinaryOp("^", u, v), e._add(e._mul(dv, FunctionCall("log", u)), e._mul(v, e._div(du, u))))
+
+
+def recursive_text(expr):
+    """expression_to_text as a recursion over the tree, one call per level."""
+    prec, wrap = expressions._prec, expressions._wrap
+    if isinstance(expr, Number):
+        return repr(expr.value)
+    if isinstance(expr, Variable):
+        return "x"
+    if isinstance(expr, FunctionCall):
+        return f"{expr.name}({recursive_text(expr.argument)})"
+    if isinstance(expr, UnaryNeg):
+        return "-" + wrap(recursive_text(expr.operand), prec(expr.operand) < expressions._PREC_NEG)
+    left, right = recursive_text(expr.left), recursive_text(expr.right)
+    p = expressions._OPERATORS[expr.op][1]
+    if expr.op == "^":
+        return wrap(left, prec(expr.left) <= p) + "^" + wrap(right, prec(expr.right) < expressions._PREC_NEG)
+    return wrap(left, prec(expr.left) < p) + expr.op + wrap(right, prec(expr.right) <= p)
+
+
+class TestWalksMatchRecursion:
+    """differentiate_expr and expression_to_text walk the tree with their own
+    stack; they must give what the recursion over the tree gives."""
+
+    @pytest.mark.parametrize("text", TestDifferentiate.CORPUS + TestPrinterRoundtrip.SAMPLES[:10])
+    def test_corpus(self, text):
+        tree = parse(text)
+        d = differentiate_expr(tree)
+        assert d == recursive_derivative(tree)
+        assert expression_to_text(tree) == recursive_text(tree)
+        assert expression_to_text(d) == recursive_text(d)
+
+    def test_random_trees(self):
+        rng = np.random.default_rng(202)
+        for _ in range(300):
+            tree, _ = random_expression(rng, depth=5)
+            d = differentiate_expr(tree)
+            assert d == recursive_derivative(tree)
+            assert expression_to_text(tree) == recursive_text(tree)
+            assert expression_to_text(d) == recursive_text(d)
+
+    def test_depth_is_unbounded(self):
+        text = "+".join(["x"] * 3000) + "-1500.0"
+        tree = parse(text)
+        assert expression_to_text(tree) == text
+        assert differentiate_expr(tree) == Number(3000.0)
+
+    def test_printing_a_shared_subtree_keeps_few_texts(self):
+        # each partial product is read by two parents of the derivative; its
+        # text is dropped once both have read it
+        d = differentiate_expr(parse("*".join(["x"] * 200)))
+        tracemalloc.start()
+        try:
+            text = expression_to_text(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == recursive_text(d)
+        assert peak < 20 * len(text)
+
+    def test_abs_is_unsupported_at_any_depth(self):
+        with pytest.raises(UnsupportedDerivativeError):
+            differentiate_expr(parse("+".join(["x"] * 3000) + "+abs(x)"))
+
+
 def assert_bit_identical(tree, xs):
     # repr tells nan and the sign of zero apart
     for x in xs:
@@ -443,7 +533,8 @@ def costly_text(rng, terms=600, group=25):
 
 
 class TestTape:
-    """eval_expr runs a tape compiled once per tree; it must match the tree walk bit for bit."""
+    """eval_expr runs straight-line code compiled once per tree; it must match
+    the tree walk bit for bit."""
 
     POINTS = TestEval.SPECIALS + (1.0, -1.0, 0.5, 2.0, -3.25, 710.0, -746.0, 5e-324, -5e-324, 1e308)
 
@@ -480,6 +571,14 @@ class TestTape:
     def test_costly_text(self):
         tree = parse(costly_text(np.random.default_rng(3)))
         assert_bit_identical(tree, np.linspace(-4, 4, 17).tolist())
+        # left operands first and names reused once dead: few values live at a time
+        assert max(chunk.__code__.co_nlocals for chunk in expressions._COMPILED[id(tree)]) <= 8
+
+    def test_subtree_shared_by_neighbouring_statements(self):
+        # s is read by the product and then at once by the quotient
+        s = parse("sin(x)+1")
+        tree = BinaryOp("-", BinaryOp("*", s, Variable()), BinaryOp("/", s, Number(3.0)))
+        assert_bit_identical(tree, self.POINTS)
 
     def test_depth_is_unbounded(self):
         tree = parse("+".join(["x"] * 3000) + "-1500")
@@ -488,14 +587,64 @@ class TestTape:
         assert len(report.roots) == 1
         assert abs(report.roots[0] - 0.5) <= 1e-12
 
+    def test_values_cross_chunk_boundaries(self):
+        # sin(x) is computed first and read last, hundreds of statements later
+        tree = parse("sin(x)*(" + "+".join(f"cos({k}*x)" for k in range(1, 200)) + ")/exp(x)")
+        assert_bit_identical(tree, self.POINTS)
+        assert len(expressions._COMPILED[id(tree)]) > 1
+
+    def test_shared_subtree_read_across_a_chunk_boundary(self):
+        d = differentiate_expr(parse(costly_text(np.random.default_rng(3), terms=100)))
+        steps = [node for node in expressions._post_order(d) if expressions._children(node)]
+        chunk_of = {id(node): k // expressions._CHUNK for k, node in enumerate(steps)}
+        read_in = {}
+        for node in steps:
+            for child in expressions._children(node):
+                read_in.setdefault(id(child), set()).add(chunk_of[id(node)])
+        assert any(len(chunks) > 1 for key, chunks in read_in.items() if key in chunk_of)
+        assert_bit_identical(d, np.linspace(-4, 4, 17).tolist())
+
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    def test_any_chunk_size(self, monkeypatch, size):
+        monkeypatch.setattr(expressions, "_CHUNK", size)
+        rng = np.random.default_rng(7)
+        trees = [random_expression(rng, depth=5)[0] for _ in range(60)]
+        trees += [differentiate_expr(parse(text)) for text in TestDifferentiate.CORPUS]
+        for tree in trees:
+            assert_bit_identical(tree, self.POINTS)
+
+    @pytest.mark.parametrize("text", ["x", "2.5"])
+    def test_leaf_only_tree(self, text):
+        assert_bit_identical(parse(text), self.POINTS)
+
+    # constants built through the API keep their type: numpy's repr of a
+    # float64 is no Python literal, and an int stays an int
+    @pytest.mark.parametrize("value", [np.float64(2.0), 2, -0.0, math.nan], ids=repr)
+    def test_number_nodes_of_any_type(self, value):
+        c = Number(value)
+        trees = [c, UnaryNeg(c), FunctionCall("sqrt", c), FunctionCall("exp", BinaryOp("*", c, Variable()))]
+        trees += [BinaryOp(op, c, Variable()) for op in "+-*/^"] + [BinaryOp(op, Variable(), c) for op in "+-*/^"]
+        for tree in trees:
+            for x in (1.5, -0.5, 0.0, -0.0, 3):
+                got, expected = eval_expr(tree, x), reference_eval(tree, x)
+                assert (type(got), repr(got)) == (type(expected), repr(expected)), (tree, x)
+        assert eval_expr(BinaryOp("*", Number(np.float64(2.0)), Variable()), 1.5) == np.float64(3.0)
+
+    @pytest.mark.parametrize("x", [np.float64(1.5), np.float32(0.25), np.int64(-2), 3, True], ids=repr)
+    def test_x_of_any_numeric_type(self, x):
+        for text in ["x", "sin(x)/x-x^2", "2.5"]:
+            tree = parse(text)
+            got, expected = eval_expr(tree, x), reference_eval(tree, x)
+            assert (type(got), repr(got)) == (type(expected), repr(expected))
+
     def test_tape_dropped_with_its_tree(self):
         tree = parse("sin(x)+1")
         eval_expr(tree, 0.5)
         key = id(tree)
-        assert key in expressions._TAPES
+        assert key in expressions._COMPILED
         del tree
         gc.collect()
-        assert key not in expressions._TAPES
+        assert key not in expressions._COMPILED
 
     def test_threads_share_a_fresh_tree(self):
         # four threads race to compile the same tree, switching every microsecond

@@ -86,12 +86,12 @@ class _Parser(argparse.ArgumentParser):
 def _config_from_args(args, **fixed) -> RootConfig:
     """A :class:`RootConfig` from every parsed flag whose dest is one of its fields.
 
-    ``polish`` comes from ``--no-polish``; ``fixed`` sets fields no flag of the
-    subcommand does (``degree`` for each run of a sweep).
+    ``fixed`` sets fields no flag of the subcommand does (``degree`` for each
+    run of a sweep).
     """
     knobs = {name: value for name, value in vars(args).items()
              if name in _CONFIG_FIELDS and value is not None}
-    return RootConfig(**knobs, polish=not args.no_polish, **fixed)
+    return RootConfig(**knobs, **fixed)
 
 
 def _function_from_args(args, derivative=True):
@@ -192,9 +192,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_interp(args) -> int:
     interval = Interval(*args.interval)
-    config = _config_from_args(args)
     f, _ = _function_from_args(args, derivative=False)
-    raw, series, converged = build_proxy(f, interval, config)
+    raw, series, converged = build_proxy(f, interval, _config_from_args(args))
     grid = proxy_grid(f, series, interval)
     # degree_used is the node count of the proxy, as in RootReport
     _emit(
@@ -233,45 +232,51 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="chebroots", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--format", choices=("json", "csv", "text"),
+    # each parent holds flags that the same subcommands read, so no flag is
+    # declared twice and no subcommand takes a flag it ignores
+    output = argparse.ArgumentParser(add_help=False)  # every subcommand
+    output.add_argument("--format", choices=("json", "csv", "text"),
                         help="default: csv for an --output ending in .csv, else json")
-    shared.add_argument("--output", metavar="PATH", help="write here instead of stdout")
-    shared.add_argument("--no-polish", action="store_true", help="skip the Newton polish")
+    output.add_argument("--output", metavar="PATH", help="write here instead of stdout")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--function", required=True, metavar="TEXT",
-                        help="expression in x, e.g. 'cos(x)' (multiplication is explicit: 2*x)")
-    common.add_argument("--interval", required=True, nargs=2, type=float, metavar=("A", "B"))
-    common.add_argument("--imag-tol", type=float,
-                        help="max |imag| for an eigenvalue to count as real")
-    common.add_argument("--box-tol", type=float,
-                        help="how far outside [-1,1] an eigenvalue may sit")
-    common.add_argument("--residual-tol", type=float,
-                        help="absolute |f(x)| acceptance threshold (default: automatic)")
-    common.add_argument("--allow-nonconverged", action="store_true",
-                        help="exit 0 even if the adaptive proxy hit its degree cap")
+    polish = argparse.ArgumentParser(add_help=False)  # the subcommands that vet candidates
+    polish.add_argument("--no-polish", dest="polish", action="store_false", help="skip the Newton polish")
 
-    degree_opts = argparse.ArgumentParser(add_help=False)
-    group = degree_opts.add_mutually_exclusive_group()
+    function = argparse.ArgumentParser(add_help=False)  # every subcommand but bench
+    function.add_argument("--function", required=True, metavar="TEXT",
+                          help="expression in x, e.g. 'cos(x)' (multiplication is explicit: 2*x)")
+    function.add_argument("--interval", required=True, nargs=2, type=float, metavar=("A", "B"))
+
+    vetting = argparse.ArgumentParser(add_help=False)  # roots and sweep
+    vetting.add_argument("--imag-tol", type=float,
+                         help="max |imag| for an eigenvalue to count as real")
+    vetting.add_argument("--box-tol", type=float,
+                         help="how far outside [-1,1] an eigenvalue may sit")
+    vetting.add_argument("--residual-tol", type=float,
+                         help="absolute |f(x)| acceptance threshold (default: automatic)")
+
+    degree = argparse.ArgumentParser(add_help=False)  # roots and interp
+    group = degree.add_mutually_exclusive_group()
     group.add_argument("--degree", type=int, metavar="N",
                        help="number of interpolation nodes (proxy degree N-1)")
     group.add_argument("--adaptive", action="store_true",
                        help="choose the degree automatically (default)")
+    degree.add_argument("--allow-nonconverged", action="store_true",
+                        help="exit 0 even if the adaptive proxy hit its degree cap")
 
-    sub.add_parser("roots", parents=[common, shared, degree_opts],
+    sub.add_parser("roots", parents=[function, vetting, polish, output, degree],
                    help="find all real roots on the interval").set_defaults(run=_cmd_roots)
 
-    sweep = sub.add_parser("sweep", parents=[common, shared],
+    sweep = sub.add_parser("sweep", parents=[function, vetting, polish, output],
                            help="rerun across several degrees, keeping all candidates")
     sweep.add_argument("--degrees", required=True, type=_parse_degrees, metavar="N1,N2,...",
                        help="comma-separated list of node counts")
     sweep.set_defaults(run=_cmd_sweep)
 
-    sub.add_parser("interp", parents=[common, shared, degree_opts],
+    sub.add_parser("interp", parents=[function, output, degree],
                    help="tabulate function vs proxy on a uniform grid").set_defaults(run=_cmd_interp)
 
-    sub.add_parser("bench", parents=[shared], help="run the built-in benchmark corpus",
+    sub.add_parser("bench", parents=[polish, output], help="run the built-in benchmark corpus",
                    description="An --output PATH with neither --format nor a .json/.csv "
                                "suffix writes PATH.json and PATH.csv.").set_defaults(run=_cmd_bench)
     return parser

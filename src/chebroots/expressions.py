@@ -437,8 +437,6 @@ def _mul(a: Expression, b: Expression) -> Expression:
 def _div(a: Expression, b: Expression) -> Expression:
     if _is_const(a, 0.0) and not _is_const(b, 0.0):
         return Number(0.0)
-    if _is_const(b, 1.0):
-        return a
     return BinaryOp("/", a, b)
 
 
@@ -496,7 +494,9 @@ def differentiate_expr(expr: Expression) -> Expression:
 def _prec(node: Expression) -> int:
     if isinstance(node, BinaryOp):
         return _OPERATORS[node.op][1]
-    return _PREC_NEG if isinstance(node, UnaryNeg) else _PREC_ATOM
+    # a negative number's text reparses as a unary minus before its magnitude
+    signed = isinstance(node, Number) and math.copysign(1.0, node.value) < 0.0
+    return _PREC_NEG if signed or isinstance(node, UnaryNeg) else _PREC_ATOM
 
 
 def _wrap(text: str, needs_parens: bool) -> str:
@@ -504,9 +504,18 @@ def _wrap(text: str, needs_parens: bool) -> str:
 
 
 def _text(node: Expression, text: dict) -> str:
-    """``node`` as text, given ``text``: id -> text of each child."""
+    """``node`` as text, given ``text``: id -> text of each child.
+
+    A number is the ``repr`` of its float value, which the tokenizer reads
+    back exactly; a negative one (-0.0 too) reads back as a unary minus
+    before its magnitude, so :func:`_prec` gives it unary minus's binding.
+    A non-finite number has no literal and raises ValueError.
+    """
     if isinstance(node, Number):
-        return repr(node.value)
+        value = float(node.value)
+        if not math.isfinite(value):
+            raise ValueError(f"number {value!r} has no literal in the grammar")
+        return repr(value)
     if isinstance(node, Variable):
         return "x"
     if isinstance(node, FunctionCall):
@@ -521,9 +530,13 @@ def _text(node: Expression, text: dict) -> str:
 
 
 def expression_to_text(expr: Expression) -> str:
-    """Render an AST back to text that reparses to the same structure.
+    """Render an AST back to text that reparses to a tree of the same value.
 
-    Each distinct node is rendered once, children first, so tree depth is
+    A tree that ``parse`` built reparses to the same structure.  A number
+    built through the API prints as its float value, and a negative number
+    reparses as a unary minus before its magnitude, which evaluates to the
+    same bits.  Raises ValueError for a NaN or infinite number.  Each
+    distinct node is rendered once, children first, so tree depth is
     unbounded.
     """
     return _fold(expr, _text)

@@ -108,15 +108,20 @@ class RootCandidate:
     ``mapped_coord`` is the (possibly polished, clamped) location on the
     interval, present only for accepted candidates.  ``residual`` is |f| at
     the final location, or None if the candidate was rejected before f was
-    ever evaluated there.
+    ever evaluated there or f was not finite there.  ``accepted`` is
+    derived: the candidate is accepted iff its ``rejection_reason`` is
+    ``NONE``.
     """
 
     standard_coord: complex
     mapped_coord: float | None
-    accepted: bool
     rejection_reason: RejectionReason
     residual: float | None
     polish_iterations: int
+
+    @property
+    def accepted(self) -> bool:
+        return self.rejection_reason is RejectionReason.NONE
 
 
 @dataclass(frozen=True)
@@ -159,23 +164,26 @@ class RootConfig:
 class RootReport:
     """Outcome of one :func:`find_roots` run.
 
-    ``roots`` are the accepted locations, strictly increasing.  ``candidates``
-    lists every eigenvalue of each leaf's companion matrix with its
-    acceptance status, leaf by leaf from left to right: one leaf, the whole
+    ``candidates`` lists every eigenvalue of each leaf's companion matrix
+    with its fate, leaf by leaf from left to right: one leaf, the whole
     chopped proxy, when it has at most 64 coefficients; otherwise the leaves
     of the split proxy, whose eigenvalues outside their own leaf are
     candidates too, so there can be more than ``degree_used - 1`` of them.
     ``degree_used`` is the number of sample nodes of the
     final proxy; ``proxy_converged`` is False only when the adaptive degree
-    loop hit its cap without the coefficient tail decaying.
+    loop hit its cap without the coefficient tail decaying.  ``roots`` is
+    derived from the candidates: the accepted locations, strictly increasing.
     """
 
-    roots: tuple[float, ...]
     candidates: tuple[RootCandidate, ...]
     degree_used: int
     coefficient_decay: DecayProfile
     function_evaluations: int
     proxy_converged: bool
+
+    @property
+    def roots(self) -> tuple[float, ...]:
+        return tuple(sorted(c.mapped_coord for c in self.candidates if c.accepted))
 
 
 @dataclass(frozen=True)
@@ -326,7 +334,6 @@ def filter_candidates(spectrum: Spectrum, config: RootConfig | None = None,
             RootCandidate(
                 standard_coord=complex(t),
                 mapped_coord=None,
-                accepted=reason is RejectionReason.NONE,
                 rejection_reason=reason,
                 residual=None,
                 polish_iterations=0,
@@ -336,7 +343,7 @@ def filter_candidates(spectrum: Spectrum, config: RootConfig | None = None,
 
 
 def _reject(cand: RootCandidate, reason: RejectionReason, **changes) -> RootCandidate:
-    return replace(cand, accepted=False, rejection_reason=reason, mapped_coord=None, **changes)
+    return replace(cand, rejection_reason=reason, mapped_coord=None, **changes)
 
 
 def _crosses(f, x: float, interval: Interval) -> bool:
@@ -369,7 +376,9 @@ def _vet(cand: RootCandidate, f, df, dseries: ChebyshevSeries, interval: Interva
     with the automatic threshold, to 1000*eps*max(1,|x|)*|p'(x)| and then
     to a sign change of f across it (:func:`_crosses`); failing either is
     ``residual_too_large``.  Unpolished candidates in automatic mode are the
-    proxy's roots as-is and are only given their residual.
+    proxy's roots as-is and are only given their residual.  In every mode a
+    location where f is not finite is ``residual_too_large`` with residual
+    None: a NaN would pass each residual test.
     """
     # eigenvalues admitted by the box tolerance can map a hair outside
     # [a, b]; start the polish inside so f is only probed where defined
@@ -388,6 +397,8 @@ def _vet(cand: RootCandidate, f, df, dseries: ChebyshevSeries, interval: Interva
     clamped = min(max(x, interval.a), interval.b)
     if residual is None or clamped != x:
         residual = abs(f(clamped))
+    if not math.isfinite(residual):
+        return _reject(cand, RejectionReason.RESIDUAL_TOO_LARGE, residual=None, polish_iterations=iters)
     cand = replace(cand, mapped_coord=clamped, residual=residual, polish_iterations=iters)
     if config.residual_tol is not None:
         if residual > config.residual_tol:
@@ -450,7 +461,7 @@ def _dedupe_candidates(candidates, interval: Interval, f=None, touch_tol: float 
     the losers flip to rejected with reason ``duplicate``.  Given f and a
     ``touch_tol`` (the explicit ``residual_tol``), adjacent roots that f
     only touches between (:func:`_one_touching_root`) merge the same way.
-    Returns the sorted root list and the updated candidate tuple.
+    Returns the updated candidate tuple.
     """
     radius = _DEDUPE_FRACTION * interval.width
     order = sorted(
@@ -487,14 +498,13 @@ def _dedupe_candidates(candidates, interval: Interval, f=None, touch_tol: float 
                 kept[-1] = winner
                 continue
         kept.append(i)
-    roots = sorted(out[i].mapped_coord for i in kept)
-    return roots, tuple(out)
+    return tuple(out)
 
 
 def dedupe_and_sort(candidates, interval) -> list[float]:
     """Sorted accepted root locations with near-duplicates merged."""
-    roots, _ = _dedupe_candidates(tuple(candidates), _as_interval(interval))
-    return roots
+    deduped = _dedupe_candidates(tuple(candidates), _as_interval(interval))
+    return sorted(c.mapped_coord for c in deduped if c.accepted)
 
 
 def _noise_tol(interval: Interval) -> float:
@@ -619,10 +629,8 @@ def find_roots(f, interval, config: RootConfig | None = None, df=None) -> RootRe
             _vet(cand, counter, newton_df, dseries, interval, config) if cand.accepted else cand
             for cand in filter_candidates(series_spectrum(leaf), config, (lo, hi))
         ]
-    roots, final = _dedupe_candidates(tuple(vetted), interval, counter, config.residual_tol)
     return RootReport(
-        roots=tuple(roots),
-        candidates=final,
+        candidates=_dedupe_candidates(tuple(vetted), interval, counter, config.residual_tol),
         degree_used=len(raw.coeffs),
         coefficient_decay=_decay_profile(raw),
         function_evaluations=counter.count,

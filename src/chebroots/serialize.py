@@ -60,14 +60,18 @@ def _candidate_to_dict(cand: RootCandidate) -> dict:
 
 
 def _candidate_from_dict(data: dict) -> RootCandidate:
-    return RootCandidate(
+    """The candidate ``data`` describes; its ``accepted`` must agree with its
+    ``reason``, and ``mapped`` must be present iff it is accepted."""
+    cand = RootCandidate(
         standard_coord=complex(data["re"], data["im"]),
         mapped_coord=data["mapped"],
-        accepted=data["accepted"],
         rejection_reason=RejectionReason(data["reason"]),
         residual=data["residual"],
         polish_iterations=data["polish_iterations"],
     )
+    if data["accepted"] is not cand.accepted or (cand.mapped_coord is None) is cand.accepted:
+        raise ValueError(f"candidate {data!r} contradicts its reason {cand.rejection_reason.value!r}")
+    return cand
 
 
 def report_to_dict(report: RootReport, config: RootConfig) -> dict:
@@ -86,6 +90,8 @@ def report_to_dict(report: RootReport, config: RootConfig) -> dict:
 
 
 def report_from_dict(data: dict) -> tuple[RootConfig, RootReport]:
+    """The config and report of a document; ``ValueError`` if its version is
+    not ours, or its ``roots`` or any ``accepted`` contradicts its candidates."""
     if data.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported report version {data.get('version')!r}")
     slope = data["decay_slope"]
@@ -94,13 +100,14 @@ def report_from_dict(data: dict) -> tuple[RootConfig, RootReport]:
         slope=None if slope == _DECAY_EXACT else float(slope),
     )
     report = RootReport(
-        roots=tuple(data["roots"]),
         candidates=tuple(_candidate_from_dict(c) for c in data["candidates"]),
         degree_used=data["degree_used"],
         coefficient_decay=decay,
         function_evaluations=data["function_evaluations"],
         proxy_converged=data["proxy_converged"],
     )
+    if tuple(data["roots"]) != report.roots:
+        raise ValueError("report roots differ from its accepted candidates")
     return config_from_dict(data["config"]), report
 
 

@@ -29,7 +29,7 @@ from chebroots.chebyshev import (
     transform,
 )
 from chebroots.cli import _build_parser, run_cli
-from chebroots.expressions import eval_expr
+from chebroots.expressions import eval_expr, parse
 from chebroots.rootfinder import RootConfig, find_roots
 from chebroots.serialize import (
     config_to_dict,
@@ -39,6 +39,11 @@ from chebroots.serialize import (
     report_to_dict,
     report_to_json,
 )
+
+
+# f is NaN at the proxy's one root: (x - 0.3) times a 0/0 there
+NAN_AT_ROOT_TEXT = "(x-0.3)*sqrt((x-0.3)^2-0.0001)/sqrt((x-0.3)^2-0.0001)"
+NAN_AT_ROOT = parse(NAN_AT_ROOT_TEXT)
 
 
 def run_json(capsys, argv):
@@ -82,6 +87,51 @@ class TestDeclarations:
         assert set(subcommands.choices) == {"roots", "sweep", "interp", "bench"}
         for name, parser in subcommands.choices.items():
             assert callable(parser.get_default("run")), name
+
+    # each subcommand takes exactly the flags its handler reads
+    SURFACE = {
+        "roots": {"--function", "--interval", "--imag-tol", "--box-tol", "--residual-tol", "--no-polish",
+                  "--format", "--output", "--degree", "--adaptive", "--allow-nonconverged"},
+        "sweep": {"--function", "--interval", "--imag-tol", "--box-tol", "--residual-tol", "--no-polish",
+                  "--format", "--output", "--degrees"},
+        "interp": {"--function", "--interval", "--format", "--output", "--degree", "--adaptive",
+                   "--allow-nonconverged"},
+        "bench": {"--format", "--output", "--no-polish"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_subcommand_takes_exactly_the_flags_it_reads(self, command):
+        (subcommands,) = [action for action in _build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction)]
+        actions = [a for a in subcommands.choices[command]._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        assert {opt for a in actions for opt in a.option_strings} == self.SURFACE[command]
+        assert len(actions) == len(self.SURFACE[command])  # one option string per flag
+
+    @pytest.mark.parametrize("command, flag", [
+        (["interp"], ["--imag-tol", "1e-6"]),
+        (["interp"], ["--box-tol", "0.001"]),
+        (["interp"], ["--residual-tol", "1e-10"]),
+        (["interp"], ["--no-polish"]),
+        (["sweep", "--degrees", "30"], ["--allow-nonconverged"]),
+    ], ids=["interp-imag-tol", "interp-box-tol", "interp-residual-tol", "interp-no-polish",
+            "sweep-allow-nonconverged"])
+    def test_flag_the_subcommand_ignored_is_a_usage_error(self, capsys, command, flag):
+        argv = command + ["--function", "cos(x)", "--interval", "-10", "10"]
+        assert run_cli(argv) == 0
+        capsys.readouterr()
+        assert run_cli(argv + flag) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ") and flag[0] in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["roots", "interp"])
+    def test_adaptive_is_the_default(self, capsys, command):
+        argv = [command, "--function", "cos(x)", "--interval", "-10", "10"]
+        assert run_cli(argv) == 0
+        default = capsys.readouterr().out
+        assert run_cli(argv + ["--adaptive"]) == 0
+        assert capsys.readouterr().out == default
 
     @pytest.mark.parametrize("flags, changed", [
         ([], {}),
@@ -166,6 +216,42 @@ class TestSerializationRoundtrip:
         doc["version"] = 2
         doc["config"].update(polish_max_iter=12, dedupe_tol=1e-9)
         with pytest.raises(ValueError, match="unsupported report version 2"):
+            report_from_dict(doc)
+
+    @pytest.mark.parametrize("f, interval, config", [
+        (math.cos, Interval(-10, 10), RootConfig(degree=30)),
+        (math.exp, Interval(-10, 10), RootConfig(degree=20)),  # no roots
+        (lambda x: math.sin(4.6 * x + 0.1), Interval(-10, 10), RootConfig()),  # duplicates across leaves
+        (lambda x: (x - 0.3) ** 4, Interval(-1, 1), RootConfig(residual_tol=1e-12)),  # touching merge
+        (math.cos, Interval(-10, 10), RootConfig(degree=30, polish=False)),
+        (lambda x: eval_expr(NAN_AT_ROOT, x), Interval(-1, 1), RootConfig(degree=8, polish=False)),
+    ], ids=["cosine", "no-roots", "leaves", "touching", "unpolished", "nan-at-root"])
+    def test_every_written_document_reads_back(self, f, interval, config):
+        report = find_roots(f, interval, config)
+        assert report_from_json(report_to_json(report, config)) == (config, report)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["roots"].pop(),
+        lambda doc: doc["roots"].append(0.5),
+        lambda doc: doc["roots"].__setitem__(0, doc["roots"][0] + 1e-9),
+        lambda doc: doc["roots"].reverse(),
+    ], ids=["dropped", "added", "moved", "unsorted"])
+    def test_edited_roots_are_refused(self, edit):
+        config = RootConfig(degree=30)
+        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config), config)
+        edit(doc)
+        with pytest.raises(ValueError, match="roots"):
+            report_from_dict(doc)
+
+    @pytest.mark.parametrize("accepted", [True, False])
+    @pytest.mark.parametrize("key", ["accepted", "mapped"])
+    def test_candidate_contradicting_its_reason_is_refused(self, key, accepted):
+        # only an accepted candidate has a mapped location
+        config = RootConfig(degree=30)
+        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config), config)
+        cand = next(c for c in doc["candidates"] if c["accepted"] is accepted)
+        cand[key] = (not accepted) if key == "accepted" else (None if accepted else 0.5)
+        with pytest.raises(ValueError, match="contradicts its reason"):
             report_from_dict(doc)
 
     def test_csv_is_rfc4180(self):
@@ -263,6 +349,16 @@ class TestRootsCommand:
         assert code == 0
         assert np.allclose(doc["roots"], [-1.0, 1.0], atol=1e-9, rtol=0)
 
+    @pytest.mark.parametrize("residual_tol", [[], ["--residual-tol", "1e-12"]], ids=["automatic", "explicit"])
+    def test_nan_at_the_proxy_root_is_no_root(self, capsys, residual_tol):
+        code = run_cli(["roots", "--function", NAN_AT_ROOT_TEXT, "--interval", "-1", "1", "--degree", "8",
+                        "--no-polish", "--format", "json"] + residual_tol)
+        assert code == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["roots"] == []
+        assert [(c["reason"], c["residual"]) for c in doc["candidates"] if c["reason"] != "imag_too_large"] \
+            == [("residual_too_large", None)]
+
     def test_no_polish_flag(self, capsys):
         code, doc = run_json(capsys, [
             "roots", "--function", "cos(x)", "--interval", "-10", "10",
@@ -289,6 +385,12 @@ class TestExitCodes:
     def test_too_deeply_nested_function(self, capsys):
         # the parser recurses once per parenthesis
         code = run_cli(["roots", "--function", "(" * 3000 + "x" + ")" * 3000, "--interval", "0", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: expression is nested too deeply\n"
+
+    def test_too_many_minus_signs(self, capsys):
+        # the parser recurses once per sign of a run of minus signs
+        code = run_cli(["roots", "--function=" + "-" * 3000 + "x", "--interval", "0", "1"])
         assert code == 1
         assert capsys.readouterr().err == "error: expression is nested too deeply\n"
 

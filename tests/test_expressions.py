@@ -373,6 +373,73 @@ class TestPrinterRoundtrip:
                 assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
+class TestNumberPrinting:
+    """Numbers built through the API print as literals the parser reads back,
+    to a tree whose value is the same bits."""
+
+    POINTS = (1.5, -0.5, 0.0, -0.0, 3.0, -2.0)
+
+    @staticmethod
+    def assert_reparses_to_same_value(tree):
+        reparsed = parse(expression_to_text(tree))
+        for x in TestNumberPrinting.POINTS:
+            # repr tells nan and the sign of zero apart
+            assert repr(float(eval_expr(reparsed, x))) == repr(float(eval_expr(tree, x))), (tree, x)
+
+    @staticmethod
+    def trees(c):
+        trees = [c, UnaryNeg(c), FunctionCall("sqrt", c), FunctionCall("exp", BinaryOp("*", c, Variable()))]
+        trees += [BinaryOp(op, c, Variable()) for op in "+-*/^"] + [BinaryOp(op, Variable(), c) for op in "+-*/^"]
+        return trees + [BinaryOp("^", c, Number(2.0)), BinaryOp("^", c, BinaryOp("^", c, Variable())),
+                        BinaryOp("^", Variable(), BinaryOp("^", c, Variable())), UnaryNeg(UnaryNeg(c))]
+
+    @pytest.mark.parametrize("value", [np.float64(2.0), 2, -0.0, np.float64(-3.0), -2, True, 0.1,
+                                       -2.0, -3.5, -1e-300, -1.7976931348623157e308, 5e-324],
+                             ids=repr)
+    def test_finite_number_of_any_type(self, value):
+        for tree in self.trees(Number(value)):
+            self.assert_reparses_to_same_value(tree)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")], ids=repr)
+    def test_non_finite_number_is_refused(self, value):
+        for tree in self.trees(Number(value)):
+            with pytest.raises(ValueError, match="no literal"):
+                expression_to_text(tree)
+
+    def test_negative_power_base_is_parenthesised(self):
+        tree = BinaryOp("^", Number(-2.0), Number(2.0))
+        assert expression_to_text(tree) == "(-2.0)^2.0"
+        assert eval_expr(parse(expression_to_text(tree)), 0.0) == 4.0
+
+    @pytest.mark.parametrize("tree, text", [
+        (Number(np.float64(2.0)), "2.0"),
+        (Number(2), "2.0"),
+        (Number(-0.0), "-0.0"),
+        (BinaryOp("-", Variable(), Number(-2.0)), "x--2.0"),
+        (BinaryOp("*", Number(-2.0), Variable()), "-2.0*x"),
+        (BinaryOp("^", Variable(), Number(-0.5)), "x^-0.5"),
+        (UnaryNeg(Number(-1.0)), "--1.0"),
+    ], ids=repr)
+    def test_printed_text(self, tree, text):
+        assert expression_to_text(tree) == text
+
+    def test_random_trees_with_signed_numbers(self):
+        rng = np.random.default_rng(303)
+
+        def tree(depth):
+            kind = rng.integers(0, 4 if depth else 2)
+            if kind == 0:
+                return Number(float(rng.choice([-1.0, 1.0]) * rng.choice([0.0, 0.5, 2.0, 3.25])))
+            if kind == 1:
+                return Variable()
+            if kind == 2:
+                return UnaryNeg(tree(depth - 1))
+            return BinaryOp(str(rng.choice(list("+-*/^"))), tree(depth - 1), tree(depth - 1))
+
+        for _ in range(300):
+            self.assert_reparses_to_same_value(tree(4))
+
+
 def _guarded(fn, *args):
     try:
         return fn(*args)

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ from chebroots import chebyshev, rootfinder
 from chebroots.chebyshev import (Interval, NonFiniteSampleError, chop_series, evaluate, from_standard,
                                  restrict, standard_nodes, transform)
 from chebroots.companion import Spectrum, series_spectrum
+from chebroots.expressions import eval_expr, parse
 from chebroots.rootfinder import (
     RejectionReason,
+    RootCandidate,
     RootConfig,
+    RootReport,
     build_proxy,
     dedupe_and_sort,
     filter_candidates,
@@ -84,6 +88,23 @@ class TestNewtonPolish:
         # constant correction of -1 walks left out of the widened interval
         result = newton_polish(math.exp, math.exp, -0.5, Interval(-1, 1), 12)
         assert result.diverged
+
+    def test_non_finite_start_diverges(self):
+        result = newton_polish(lambda x: math.nan, lambda x: 1.0, 0.5, Interval(-1, 1), 12)
+        assert result.diverged and result.iterations == 0 and math.isnan(result.residual)
+
+    def test_non_finite_correction_diverges(self):
+        # 1/5e-324 overflows to inf
+        result = newton_polish(lambda x: 1.0, lambda x: 5e-324, 0.5, Interval(-1, 1), 12)
+        assert result.diverged and result.iterations == 1
+        assert (result.x, result.residual) == (0.5, 1.0)
+
+    def test_non_finite_next_iterate_diverges(self):
+        # the first step lands on x = 1, where f is NaN
+        f = lambda x: x - 1.0 if x < 0.5 else math.nan
+        result = newton_polish(f, lambda x: 1.0, 0.0, Interval(-2, 2), 12)
+        assert result.diverged and result.iterations == 1
+        assert (result.x, result.residual, result.final_correction) == (0.0, 1.0, 1.0)
 
     def test_never_returns_worse_residual_than_start(self):
         rng = np.random.default_rng(37)
@@ -266,8 +287,69 @@ class TestDedupe:
         for j in (2, 4, 6):
             for k in range(-63, 64 - j):
                 cands = self._candidates([k * step, (k + j) * step], [1e-15, 1e-15])
-                roots, _ = rootfinder._dedupe_candidates(tuple(cands), BIG, f, 1e-8)
-                assert len(roots) == 2, (k, j)
+                deduped = rootfinder._dedupe_candidates(tuple(cands), BIG, f, 1e-8)
+                assert sum(c.accepted for c in deduped) == 2, (k, j)
+
+
+class TestDerivedFields:
+    """A report's roots and a candidate's acceptance follow from the fates."""
+
+    def test_roots_and_accepted_are_not_constructor_arguments(self):
+        report = find_roots(math.cos, BIG, RootConfig(degree=30))
+        cand = report.candidates[0]
+        with pytest.raises(TypeError):
+            RootCandidate(cand.standard_coord, None, True, RejectionReason.NONE, None, 0)
+        with pytest.raises(TypeError):
+            RootCandidate(standard_coord=0j, mapped_coord=0.0, accepted=True,
+                          rejection_reason=RejectionReason.NONE, residual=0.0, polish_iterations=0)
+        with pytest.raises(TypeError):
+            RootReport(roots=report.roots, candidates=report.candidates, degree_used=30,
+                       coefficient_decay=report.coefficient_decay, function_evaluations=0,
+                       proxy_converged=True)
+
+    def test_roots_and_accepted_are_read_only(self):
+        report = find_roots(math.cos, BIG, RootConfig(degree=30))
+        with pytest.raises(AttributeError):
+            report.roots = ()
+        with pytest.raises(AttributeError):
+            report.candidates[0].accepted = False
+
+    @pytest.mark.parametrize("f, interval, config", [
+        (math.cos, BIG, RootConfig(degree=30)),
+        (lambda x: math.sin(4.6 * x + 0.1), BIG, RootConfig()),  # split into leaves
+        (lambda x: (x - 0.3) ** 4, Interval(-1, 1), RootConfig(residual_tol=1e-12)),
+        (math.cos, BIG, RootConfig(degree=30, polish=False)),
+    ], ids=["fixed", "leaves", "touching", "unpolished"])
+    def test_roots_are_the_sorted_accepted_locations(self, f, interval, config):
+        report = find_roots(f, interval, config)
+        accepted = [c for c in report.candidates if c.rejection_reason is RejectionReason.NONE]
+        assert report.roots == tuple(sorted(c.mapped_coord for c in accepted))
+        assert all(c.accepted is (c in accepted) for c in report.candidates)
+        assert report.roots and all(a < b for a, b in zip(report.roots, report.roots[1:]))
+
+    def test_dedupe_returns_only_candidates(self):
+        cands = filter_candidates(synthetic_spectrum(0.1, 0.1 + 1e-12, 0.5))
+        cands = tuple(replace(c, mapped_coord=c.standard_coord.real, residual=0.0) for c in cands)
+        deduped = rootfinder._dedupe_candidates(cands, Interval(-1, 1))
+        assert isinstance(deduped, tuple) and all(isinstance(c, RootCandidate) for c in deduped)
+        assert [c.rejection_reason for c in deduped] == [RejectionReason.NONE, RejectionReason.DUPLICATE,
+                                                         RejectionReason.NONE]
+
+
+class TestNonFiniteResidual:
+    """f is NaN where the proxy puts its one root: |f - 0.3| times a 0/0."""
+
+    TEXT = "(x-0.3)*sqrt((x-0.3)^2-0.0001)/sqrt((x-0.3)^2-0.0001)"
+
+    @pytest.mark.parametrize("residual_tol", [None, 1e-12], ids=["automatic", "explicit"])
+    def test_unpolished_candidate_at_nan_is_rejected(self, residual_tol):
+        tree = parse(self.TEXT)
+        config = RootConfig(degree=8, polish=False, residual_tol=residual_tol)
+        report = find_roots(lambda x: eval_expr(tree, x), Interval(-1, 1), config)
+        assert report.roots == ()
+        nan_at = [c for c in report.candidates if c.rejection_reason is RejectionReason.RESIDUAL_TOO_LARGE]
+        assert nan_at and all(c.residual is None and c.mapped_coord is None for c in nan_at)
+        assert not any(c.accepted for c in report.candidates)
 
 
 class TestFindRoots:
@@ -714,6 +796,10 @@ class TestRootConfigValidation:
     def test_rejects_degree_below_two(self):
         with pytest.raises(ValueError, match="degree"):
             RootConfig(degree=1)
+
+    def test_rejects_adaptive_cap_below_two(self):
+        with pytest.raises(ValueError, match="max_adaptive_degree must be >= 2"):
+            RootConfig(max_adaptive_degree=1)
 
     def test_rejects_non_positive_tolerances(self):
         with pytest.raises(ValueError, match="imag_tol"):

@@ -117,9 +117,10 @@ def default_corpus() -> tuple[BenchCase, ...]:
     )
 
 
-def proxy_grid(f, series: ChebyshevSeries, interval: Interval) -> list[tuple[float, float, float]]:
-    """(x, f(x), proxy(x)) at GRID_POINTS uniform points from a to b exactly."""
-    xs = np.linspace(interval.a, interval.b, GRID_POINTS)
+def proxy_grid(f, series: ChebyshevSeries) -> list[tuple[float, float, float]]:
+    """(x, f(x), proxy(x)) at GRID_POINTS uniform points of the series'
+    interval, from a to b exactly."""
+    xs = np.linspace(series.interval.a, series.interval.b, GRID_POINTS)
     return [(x, f(x), px) for x, px in zip(xs.tolist(), evaluate(series, xs).tolist())]
 
 
@@ -129,7 +130,7 @@ def grid_max_error(grid) -> float:
     return max(errors) if all(map(math.isfinite, errors)) else math.nan
 
 
-def run_bench(corpus=None, config: RootConfig | None = None) -> BenchReport:
+def run_bench(corpus=None, config: RootConfig = RootConfig()) -> BenchReport:
     """Run every (case, degree) pair and collect one row per run.
 
     ``config`` supplies everything except the degree, which the sweep sets.
@@ -137,8 +138,6 @@ def run_bench(corpus=None, config: RootConfig | None = None) -> BenchReport:
     """
     if corpus is None:
         corpus = default_corpus()
-    if config is None:
-        config = RootConfig()
     rows = []
     for case in corpus:
         expr = parse(case.function_text)
@@ -159,7 +158,7 @@ def run_bench(corpus=None, config: RootConfig | None = None) -> BenchReport:
             wall = time.perf_counter() - start
             # the proxy again, from the samples find_roots took: f is not called twice
             _, series, _ = build_proxy(seen.__getitem__, case.interval, run_config)
-            grid = proxy_grid(f, series, case.interval)
+            grid = proxy_grid(f, series)
             found = len(report.roots)
             if case.oracle_roots is None:
                 expected = None

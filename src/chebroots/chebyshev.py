@@ -316,7 +316,8 @@ class DecayProfile:
     ``slope`` is the least-squares slope of log|coeffs[j]| against log j over
     the significant nonzero tail, or ``None`` when the series terminates in
     an exactly-zero tail (the representation is exact, so no algebraic rate
-    applies) or too few nonzero coefficients remain to fit one.
+    applies) or is too short, or too few nonzero coefficients remain, to
+    fit one.
     """
 
     magnitudes: tuple[float, ...]
@@ -335,23 +336,20 @@ def coefficient_decay(series: ChebyshevSeries) -> DecayProfile:
     """Diagnostic decay profile of the series coefficients.
 
     Trailing coefficients at or below ``1e-14 * max|coeff|`` count as an
-    exactly-zero tail.  If two or more such trailing coefficients were
-    dropped, or fewer than two nonzero points remain, the representation is
-    reported as exact (``slope=None``) instead of fitting a rate.  The fit
-    itself regresses log|coeffs[j]| on log j for j >= 1, skipping
-    roundoff-level interior coefficients (parity zeros and the like).
+    exactly-zero tail.  If the series has fewer than 4 coefficients, two or
+    more such trailing coefficients were dropped, or fewer than two nonzero
+    points remain, the representation is reported as exact (``slope=None``)
+    instead of fitting a rate.  The fit itself regresses log|coeffs[j]| on
+    log j for j >= 1, skipping roundoff-level interior coefficients (parity
+    zeros and the like).
 
     This is a diagnostic only; nothing in the pipeline gates on it.
     """
-    c = series.coeffs
-    if len(c) < 4:
-        raise ValueError("need at least 4 coefficients to fit a decay rate")
-    mags = np.abs(c)
+    mags = np.abs(series.coeffs)
     cut = _DECAY_ZERO_TOL * mags.max()
     keep = len(chop_series(series, _DECAY_ZERO_TOL).coeffs)
     points = (mags[1:keep] > cut).nonzero()[0] + 1
-    tail_dropped = len(mags) - keep
-    if tail_dropped >= 2 or len(points) < 2:
+    if len(mags) < 4 or len(mags) - keep >= 2 or len(points) < 2:
         return DecayProfile(tuple(mags.tolist()), None)
     lj = np.log(points)
     lm = np.log(mags[points])

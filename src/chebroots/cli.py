@@ -159,9 +159,9 @@ def _parse_degrees(text: str) -> list[int]:
 
 def _sweep_text(runs) -> str:
     lines = []
-    for degree, _, report in runs:
+    for config, report in runs:
         roots = ", ".join(repr(r) for r in report.roots)
-        lines.append(f"N={degree}: {len(report.candidates)} candidates, "
+        lines.append(f"N={config.degree}: {len(report.candidates)} candidates, "
                      f"{len(report.roots)} roots [{roots}]")
     return "\n".join(lines) + "\n"
 
@@ -169,10 +169,9 @@ def _sweep_text(runs) -> str:
 def _cmd_sweep(args) -> int:
     interval = Interval(*args.interval)
     f, df = _function_from_args(args)
-    runs = []
-    for degree in args.degrees:
-        config = _config_from_args(args, degree=degree)
-        runs.append((degree, config, find_roots(f, interval, config, df=df)))
+    # every config first, so that a bad degree costs no solve
+    configs = [_config_from_args(args, degree=degree) for degree in args.degrees]
+    runs = [(config, find_roots(f, interval, config, df=df)) for config in configs]
     _emit(
         args,
         json=lambda: json.dumps({
@@ -180,11 +179,11 @@ def _cmd_sweep(args) -> int:
             "function": args.function,
             "interval": [interval.a, interval.b],
             "sweeps": [
-                dict(report_to_dict(report, config), degree=degree)
-                for degree, config, report in runs
+                dict(report_to_dict(report, config), degree=config.degree)
+                for config, report in runs
             ],
         }, indent=2),
-        csv=lambda: sweep_to_csv([(degree, report) for degree, _, report in runs]),
+        csv=lambda: sweep_to_csv([(config.degree, report) for config, report in runs]),
         text=lambda: _sweep_text(runs),
     )
     return 0
@@ -194,7 +193,7 @@ def _cmd_interp(args) -> int:
     interval = Interval(*args.interval)
     f, _ = _function_from_args(args, derivative=False)
     raw, series, converged = build_proxy(f, interval, _config_from_args(args))
-    grid = proxy_grid(f, series, interval)
+    grid = proxy_grid(f, series)
     # degree_used is the node count of the proxy, as in RootReport
     _emit(
         args,
@@ -290,9 +289,6 @@ def run_cli(argv=None) -> int:
         return args.run(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except RecursionError:  # the parser recurses once per parenthesis, sign and power
-        print("error: expression is nested too deeply", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:  # ParseError is a ValueError
         if isinstance(exc, (NonFiniteSampleError, LinAlgError)):

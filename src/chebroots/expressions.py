@@ -178,9 +178,13 @@ class _Parser:
 def parse(text: str) -> Expression:
     """Parse expression text into an AST.
 
-    Raises :class:`ParseError` with a byte offset on malformed input.
+    Raises :class:`ParseError` with a byte offset on malformed input, and
+    ValueError for nesting deeper than Python's recursion limit allows.
     """
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:  # the parser recurses once per parenthesis, sign and power
+        raise ValueError("expression is nested too deeply") from None
 
 
 def _guarded(fn):
@@ -214,17 +218,17 @@ def _safe_pow(base: float, exponent: float) -> float:
     return math.copysign(math.inf, base) if exponent % 2.0 == 1.0 else math.inf
 
 
-def _safe_div(num: float, den: float) -> float:
-    if den == 0.0:
-        if num == 0.0 or math.isnan(num):
-            return math.nan
-        return math.copysign(math.inf, num) * math.copysign(1.0, den)
-    return num / den
+def _div_by_zero(num: float, den: float) -> float:
+    """num / den for a den of +-0.0: NaN for 0/0 and NaN/0, else an infinity
+    signed as num times den."""
+    if num == 0.0 or math.isnan(num):
+        return math.nan
+    return math.copysign(math.inf, num) * math.copysign(1.0, den)
 
 
 # symbol -> (the Python expression the compiled code computes it with from
 # operands {a} and {b}, precedence); "^" is right-associative.  Division
-# and powers call _safe_div and _safe_pow for their IEEE values.
+# by zero and powers call _div_by_zero and _safe_pow for their IEEE values.
 _OPERATORS = {
     "+": ("{a} + {b}", 1),
     "-": ("{a} - {b}", 1),
@@ -250,7 +254,7 @@ _FUNCTIONS = {
 
 # the names compiled code calls; a tree's numbers join them as c0, c1, ...
 # and its values live in r0, r1, ..., so no name is taken twice
-_NAMESPACE = {"div": _safe_div, "pow": _safe_pow, **{name: entry[0] for name, entry in _FUNCTIONS.items()}}
+_NAMESPACE = {"div": _div_by_zero, "pow": _safe_pow, **{name: entry[0] for name, entry in _FUNCTIONS.items()}}
 
 # Most statements in one compiled function.  One function per tree runs
 # faster, but compiling a body of thousands of statements takes megabytes.

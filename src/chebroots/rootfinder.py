@@ -45,7 +45,6 @@ __all__ = [
     "find_roots",
     "filter_candidates",
     "newton_polish",
-    "dedupe_and_sort",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -84,6 +83,13 @@ _LEAF = 64
 # Where a piece is split, in its own standard coordinate: Chebfun's point,
 # off centre so that a root at the centre of a symmetric problem is not on it.
 _SPLIT = -0.004849834917525
+
+# Most sample nodes a RootConfig allows, fixed or adaptive.  The transform's
+# n x n cosine matrix grows as n^2 and sampling f costs one Python call per
+# node: an in-process `roots --function "sin(x)" --interval -1000 1000
+# --degree N` peaks at 67 MB RSS for N = 1024, 148 MB at 2048 and 499 MB at
+# 4096 (2.0 s) on a 2-core Xeon VM, about 3.4x per doubling.
+_MAX_NODES = 4096
 
 # Fraction of the gap between two roots at which the touching-root test
 # probes f: irrational, so the probe is never a whole number of periods of
@@ -133,6 +139,7 @@ class RootConfig:
     chopping).  ``residual_tol=None`` selects the automatic per-candidate
     threshold |f(x)| <= 1000*eps*max(1,|x|)*|p'(x)| followed by a check that
     f changes sign across x; an explicit value is an absolute threshold.
+    ``degree`` and ``max_adaptive_degree`` are at most 4096 nodes.
     """
 
     degree: int | None = None
@@ -148,6 +155,8 @@ class RootConfig:
             if value is not None:
                 if not isinstance(value, numbers.Integral):
                     raise ValueError(f"{name} must be an integer, got {value!r}")
+                if value > _MAX_NODES:
+                    raise ValueError(f"{name} must be at most {_MAX_NODES}, got {value}")
                 object.__setattr__(self, name, int(value))  # numpy ints serialize as ints
         if self.degree is not None and self.degree < 2:
             raise ValueError("fixed degree must be >= 2")
@@ -303,7 +312,7 @@ def newton_polish(f, df, x0: float, interval, max_iter: int) -> PolishResult:
     return PolishResult(best_x, iterations, converged, diverged, best_f, corr)
 
 
-def filter_candidates(spectrum: Spectrum, config: RootConfig | None = None,
+def filter_candidates(spectrum: Spectrum, config: RootConfig = RootConfig(),
                       piece: tuple[float, float] = (-1.0, 1.0)) -> tuple[RootCandidate, ...]:
     """Turn every eigenvalue into a candidate, accepted iff it sits in the box.
 
@@ -317,8 +326,6 @@ def filter_candidates(spectrum: Spectrum, config: RootConfig | None = None,
     coordinates are filled in later by the pipeline (the spectrum does not
     know the interval).
     """
-    if config is None:
-        config = RootConfig()
     whole = piece == (-1.0, 1.0)
     mid, half = (piece[0] + piece[1]) / 2.0, (piece[1] - piece[0]) / 2.0
     out = []
@@ -461,7 +468,8 @@ def _dedupe_candidates(candidates, interval: Interval, f=None, touch_tol: float 
     the losers flip to rejected with reason ``duplicate``.  Given f and a
     ``touch_tol`` (the explicit ``residual_tol``), adjacent roots that f
     only touches between (:func:`_one_touching_root`) merge the same way.
-    Returns the updated candidate tuple.
+    Every accepted candidate carries a finite residual, as :func:`_vet`
+    leaves it.  Returns the updated candidate tuple.
     """
     radius = _DEDUPE_FRACTION * interval.width
     order = sorted(
@@ -469,42 +477,24 @@ def _dedupe_candidates(candidates, interval: Interval, f=None, touch_tol: float 
         key=lambda i: (candidates[i].mapped_coord, i),
     )
     out = list(candidates)
-
-    def residual_of(cand):
-        return cand.residual if cand.residual is not None else math.inf
-
     kept: list[int] = []
-
-    def same_root(pos):
-        """Whether accepted candidate order[pos] is one root with kept[-1]."""
-        r1, r2 = out[kept[-1]].mapped_coord, out[order[pos]].mapped_coord
-        if r2 - r1 < radius:
-            return True
-        if f is None or touch_tol is None:
-            return False
-        # outside probes stop halfway to the neighbouring roots
-        lo = (out[kept[-2]].mapped_coord + r1) / 2.0 if len(kept) > 1 else interval.a
-        hi = (r2 + out[order[pos + 1]].mapped_coord) / 2.0 if pos + 1 < len(order) else interval.b
-        return _one_touching_root(f, r1, r2, lo, hi, touch_tol)
-
     for pos, i in enumerate(order):
-        cand = out[i]
         if kept:
             j = kept[-1]
-            prev = out[j]
-            if same_root(pos):
-                loser, winner = (j, i) if residual_of(cand) < residual_of(prev) else (i, j)
+            r1, r2 = out[j].mapped_coord, out[i].mapped_coord
+            same = r2 - r1 < radius
+            if not same and touch_tol is not None:
+                # outside probes stop halfway to the neighbouring roots
+                lo = (out[kept[-2]].mapped_coord + r1) / 2.0 if len(kept) > 1 else interval.a
+                hi = (r2 + out[order[pos + 1]].mapped_coord) / 2.0 if pos + 1 < len(order) else interval.b
+                same = _one_touching_root(f, r1, r2, lo, hi, touch_tol)
+            if same:
+                loser, winner = (j, i) if out[i].residual < out[j].residual else (i, j)
                 out[loser] = _reject(out[loser], RejectionReason.DUPLICATE)
                 kept[-1] = winner
                 continue
         kept.append(i)
     return tuple(out)
-
-
-def dedupe_and_sort(candidates, interval) -> list[float]:
-    """Sorted accepted root locations with near-duplicates merged."""
-    deduped = _dedupe_candidates(tuple(candidates), _as_interval(interval))
-    return sorted(c.mapped_coord for c in deduped if c.accepted)
 
 
 def _noise_tol(interval: Interval) -> float:
@@ -537,7 +527,7 @@ def _leaves(series: ChebyshevSeries, tol: float, scale: float,
 
 
 def build_proxy(f, interval,
-                config: RootConfig | None = None) -> tuple[ChebyshevSeries, ChebyshevSeries, bool]:
+                config: RootConfig = RootConfig()) -> tuple[ChebyshevSeries, ChebyshevSeries, bool]:
     """Sample f and build its Chebyshev proxy: (raw, chopped, converged).
 
     ``raw`` is the transform of the samples, one coefficient per sample
@@ -552,8 +542,6 @@ def build_proxy(f, interval,
     usable).
     """
     interval = _as_interval(interval)
-    if config is None:
-        config = RootConfig()
     tol = _noise_tol(interval)
     fixed = config.degree is not None
     cap = config.degree if fixed else config.max_adaptive_degree
@@ -574,13 +562,7 @@ def build_proxy(f, interval,
             samples = _sample_at_nodes(f, interval, n)
 
 
-def _decay_profile(series: ChebyshevSeries) -> DecayProfile:
-    if len(series.coeffs) >= 4:
-        return coefficient_decay(series)
-    return DecayProfile(tuple(np.abs(series.coeffs).tolist()), None)
-
-
-def find_roots(f, interval, config: RootConfig | None = None, df=None) -> RootReport:
+def find_roots(f, interval, config: RootConfig = RootConfig(), df=None) -> RootReport:
     """All real roots of f on the interval by Chebyshev proxy rootfinding.
 
     f is sampled on the whole interval only.  A chopped proxy of more than
@@ -616,8 +598,6 @@ def find_roots(f, interval, config: RootConfig | None = None, df=None) -> RootRe
         If f is NaN or infinite at a sample node (the error names it).
     """
     interval = _as_interval(interval)
-    if config is None:
-        config = RootConfig()
     counter = _CountingFunction(f)
     raw, chopped, proxy_converged = build_proxy(counter, interval, config)
     vetted = []
@@ -632,7 +612,7 @@ def find_roots(f, interval, config: RootConfig | None = None, df=None) -> RootRe
     return RootReport(
         candidates=_dedupe_candidates(tuple(vetted), interval, counter, config.residual_tol),
         degree_used=len(raw.coeffs),
-        coefficient_decay=_decay_profile(raw),
+        coefficient_decay=coefficient_decay(raw),
         function_evaluations=counter.count,
         proxy_converged=proxy_converged,
     )

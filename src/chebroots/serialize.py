@@ -24,8 +24,6 @@ __all__ = [
     "report_from_dict",
     "report_to_json",
     "report_from_json",
-    "candidate_csv_header",
-    "candidate_csv_row",
     "report_to_csv",
     "sweep_to_csv",
     "report_to_text",
@@ -37,6 +35,9 @@ __all__ = [
 FORMAT_VERSION = 3
 
 _DECAY_EXACT = "exact"
+
+# a candidate's CSV columns: the keys of _candidate_to_dict, in its order
+_CANDIDATE_COLUMNS = ["re", "im", "accepted", "reason", "residual", "polish_iterations", "mapped"]
 
 
 def config_to_dict(config: RootConfig) -> dict:
@@ -135,16 +136,6 @@ def json_number(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def candidate_csv_header(with_degree: bool = False) -> list[str]:
-    head = ["re", "im", "accepted", "reason", "residual", "polish_iterations", "mapped"]
-    return (["degree"] + head) if with_degree else head
-
-
-def candidate_csv_row(cand: RootCandidate, degree: int | None = None) -> list[str]:
-    row = [format_cell(v) for v in _candidate_to_dict(cand).values()]
-    return ([format_cell(degree)] + row) if degree is not None else row
-
-
 def write_csv_rows(header: list[str], rows: list[list[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")  # RFC 4180 line endings
@@ -153,20 +144,19 @@ def write_csv_rows(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
+def _candidate_row(cand: RootCandidate) -> list[str]:
+    return [format_cell(v) for v in _candidate_to_dict(cand).values()]
+
+
 def report_to_csv(report: RootReport) -> str:
     """One candidate per row; accepted rows carry the mapped root location."""
-    return write_csv_rows(
-        candidate_csv_header(),
-        [candidate_csv_row(c) for c in report.candidates],
-    )
+    return write_csv_rows(_CANDIDATE_COLUMNS, [_candidate_row(c) for c in report.candidates])
 
 
 def sweep_to_csv(runs: list[tuple[int, RootReport]]) -> str:
     """One row per (degree, candidate) across a degree sweep."""
-    rows = []
-    for degree, report in runs:
-        rows.extend(candidate_csv_row(c, degree=degree) for c in report.candidates)
-    return write_csv_rows(candidate_csv_header(with_degree=True), rows)
+    rows = [[format_cell(degree)] + _candidate_row(c) for degree, report in runs for c in report.candidates]
+    return write_csv_rows(["degree"] + _CANDIDATE_COLUMNS, rows)
 
 
 def report_to_text(report: RootReport, config: RootConfig) -> str:

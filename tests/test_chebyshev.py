@@ -193,6 +193,10 @@ class TestChop:
         series = series_on(-1, 1, 1.0, 0.5, 1e-3)
         assert chop_series(series) is series
 
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="chop tolerance must be >= 0"):
+            chop_series(series_on(-1, 1, 1.0, 0.5), -1e-13)
+
     def test_all_zero_series_keeps_one_coefficient(self):
         assert chop_series(series_on(-1, 1, 0.0, 0.0, 0.0)).coeffs.tolist() == [0.0]
 
@@ -222,9 +226,12 @@ class TestCoefficientDecay:
         profile = coefficient_decay(series)
         assert profile.slope == pytest.approx(-2.0, abs=0.5)
 
-    def test_too_short_series_rejected(self):
-        with pytest.raises(ValueError, match="at least 4"):
-            coefficient_decay(series_on(-1, 1, 1.0, 1.0))
+    def test_too_short_series_reports_exact(self):
+        # too few coefficients to fit a rate: the exact-tail profile
+        for coeffs in ((3.0,), (1.0, -0.5), (-2.0, 1.0, 0.25)):
+            profile = coefficient_decay(series_on(-1, 1, *coeffs))
+            assert profile.slope is None
+            assert profile.magnitudes == tuple(abs(c) for c in coeffs)
 
 
 class TestInterpolationInvariants:

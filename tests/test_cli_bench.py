@@ -66,7 +66,7 @@ class TestDeclarations:
         "coefficient_decay", "differentiate", "evaluate", "from_standard", "standard_nodes",
         "to_standard", "transform", "DegenerateLeadingCoefficientError", "Spectrum",
         "build_frobenius", "eigenvalues", "series_spectrum", "PolishResult", "RejectionReason",
-        "RootCandidate", "RootConfig", "RootReport", "build_proxy", "dedupe_and_sort",
+        "RootCandidate", "RootConfig", "RootReport", "build_proxy",
         "filter_candidates", "find_roots", "newton_polish", "Expression", "ParseError",
         "UnsupportedDerivativeError", "differentiate_expr", "eval_expr", "expression_to_text",
         "parse", "BenchCase", "BenchReport", "BenchRow", "default_corpus", "run_bench",
@@ -304,6 +304,8 @@ class TestRootsCommand:
         start = lines.index("roots (6):") + 1
         assert [float(line) for line in lines[start:start + 6]] == doc["roots"]
         assert lines[-1] == "residual test: automatic"
+        assert run_cli(argv + ["--format", "text", "--residual-tol", "1e-10"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "residual test: |f(x)| <= 1e-10"
 
     def test_only_the_chosen_format_is_rendered(self, capsys, monkeypatch):
         def fail(*args):
@@ -401,6 +403,18 @@ class TestExitCodes:
                                       "--interval", "-1", "2"])
         assert code == 0
         assert len(doc["roots"]) == 1 and abs(doc["roots"][0] - 0.5) <= 1e-12
+
+    @pytest.mark.parametrize("argv", [["roots", "--degree", "100000000"], ["sweep", "--degrees", "16,100000000"]],
+                             ids=["roots", "sweep"])
+    def test_node_count_above_the_bound_exits_before_any_solve(self, capsys, monkeypatch, argv):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr("chebroots.cli.find_roots", solve)
+        code = run_cli(argv + ["--function", "x-0.5", "--interval", "0", "1"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "error: degree must be at most 4096, got 100000000\n"
 
     def test_usage_error_leaves_the_next_call_working(self, capsys):
         assert _build_parser() is _build_parser()  # built once per process
@@ -591,10 +605,10 @@ class TestInterpCommand:
         worst = max(abs(p["f"] - p["proxy"]) for p in doc["grid"])
         assert capsys.readouterr().out.endswith(f"points: {worst!r}\n")
         # every other point is a + i*(b - a)/1000, as before
-        series = ChebyshevSeries(Interval(0, 1), (1.0,))
         rng = np.random.default_rng(17)
         for a, b in np.sort(rng.uniform(-100, 100, size=(200, 2)) * 10.0 ** rng.integers(-3, 3, size=(200, 1))):
-            xs = [x for x, _, _ in bench.proxy_grid(lambda x: x, series, Interval(a, b))]
+            series = ChebyshevSeries(Interval(a, b), (1.0,))
+            xs = [x for x, _, _ in bench.proxy_grid(lambda x: x, series)]
             assert xs[:-1] == [a + i * ((b - a) / 1000) for i in range(1000)] and xs[-1] == b
 
     def test_proxy_grid_is_python_floats_from_one_array_evaluate(self, monkeypatch):
@@ -602,7 +616,7 @@ class TestInterpCommand:
                            Interval(0, 1))
         calls = []
         monkeypatch.setattr(bench, "evaluate", lambda s, x: calls.append(x) or evaluate(s, x))
-        grid = bench.proxy_grid(math.cos, series, Interval(0, 1))
+        grid = bench.proxy_grid(math.cos, series)
         assert len(calls) == 1 and len(grid) == GRID_POINTS
         assert all(type(v) is float for point in grid for v in point)
         assert grid[-1][0] == 1.0 and grid[-1][1] == math.cos(1.0)
@@ -676,6 +690,15 @@ class TestBench:
         cos_rows = [r for r in report.rows if r.case == "cosine"]
         errors = [r.proxy_max_error for r in cos_rows]
         assert errors == sorted(errors, reverse=True)
+
+    def test_default_corpus_runs_every_degree(self, report):
+        assert len(report.rows) == 12
+        assert [(r.case, r.degree) for r in report.rows] == [
+            (c.name, n) for c in default_corpus() for n in c.degree_sweep]
+
+    def test_oracle_root_outside_the_interval_refused(self):
+        with pytest.raises(ValueError, match="oracle root 2.0 outside"):
+            BenchCase("line", "x-2", Interval(0.0, 1.0), (16,), (2.0,))
 
     def test_corpus_degrees_match_catalog(self, report):
         sweeps = {c.name: c.degree_sweep for c in default_corpus()}

@@ -68,6 +68,10 @@ class TestBuildFrobenius:
 
 
 class TestEigenvalues:
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="matrix order must be >= 1"):
+            eigenvalues(np.zeros((0, 0)))
+
     def test_basis_roots_match_nodes_across_orders(self):
         # up to 256, the largest proxy degree the benchmark's dense workload uses
         for n in [*range(2, 31), 32, 64, 100, 128, 192, 255, 256]:

@@ -162,6 +162,14 @@ class TestParseErrors:
         assert str(excinfo.value) == f"{message} (at offset {position})"
         assert excinfo.value.position == position
 
+    @pytest.mark.parametrize("text", ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x", "2^" * 5000 + "x"],
+                             ids=["parentheses", "signs", "powers"])
+    def test_too_deep_nesting_is_a_value_error(self, text):
+        # the parser recurses once per parenthesis, sign and power
+        with pytest.raises(ValueError, match="^expression is nested too deeply$"):
+            parse(text)
+        assert parse("(" * 100 + "x" + ")" * 100) == Variable()  # the next parse still works
+
 
 class TestEval:
     def test_variable(self):

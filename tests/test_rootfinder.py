@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from chebroots import chebyshev, rootfinder
-from chebroots.chebyshev import (Interval, NonFiniteSampleError, chop_series, evaluate, from_standard,
+from chebroots.chebyshev import (DecayProfile, Interval, NonFiniteSampleError, chop_series, evaluate, from_standard,
                                  restrict, standard_nodes, transform)
 from chebroots.companion import Spectrum, series_spectrum
 from chebroots.expressions import eval_expr, parse
@@ -17,7 +17,6 @@ from chebroots.rootfinder import (
     RootConfig,
     RootReport,
     build_proxy,
-    dedupe_and_sort,
     filter_candidates,
     find_roots,
     newton_polish,
@@ -263,21 +262,25 @@ class TestDedupe:
             for c, x, r in zip(cands, locations, residuals)
         ]
 
+    @staticmethod
+    def _roots(candidates):
+        """The roots of a report holding ``candidates``."""
+        return RootReport(candidates, 0, DecayProfile((), None), 0, True).roots
+
     def test_near_duplicates_merge_keeping_smaller_residual(self):
         cands = self._candidates([1.0, 1.0 + 2e-11], [1e-12, 1e-15])
-        roots = dedupe_and_sort(cands, BIG)
-        assert roots == [1.0 + 2e-11]
+        deduped = rootfinder._dedupe_candidates(tuple(cands), BIG)
+        assert [c.rejection_reason for c in deduped] == [RejectionReason.DUPLICATE, RejectionReason.NONE]
+        assert self._roots(deduped) == (1.0 + 2e-11,)
 
     def test_distinct_roots_both_kept_sorted(self):
-        cands = self._candidates([2.0, 1.0], [1e-12, 1e-12])
-        assert dedupe_and_sort(cands, BIG) == [1.0, 2.0]
+        cands = tuple(self._candidates([2.0, 1.0], [1e-12, 1e-12]))
+        deduped = rootfinder._dedupe_candidates(cands, BIG)
+        assert deduped == cands
+        assert self._roots(deduped) == (1.0, 2.0)
 
     def test_empty_input(self):
-        assert dedupe_and_sort([], BIG) == []
-
-    def test_missing_residuals_tolerated(self):
-        cands = self._candidates([1.0, 1.0 + 1e-11], [None, None])
-        assert dedupe_and_sort(cands, BIG) == [1.0]
+        assert rootfinder._dedupe_candidates((), BIG) == ()
 
     def test_roots_whole_periods_apart_are_not_merged(self):
         # two roots of sin(20x) with the roots between them missed: the
@@ -815,6 +818,14 @@ class TestRootConfigValidation:
     def test_rejects_non_integral_counts(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             RootConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["degree", "max_adaptive_degree"])
+    def test_node_count_is_bounded(self, name):
+        assert getattr(RootConfig(**{name: 4096}), name) == 4096
+        with pytest.raises(ValueError, match=f"^{name} must be at most 4096, got 4097$"):
+            RootConfig(**{name: 4097})
+        with pytest.raises(ValueError, match=f"^{name} must be at most 4096"):
+            RootConfig(**{name: np.int64(10**8)})
 
     def test_accepts_numpy_integer_counts(self):
         config = RootConfig(degree=np.int64(30), max_adaptive_degree=np.int32(64))

@@ -94,7 +94,11 @@ def _config_from_args(args, **fixed) -> RootConfig:
     return RootConfig(**knobs, **fixed)
 
 
-def _function_from_args(args, derivative=True):
+def _function_from_args(args, derivative: bool):
+    """f and, if ``derivative`` and the function has one, its exact derivative df.
+
+    Only a run that polishes reads df, so any other skips differentiating.
+    """
     expr = parse(args.function)
     def f(x):
         return eval_expr(expr, x)
@@ -139,7 +143,7 @@ def _exit_code(converged: bool, args) -> int:
 def _cmd_roots(args) -> int:
     interval = Interval(*args.interval)
     config = _config_from_args(args)
-    f, df = _function_from_args(args)
+    f, df = _function_from_args(args, derivative=args.polish)
     report = find_roots(f, interval, config, df=df)
     _emit(args, json=lambda: report_to_json(report, config), csv=lambda: report_to_csv(report),
           text=lambda: report_to_text(report, config))
@@ -168,7 +172,7 @@ def _sweep_text(runs) -> str:
 
 def _cmd_sweep(args) -> int:
     interval = Interval(*args.interval)
-    f, df = _function_from_args(args)
+    f, df = _function_from_args(args, derivative=args.polish)
     # every config first, so that a bad degree costs no solve
     configs = [_config_from_args(args, degree=degree) for degree in args.degrees]
     runs = [(config, find_roots(f, interval, config, df=df)) for config in configs]

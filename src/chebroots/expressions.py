@@ -20,9 +20,17 @@ Evaluation follows real arithmetic; domain violations (log of a
 non-positive number, sqrt of a negative, division by zero) produce a
 non-finite value rather than raising, so the rootfinder's own sampling
 checks see them.  A tree is compiled once, on its first evaluation, into
-straight-line Python: one assignment per node, split into functions of at
-most 256 statements that run one after another.  Compiling, differentiating
-and printing walk the tree with their own stack, so tree depth is unbounded.
+straight-line Python: one assignment per node, split into chunks of at most
+256 statements that run one after another.  Each chunk's code is bound
+twice: a fast twin calls math's functions and ``math.pow`` directly, which
+raise ValueError or OverflowError on a domain error, and a guarded twin
+calls them through wrappers that return NaN or an infinity instead.  A
+chunk runs its fast twin, and only a chunk that raises is run again, from
+the same inputs, by its guarded twin.  A chunk is a pure function of its
+inputs and the twins compute the same value wherever the fast one returns,
+so every value is the guarded code's bit for bit.  Compiling,
+differentiating and printing walk the tree with their own stack, so tree
+depth is unbounded.
 """
 
 from __future__ import annotations
@@ -228,7 +236,8 @@ def _div_by_zero(num: float, den: float) -> float:
 
 # symbol -> (the Python expression the compiled code computes it with from
 # operands {a} and {b}, precedence); "^" is right-associative.  Division
-# by zero and powers call _div_by_zero and _safe_pow for their IEEE values.
+# by zero calls _div_by_zero for its IEEE value; pow is math.pow, or
+# _safe_pow in a guarded twin.
 _OPERATORS = {
     "+": ("{a} + {b}", 1),
     "-": ("{a} - {b}", 1),
@@ -241,27 +250,33 @@ _OPERATORS = {
 _PREC_NEG = 3
 _PREC_ATOM = 5
 
-# name -> (value function, derivative rule (u, du) -> tree); abs has no rule
+# name -> (value function, which may raise ValueError or OverflowError,
+# derivative rule (u, du) -> tree); abs has no rule
 _FUNCTIONS = {
-    "sin": (_guarded(math.sin), lambda u, du: _mul(FunctionCall("cos", u), du)),
-    "cos": (_guarded(math.cos), lambda u, du: _neg(_mul(FunctionCall("sin", u), du))),
-    "tan": (_guarded(math.tan), lambda u, du: _div(du, BinaryOp("^", FunctionCall("cos", u), Number(2.0)))),
-    "exp": (_guarded(math.exp), lambda u, du: _mul(FunctionCall("exp", u), du)),
-    "log": (_guarded(math.log), lambda u, du: _div(du, u)),
-    "sqrt": (_guarded(math.sqrt), lambda u, du: _div(du, _mul(Number(2.0), FunctionCall("sqrt", u)))),
-    "abs": (_guarded(abs), None),
+    "sin": (math.sin, lambda u, du: _mul(FunctionCall("cos", u), du)),
+    "cos": (math.cos, lambda u, du: _neg(_mul(FunctionCall("sin", u), du))),
+    "tan": (math.tan, lambda u, du: _div(du, BinaryOp("^", FunctionCall("cos", u), Number(2.0)))),
+    "exp": (math.exp, lambda u, du: _mul(FunctionCall("exp", u), du)),
+    "log": (math.log, lambda u, du: _div(du, u)),
+    "sqrt": (math.sqrt, lambda u, du: _div(du, _mul(Number(2.0), FunctionCall("sqrt", u)))),
+    "abs": (abs, None),
 }
 
-# the names compiled code calls; a tree's numbers join them as c0, c1, ...
-# and its values live in r0, r1, ..., so no name is taken twice
-_NAMESPACE = {"div": _div_by_zero, "pow": _safe_pow, **{name: entry[0] for name, entry in _FUNCTIONS.items()}}
+# the names compiled code calls, as the fast twins bind them: the raw
+# functions, which raise on a domain error.  A tree's numbers join them as
+# c0, c1, ... and its values live in r0, r1, ..., so no name is taken twice.
+_NAMESPACE = {"div": _div_by_zero, "pow": math.pow, **{name: entry[0] for name, entry in _FUNCTIONS.items()}}
+
+# the names the guarded twins bind in place of the raising ones
+_GUARDED = {"pow": _safe_pow, **{name: _guarded(entry[0]) for name, entry in _FUNCTIONS.items()}}
 
 # Most statements in one compiled function.  One function per tree runs
 # faster, but compiling a body of thousands of statements takes megabytes.
 _CHUNK = 256
 
-# id(tree) -> the functions of its compiled code.  A tree's entry is dropped
-# when the tree is collected, so a later tree that reuses the id never finds it.
+# id(tree) -> its compiled chunks, each a (fast, guarded) pair of functions.  A
+# tree's entry is dropped when the tree is collected, so a later tree that
+# reuses the id never finds it.
 _COMPILED: dict[int, tuple] = {}
 
 
@@ -314,13 +329,12 @@ def _fold(expr: Expression, rule):
     return done[id(expr)]
 
 
-def _function(params: list, body: list, returns: list, namespace: dict):
-    """A function of x and ``params`` that runs ``body`` and returns ``returns`` as a tuple."""
+def _code(params: list, body: list, returns: list) -> types.CodeType:
+    """The code of a function of x and ``params`` that runs ``body`` and returns ``returns`` as a tuple."""
     source = "\n    ".join([f"def chunk({', '.join(['x', *params])}):", *body,
                             f"return ({''.join(name + ', ' for name in returns)})"])
     module = compile(source, "<expression>", "exec")
-    code = next(const for const in module.co_consts if isinstance(const, types.CodeType))
-    return types.FunctionType(code, namespace)
+    return next(const for const in module.co_consts if isinstance(const, types.CodeType))
 
 
 def _compile(expr: Expression) -> tuple:
@@ -333,6 +347,11 @@ def _compile(expr: Expression) -> tuple:
     taking x and the values live at its start and returning those live at
     its end; the last returns the root's value.  Numbers are read from the
     functions' namespace, never written into the source.
+
+    Each chunk's code is compiled once and bound twice: its fast twin reads
+    ``_NAMESPACE``'s raising functions, its guarded twin ``_GUARDED``'s
+    wrappers instead.  The tree has one namespace of each kind, shared by
+    all its chunks.
     """
     namespace = dict(_NAMESPACE)
     name, steps = {}, []  # id(node) -> the name its value is read by
@@ -349,11 +368,11 @@ def _compile(expr: Expression) -> tuple:
     last_read = {id(child): k for k, node in enumerate(steps) for child in _children(node)}
     last_read[id(expr)] = len(steps)  # the root is returned
 
-    chunks, body, params, free, held = [], [], [], [], set()
+    codes, body, params, free, held = [], [], [], [], set()
     for k, node in enumerate(steps):
         if k and k % _CHUNK == 0:
             live = sorted(held)
-            chunks.append(_function(params, body, live, namespace))
+            codes.append(_code(params, body, live))
             body, params = [], live
         children = _children(node)
         operands = [name[id(child)] for child in children]
@@ -371,9 +390,11 @@ def _compile(expr: Expression) -> tuple:
         else:
             value = f"{node.name}({operands[0]})"
         body.append(f"{out} = {value}")
-    chunks.append(_function(params, body, [name[id(expr)]], namespace))
+    codes.append(_code(params, body, [name[id(expr)]]))
 
-    compiled = tuple(chunks)
+    guarded = {**namespace, **_GUARDED}
+    compiled = tuple((types.FunctionType(code, namespace), types.FunctionType(code, guarded))
+                     for code in codes)
     stored = _COMPILED.setdefault(id(expr), compiled)
     if stored is compiled:  # another thread may have compiled the same tree first
         weakref.finalize(expr, _COMPILED.pop, id(expr), None).atexit = False
@@ -387,8 +408,11 @@ def eval_expr(expr: Expression, x: float) -> float:
     """
     x = float(x)
     live = ()
-    for chunk in _COMPILED.get(id(expr)) or _compile(expr):
-        live = chunk(x, *live)
+    for fast, guarded in _COMPILED.get(id(expr)) or _compile(expr):
+        try:
+            live = fast(x, *live)
+        except (ValueError, OverflowError):  # a domain error: rerun the chunk, guarded
+            live = guarded(x, *live)
     return live[0]
 
 

@@ -370,6 +370,22 @@ class TestRootsCommand:
         assert doc["config"]["polish"] is False
         assert all(c["polish_iterations"] == 0 for c in doc["candidates"])
 
+    @pytest.mark.parametrize("command", [["roots", "--degree", "30"], ["sweep", "--degrees", "13,30"]],
+                             ids=["roots", "sweep"])
+    def test_no_polish_skips_the_derivative(self, capsys, monkeypatch, command):
+        # only the polish reads df, so a run without it never differentiates
+        argv = command + ["--function", "cos(x)", "--interval", "-10", "10", "--no-polish"]
+        assert run_cli(argv) == 0
+        expected = capsys.readouterr().out
+
+        def refuse(expr):
+            raise AssertionError("differentiate_expr called")
+        monkeypatch.setattr(chebroots.cli, "differentiate_expr", refuse)
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == expected
+        with pytest.raises(AssertionError, match="differentiate_expr called"):
+            run_cli([arg for arg in argv if arg != "--no-polish"])
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):

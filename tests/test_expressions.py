@@ -646,8 +646,9 @@ class TestTape:
     def test_costly_text(self):
         tree = parse(costly_text(np.random.default_rng(3)))
         assert_bit_identical(tree, np.linspace(-4, 4, 17).tolist())
-        # left operands first and names reused once dead: few values live at a time
-        assert max(chunk.__code__.co_nlocals for chunk in expressions._COMPILED[id(tree)]) <= 8
+        # left operands first and names reused once dead: few values live at a
+        # time; a chunk's two twins share one code object
+        assert max(fast.__code__.co_nlocals for fast, _ in expressions._COMPILED[id(tree)]) <= 8
 
     def test_subtree_shared_by_neighbouring_statements(self):
         # s is read by the product and then at once by the quotient
@@ -711,6 +712,74 @@ class TestTape:
             tree = parse(text)
             got, expected = eval_expr(tree, x), reference_eval(tree, x)
             assert (type(got), repr(got)) == (type(expected), repr(expected))
+
+    # at x = 1 each raises: sqrt and log of a negative, exp(800), tan(inf),
+    # 0^-1 and (-8)^(1/3); at other points some of them do not
+    RAISING = ["sqrt(-x)", "log(-x)", "exp(800*x)", "tan(x/0)", "0^-x", "(-8*x)^(1/3)"]
+
+    @staticmethod
+    def fallback_chunks(tree, x):
+        """The indices of the chunks whose fast twin raises at x."""
+        live, raised = (), []
+        for k, (fast, guarded) in enumerate(expressions._COMPILED[id(tree)]):
+            try:
+                live = fast(x, *live)
+            except (ValueError, OverflowError):
+                raised.append(k)
+                live = guarded(x, *live)
+        return raised
+
+    @pytest.mark.parametrize("size", [1, 2, 5, None])
+    @pytest.mark.parametrize("term", RAISING)
+    def test_fallback_in_a_middle_chunk(self, monkeypatch, size, term):
+        if size is not None:
+            monkeypatch.setattr(expressions, "_CHUNK", size)
+        # values made before the raising term are read after it, and an
+        # infinite term becomes a finite exp(-inf) = 0
+        before = parse("sin(x)*(" + "+".join(f"cos({k}*x)" for k in range(1, 150)) + ")")
+        after = parse("+".join(f"cos({k}*x)" for k in range(150, 300)))
+        raising = parse(term)
+        guard = FunctionCall("exp", UnaryNeg(FunctionCall("abs", raising)))
+        tree = BinaryOp("+", before, BinaryOp("*", guard, after))
+        assert_bit_identical(tree, self.POINTS + (-1.0, 1.0, 0.1, -0.1))
+        chunks = expressions._COMPILED[id(tree)]
+        steps = [node for node in expressions._post_order(tree) if expressions._children(node)]
+        middle = steps.index(raising) // expressions._CHUNK
+        assert 0 < middle < len(chunks) - 1
+        assert middle in self.fallback_chunks(tree, 1.0)
+
+    def test_fallback_keeps_no_state(self):
+        text = "sin(x)*(" + "+".join(f"cos({k}*x)" for k in range(1, 200)) + ")+log(x)*exp(x)"
+        xs = np.linspace(0.25, 4, 16).tolist()
+        tree = parse(text)
+        assert repr(eval_expr(tree, -1.0)) == repr(reference_eval(tree, -1.0)) == "nan"
+        assert self.fallback_chunks(tree, -1.0)
+        warm = [repr(eval_expr(tree, x)) for x in xs]
+        assert not any(self.fallback_chunks(tree, x) for x in xs)
+        fresh = parse(text)
+        assert warm == [repr(eval_expr(fresh, x)) for x in xs] == [repr(reference_eval(tree, x)) for x in xs]
+
+    def test_fast_twin_calls_the_raw_functions(self):
+        # a wrapper around each call halves the speed of a costly f
+        tree = parse("+".join(f"{name}(x)" for name in expressions._FUNCTIONS) + "+x^2+x/x")
+        eval_expr(tree, 0.5)
+        raw = {name: getattr(math, name) for name in ("sin", "cos", "tan", "exp", "log", "sqrt", "pow")}
+        raw["abs"] = abs
+        for fast, guarded in expressions._COMPILED[id(tree)]:
+            assert fast.__code__ is guarded.__code__
+            for name, fn in raw.items():
+                assert fast.__globals__[name] is fn, name
+                assert guarded.__globals__[name] is not fn, name
+            assert math.isnan(guarded.__globals__["log"](-1.0))
+            assert guarded.__globals__["pow"](0.0, -1.0) == math.inf
+
+    def test_one_namespace_of_each_kind_per_tree(self):
+        tree = parse("sin(x)*(" + "+".join(f"cos({k}*x)" for k in range(1, 200)) + ")")
+        eval_expr(tree, 0.5)
+        chunks = expressions._COMPILED[id(tree)]
+        assert len(chunks) > 1
+        assert len({id(fast.__globals__) for fast, _ in chunks}) == 1
+        assert len({id(guarded.__globals__) for _, guarded in chunks}) == 1
 
     def test_tape_dropped_with_its_tree(self):
         tree = parse("sin(x)+1")

@@ -295,10 +295,14 @@ def chop_series(series: ChebyshevSeries, rel_tol: float = 1e-13,
     at the same absolute noise level.  Restores a nonzero leading
     coefficient whenever any coefficient clears the threshold, which the
     companion matrix requires.  Always keeps at least one coefficient, so
-    an all-zero series chops to the single coefficient 0.
+    an all-zero series chops to the single coefficient 0.  Raises
+    ValueError for a negative or NaN ``rel_tol`` or ``scale``, whose cut
+    would keep everything or a single coefficient.
     """
-    if rel_tol < 0:
+    if not rel_tol >= 0:
         raise ValueError("chop tolerance must be >= 0")
+    if scale is not None and not scale >= 0:
+        raise ValueError("chop scale must be >= 0")
     c = series.coeffs
     mags = np.abs(c)
     cut = rel_tol * (mags.max() if scale is None else scale)

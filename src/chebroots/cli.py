@@ -8,8 +8,8 @@ Subcommands:
     interp  tabulate the true function against its proxy on a uniform grid
     bench   run the built-in benchmark corpus against its oracles
 
-Exit codes: 0 success, 1 usage error (an unparseable or too deeply nested
-function and an unwritable --output included),
+Exit codes: 0 success, 1 usage error (an unparseable function and an
+unwritable --output included),
 2 numerical failure (a non-converged proxy without --allow-nonconverged, a
 non-finite sample, or LAPACK failing to converge on the companion
 eigenvalues).

@@ -13,8 +13,8 @@ immutable AST the rootfinder can evaluate.  The grammar, in EBNF:
 
 "^" binds tighter than unary minus (so "-x^2" is -(x^2)) and is
 right-associative ("2^3^2" is 512).  Multiplication must be explicit:
-"2*x", never "2x".  Whitespace is ignored.  Parse errors carry a 0-based
-byte offset.
+"2*x", never "2x".  Whitespace is ignored.  Any character outside ASCII
+is an error, and parse errors carry a 0-based byte offset.
 
 Evaluation follows real arithmetic; domain violations (log of a
 non-positive number, sqrt of a negative, division by zero) produce a
@@ -28,9 +28,9 @@ calls them through wrappers that return NaN or an infinity instead.  A
 chunk runs its fast twin, and only a chunk that raises is run again, from
 the same inputs, by its guarded twin.  A chunk is a pure function of its
 inputs and the twins compute the same value wherever the fast one returns,
-so every value is the guarded code's bit for bit.  Compiling,
-differentiating and printing walk the tree with their own stack, so tree
-depth is unbounded.
+so every value is the guarded code's bit for bit.  Parsing, compiling,
+differentiating and printing keep their own stack, so nesting depth is
+unbounded.
 """
 
 from __future__ import annotations
@@ -100,7 +100,9 @@ class FunctionCall:
 Expression = Number | Variable | UnaryNeg | BinaryOp | FunctionCall
 
 
-# one token after optional whitespace; "end" and "bad" make every scan total
+# one token after optional whitespace; "end" and "bad" make every scan total.
+# ASCII only: the first other character is "bad", so every offset before it
+# is a byte offset too.
 _TOKEN_RE = re.compile(
     r"""\s*(?:
       (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
@@ -108,7 +110,7 @@ _TOKEN_RE = re.compile(
     | (?P<op>[-+*/^()])
     | (?P<end>\Z)
     | (?P<bad>.))""",
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE | re.DOTALL | re.ASCII,
 )
 
 
@@ -123,76 +125,65 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             return tokens
 
 
-class _Parser:
-    """Precedence climbing; binding strengths come from ``_OPERATORS`` and ``_PREC_NEG``."""
-
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def expect(self, value: str, message: str):
-        _, got, pos = self.tokens[self.i]
-        if got != value:
-            raise ParseError(message, pos)
-        self.i += 1
-
-    def parse(self) -> Expression:
-        node = self.binary()
-        kind, value, pos = self.tokens[self.i]
-        if kind != "end":
-            raise ParseError(f"trailing input starting with {value!r}", pos)
-        return node
-
-    def binary(self, floor: int = 0) -> Expression:
-        """An operand and every binary operator that binds tighter than ``floor``."""
-        node = self.operand()
-        while True:
-            op = self.tokens[self.i][1]
-            entry = _OPERATORS.get(op)
-            if entry is None or entry[1] <= floor:
-                return node
-            self.i += 1
-            # an operator binding tighter than unary minus ("^") groups to the
-            # right, and its right operand may carry its own sign
-            node = BinaryOp(op, node, self.binary(min(entry[1], _PREC_NEG)))
-
-    def operand(self) -> Expression:
-        """A number, x, a call, a parenthesised group, or "-" before a signed power."""
-        kind, value, pos = self.tokens[self.i]
-        self.i += 1
-        if value == "-":  # a run of minus signs costs one stack frame per sign
-            return UnaryNeg(self.operand() if self.tokens[self.i][1] == "-" else self.binary(_PREC_NEG))
-        if kind == "number":
-            num = float(value)
-            if not math.isfinite(num):
-                raise ParseError(f"number literal {value!r} overflows", pos)
-            return Number(num)
-        if value == "x":
-            return Variable()
-        if value == "(":
-            node = self.binary()
-            self.expect(")", "unbalanced parenthesis")
-            return node
-        if value in _FUNCTIONS:
-            self.expect("(", "expected '('")
-            node = FunctionCall(value, self.binary())
-            self.expect(")", "expected ')'")
-            return node
-        if kind == "name":
-            raise ParseError(f"unknown identifier {value!r}", pos)
-        raise ParseError(f"expected a value, got {value!r}" if value else "unexpected end of input", pos)
-
-
 def parse(text: str) -> Expression:
     """Parse expression text into an AST.
 
-    Raises :class:`ParseError` with a byte offset on malformed input, and
-    ValueError for nesting deeper than Python's recursion limit allows.
+    Raises :class:`ParseError` with a byte offset on malformed input.
+    Precedence climbing, with binding strengths from ``_OPERATORS`` and
+    ``_PREC_NEG``.  Work waiting on an operand sits on ``pending`` instead
+    of the call stack, so nesting depth is unbounded.  Each entry holds the
+    binding floor of the loop it interrupted and either ``(op, left)``, a
+    binary operator waiting for its right operand, or ``(opener, None)``: a
+    unary "-", a "(" or a function name.
     """
-    try:
-        return _Parser(text).parse()
-    except RecursionError:  # the parser recurses once per parenthesis, sign and power
-        raise ValueError("expression is nested too deeply") from None
+    tokens = _tokenize(text)
+    i, floor, pending = 0, 0, []
+    while True:
+        kind, value, pos = tokens[i]
+        i += 1
+        if value == "-" or value == "(" or value in _FUNCTIONS:  # an opener: its operand follows
+            if value in _FUNCTIONS:
+                if tokens[i][1] != "(":
+                    raise ParseError("expected '('", tokens[i][2])
+                i += 1
+            pending.append((floor, value, None))
+            floor = _PREC_NEG if value == "-" else 0
+            continue
+        if kind == "number":
+            node = Number(float(value))
+            if not math.isfinite(node.value):
+                raise ParseError(f"number literal {value!r} overflows", pos)
+        elif value == "x":
+            node = Variable()
+        elif kind == "name":
+            raise ParseError(f"unknown identifier {value!r}", pos)
+        else:
+            raise ParseError(f"expected a value, got {value!r}" if value else "unexpected end of input", pos)
+        while True:  # climb: push an operator that binds above the floor, else pop and combine
+            kind, value, pos = tokens[i]
+            entry = _OPERATORS.get(value)
+            if entry is not None and entry[1] > floor:
+                i += 1
+                pending.append((floor, value, node))
+                # an operator binding tighter than unary minus ("^") groups to
+                # the right, and its right operand may carry its own sign
+                floor = min(entry[1], _PREC_NEG)
+                break
+            if not pending:
+                if kind != "end":
+                    raise ParseError(f"trailing input starting with {value!r}", pos)
+                return node
+            floor, op, left = pending.pop()
+            if left is not None:  # a binary operator; a unary "-" has no left operand
+                node = BinaryOp(op, left, node)
+            elif op == "-":
+                node = UnaryNeg(node)
+            elif value != ")":
+                raise ParseError("unbalanced parenthesis" if op == "(" else "expected ')'", pos)
+            else:
+                i += 1
+                if op != "(":
+                    node = FunctionCall(op, node)
 
 
 def _guarded(fn):

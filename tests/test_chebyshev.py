@@ -197,6 +197,19 @@ class TestChop:
         with pytest.raises(ValueError, match="chop tolerance must be >= 0"):
             chop_series(series_on(-1, 1, 1.0, 0.5), -1e-13)
 
+    @pytest.mark.parametrize("rel_tol, scale, message", [
+        (math.nan, None, "chop tolerance"),
+        (math.nan, 1.0, "chop tolerance"),
+        (1e-13, math.nan, "chop scale"),
+        (1e-13, -1.0, "chop scale"),
+    ])
+    def test_nan_tolerance_or_scale_rejected(self, rel_tol, scale, message):
+        # a NaN cut compares false everywhere, so the series would chop to one coefficient
+        series = series_on(-1, 1, 1.0, 0.5, 0.25, 0.125)
+        with pytest.raises(ValueError, match=f"^{message} must be >= 0$"):
+            chop_series(series, rel_tol, scale)
+        assert chop_series(series, 1e-13, 0.0) is series  # a zero scale cuts nothing
+
     def test_all_zero_series_keeps_one_coefficient(self):
         assert chop_series(series_on(-1, 1, 0.0, 0.0, 0.0)).coeffs.tolist() == [0.0]
 

@@ -400,17 +400,17 @@ class TestExitCodes:
         assert code == 1
         assert "unknown identifier" in capsys.readouterr().err
 
-    def test_too_deeply_nested_function(self, capsys):
-        # the parser recurses once per parenthesis
-        code = run_cli(["roots", "--function", "(" * 3000 + "x" + ")" * 3000, "--interval", "0", "1"])
-        assert code == 1
-        assert capsys.readouterr().err == "error: expression is nested too deeply\n"
+    def test_deeply_nested_function_solves(self, capsys):
+        # the parser keeps its own stack, so 3000 parentheses are no limit
+        code, doc = run_json(capsys, ["roots", "--function", "(" * 3000 + "x" + ")" * 3000, "--interval", "0", "1"])
+        assert code == 0
+        assert doc["roots"] == [0.0]
 
-    def test_too_many_minus_signs(self, capsys):
-        # the parser recurses once per sign of a run of minus signs
-        code = run_cli(["roots", "--function=" + "-" * 3000 + "x", "--interval", "0", "1"])
-        assert code == 1
-        assert capsys.readouterr().err == "error: expression is nested too deeply\n"
+    def test_many_minus_signs_solve(self, capsys):
+        # an even run of signs: the function is x
+        code, doc = run_json(capsys, ["roots", "--function=" + "-" * 3000 + "x", "--interval", "0", "1"])
+        assert code == 0
+        assert doc["roots"] == [0.0]
 
     def test_deep_sum_solves(self, capsys):
         # the sum parses in a loop into a 3000-deep tree, which is differentiated,

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import operator
+import random
 import sys
 import threading
 import tracemalloc
@@ -146,6 +147,11 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("text, message, position", [
         ("1 + @", "unexpected character '@'", 4),
+        # any non-ASCII character is an error, a Unicode digit or space too,
+        # so an offset counts bytes as well as characters
+        ("\u0663*x", "unexpected character '\u0663'", 0),
+        ("\u2003x+y", "unexpected character '\\u2003'", 0),
+        ("x+y\u2003", "unexpected character '\\u2003'", 3),
         ("1e999", "number literal '1e999' overflows", 0),
         ("2*y", "unknown identifier 'y'", 2),
         ("sin x", "expected '('", 4),
@@ -162,13 +168,169 @@ class TestParseErrors:
         assert str(excinfo.value) == f"{message} (at offset {position})"
         assert excinfo.value.position == position
 
-    @pytest.mark.parametrize("text", ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x", "2^" * 5000 + "x"],
-                             ids=["parentheses", "signs", "powers"])
-    def test_too_deep_nesting_is_a_value_error(self, text):
-        # the parser recurses once per parenthesis, sign and power
-        with pytest.raises(ValueError, match="^expression is nested too deeply$"):
-            parse(text)
-        assert parse("(" * 100 + "x" + ")" * 100) == Variable()  # the next parse still works
+
+def unwind(tree, openers):
+    """The node under the chain that ``openers`` build, one opener at a
+    time: "(" builds no node, "-" a UnaryNeg, "2^" a power of 2 and "sin("
+    a call.
+
+    Dataclass ``==`` and ``repr`` recurse, so a deep tree is walked by hand.
+    """
+    for opener in openers:
+        if opener == "-":
+            assert isinstance(tree, UnaryNeg)
+            tree = tree.operand
+        elif opener == "2^":
+            assert isinstance(tree, BinaryOp) and tree.op == "^" and tree.left == Number(2.0)
+            tree = tree.right
+        elif opener == "sin(":
+            assert isinstance(tree, FunctionCall) and tree.name == "sin"
+            tree = tree.argument
+    return tree
+
+
+def reference_parse(text):
+    """The tree of the module docstring's EBNF by recursive descent, or None
+    for text outside the grammar."""
+    try:
+        tokens = [value for _, value, _ in expressions._tokenize(text)]
+    except ParseError:
+        return None
+    at = 0
+
+    def take(value=None):
+        nonlocal at
+        if value is not None and tokens[at] != value:
+            raise SyntaxError
+        at += 1
+        return tokens[at - 1]
+
+    def expr():  # term { ("+" | "-") term }
+        node = term()
+        while tokens[at] in ("+", "-"):
+            node = BinaryOp(take(), node, term())
+        return node
+
+    def term():  # unary { ("*" | "/") unary }
+        node = unary()
+        while tokens[at] in ("*", "/"):
+            node = BinaryOp(take(), node, unary())
+        return node
+
+    def unary():  # "-" unary | power
+        if tokens[at] == "-":
+            take()
+            return UnaryNeg(unary())
+        return power()
+
+    def power():  # atom [ "^" unary ]
+        node = atom()
+        if tokens[at] == "^":
+            take()
+            return BinaryOp("^", node, unary())
+        return node
+
+    def atom():  # NUMBER | "x" | FUNC "(" expr ")" | "(" expr ")"
+        value = take()
+        if value == "x":
+            return Variable()
+        if value == "(" or value in expressions._FUNCTIONS:
+            if value != "(":
+                take("(")
+            node = expr()
+            take(")")
+            return node if value == "(" else FunctionCall(value, node)
+        if value[:1].isdigit() or value[:1] == ".":
+            if not math.isfinite(float(value)):
+                raise SyntaxError
+            return Number(float(value))
+        raise SyntaxError
+
+    try:
+        node = expr()
+        take("")
+    except SyntaxError:
+        return None
+    return node
+
+
+class TestParseIsTotal:
+    """parse gives a tree or a ParseError inside the text, never anything
+    else, and its trees are the grammar's."""
+
+    # valid and invalid tokens, non-ASCII characters among them
+    TOKENS = ["x", "x", "1", "2.5", ".5", "1e3", "1e999", "1e", "3.", "sin", "cos", "exp", "abs", "sqrt",
+              "y", "sinh", "xx", "+", "-", "-", "*", "/", "^", "(", "(", ")", ")", " ", "@", ",",
+              "\u0663", "\u2003", "\u00e9", "e5", "2x", "\t"]
+
+    @staticmethod
+    def outcome(text):
+        """The tree, or None after checking the ParseError's offset."""
+        try:
+            return parse(text)
+        except ParseError as exc:
+            assert 0 <= exc.position <= len(text), text
+            assert text[:exc.position].isascii(), text  # so the offset counts bytes
+            return None
+
+    def test_random_texts(self):
+        rng = random.Random(19)
+        for _ in range(20000):
+            text = "".join(rng.choice(self.TOKENS) for _ in range(rng.randint(0, 24)))
+            assert self.outcome(text) == reference_parse(text), text
+
+    def test_random_grammar_texts(self):
+        # texts of the grammar, a third of them with one token changed
+        rng = random.Random(20)
+
+        def tokens(depth):
+            r = rng.random()
+            if depth <= 0 or r < 0.25:
+                return [rng.choice(["x", "2", "0.5", "3e2"])]
+            if r < 0.4:
+                return ["-", *tokens(depth - 1)]
+            if r < 0.5:
+                return ["(", *tokens(depth - 1), ")"]
+            if r < 0.6:
+                return [rng.choice(["sin", "log", "abs"]), "(", *tokens(depth - 1), ")"]
+            return [*tokens(depth - 1), rng.choice("+-*/^"), *tokens(depth - 1)]
+
+        trees = 0
+        for _ in range(5000):
+            toks = tokens(rng.randint(0, 6))
+            if rng.random() < 1 / 3:
+                k = rng.randrange(len(toks) + 1)
+                toks[k:k + rng.randint(0, 1)] = [rng.choice(self.TOKENS)] * rng.randint(0, 1)
+            text = "".join(toks)
+            tree = self.outcome(text)
+            assert tree == reference_parse(text), text
+            if tree is not None:
+                trees += 1
+                assert parse(expression_to_text(tree)) == tree, text
+        assert trees > 3000
+
+    def test_random_deep_texts(self):
+        rng = random.Random(21)
+        for _ in range(4):
+            openers = rng.choices(["(", "-", "sin(", "2^"], k=10000)
+            closers = [")" for opener in reversed(openers) if opener.endswith("(")]
+            text = "".join(openers) + "x" + "".join(closers)
+            assert unwind(parse(text), openers) == Variable()
+            # one token dropped, doubled or replaced somewhere in the text
+            toks = [*openers, "x", *closers]
+            k = rng.randrange(len(toks))
+            toks[k:k + 1] = rng.choice([[], [toks[k]] * 2, [rng.choice(self.TOKENS)]])
+            self.outcome("".join(toks))
+
+    @pytest.mark.parametrize("depth", [5000, 100000])
+    @pytest.mark.parametrize("opener, closer", [("(", ")"), ("-", ""), ("2^", ""), ("sin(", ")")],
+                             ids=["parentheses", "signs", "powers", "calls"])
+    def test_deep_text_parses(self, opener, closer, depth):
+        # no depth is too deep: the parser keeps its own stack
+        tree = parse(opener * depth + "x" + closer * depth)
+        assert unwind(tree, [opener] * depth) == Variable()
+        with pytest.raises(ParseError, match="^unexpected end of input"):
+            parse(opener * depth)
 
 
 class TestEval:

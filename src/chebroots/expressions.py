@@ -29,8 +29,8 @@ chunk runs its fast twin, and only a chunk that raises is run again, from
 the same inputs, by its guarded twin.  A chunk is a pure function of its
 inputs and the twins compute the same value wherever the fast one returns,
 so every value is the guarded code's bit for bit.  Parsing, compiling,
-differentiating and printing keep their own stack, so nesting depth is
-unbounded.
+differentiating, printing and the nodes' ``==``, ``hash`` and ``repr`` keep
+their own stack, so nesting depth is unbounded.
 """
 
 from __future__ import annotations
@@ -69,30 +69,78 @@ class UnsupportedDerivativeError(ValueError):
     """The expression contains abs, which has no derivative at 0."""
 
 
-@dataclass(frozen=True)
-class Number:
+class _Node:
+    """``==``, ``hash`` and ``repr`` of a tree, walked with their own stack.
+
+    They give what the dataclass-generated methods would, bar the hash's
+    value: two trees are equal when they have the same classes and field
+    values throughout, equal trees hash equal, and the repr is the
+    dataclass one, ``BinaryOp(op='+', left=Variable(), right=...)``.  The
+    generated methods recurse once per level, so a tree a few thousand
+    levels deep would raise RecursionError.
+    """
+
+    def _tokens(self) -> list:
+        """The tree in pre-order: each node's class, then its fields' values,
+        a child as its own tokens.  Each class has a fixed set of fields, so
+        two trees are equal exactly when their tokens are."""
+        tokens, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, _Node):
+                tokens.append(item.__class__)
+                stack += reversed([getattr(item, name) for name in item.__dataclass_fields__])
+            else:
+                tokens.append(item)
+        return tokens
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._tokens() == other._tokens()
+
+    def __hash__(self):
+        return hash(tuple(self._tokens()))
+
+    def __repr__(self):
+        parts, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            pieces = [f"{item.__class__.__qualname__}("]
+            for k, name in enumerate(item.__dataclass_fields__):
+                value = getattr(item, name)
+                pieces += [f"{', ' if k else ''}{name}=", value if isinstance(value, _Node) else repr(value)]
+            stack += reversed([*pieces, ")"])
+        return "".join(parts)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Number(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Variable:
+@dataclass(frozen=True, eq=False, repr=False)
+class Variable(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class UnaryNeg:
+@dataclass(frozen=True, eq=False, repr=False)
+class UnaryNeg(_Node):
     operand: "Expression"
 
 
-@dataclass(frozen=True)
-class BinaryOp:
+@dataclass(frozen=True, eq=False, repr=False)
+class BinaryOp(_Node):
     op: str  # one of + - * / ^
     left: "Expression"
     right: "Expression"
 
 
-@dataclass(frozen=True)
-class FunctionCall:
+@dataclass(frozen=True, eq=False, repr=False)
+class FunctionCall(_Node):
     name: str
     argument: "Expression"
 

@@ -6,7 +6,9 @@ coefficients into leaves on sub-intervals (no new samples of f), take each
 leaf's companion-matrix eigenvalues, filter them to the near-real
 near-interval box, then vet each survivor in one pass (map back to the
 interval, Newton-polish, reject it by residual and, in automatic mode, by a
-sign check of f across it), deduplicate and sort.  The result is a
+sign check of f across it, read from the final rung's samples where they
+settle it and from two more evaluations of f where they do not),
+deduplicate and sort.  The result is a
 :class:`RootReport` carrying the roots plus every eigenvalue candidate with
 its fate, so dropped candidates stay auditable.
 """
@@ -15,8 +17,10 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +95,12 @@ _SPLIT = -0.004849834917525
 # 4096 (2.0 s) on a 2-core Xeon VM, about 3.4x per doubling.
 _MAX_NODES = 4096
 
+# An eigenvalue with |Im t| at most this, in the whole interval's standard
+# coordinate, counts as a root the proxy sees when the samples certify a
+# sign change (:class:`_SampleSigns`).  Far above ``imag_tol``, so that a
+# second root the eigen stage pushed off the real line still counts.
+_NEAR_REAL = 1e-3
+
 # Fraction of the gap between two roots at which the touching-root test
 # probes f: irrational, so the probe is never a whole number of periods of
 # f away from a root at either end.
@@ -138,7 +148,9 @@ class RootConfig:
     that many sample nodes (so the proxy polynomial has degree - 1 before
     chopping).  ``residual_tol=None`` selects the automatic per-candidate
     threshold |f(x)| <= 1000*eps*max(1,|x|)*|p'(x)| followed by a check that
-    f changes sign across x; an explicit value is an absolute threshold.
+    f changes sign across x, which the samples settle without evaluating f
+    when x lies alone in a gap where they change sign; an explicit value is
+    an absolute threshold with no sign check.
     ``degree`` and ``max_adaptive_degree`` are at most 4096 nodes.
     """
 
@@ -237,16 +249,19 @@ def _as_interval(interval) -> Interval:
     return Interval(float(a), float(b))
 
 
-def _sample_at_nodes(f, interval: Interval, n: int, coarse=()) -> list[float]:
-    """f at the n Chebyshev nodes mapped onto the interval, in node order.
+def _sample_at_nodes(f, interval: Interval, n: int, coarse=None) -> tuple[list[float], list[float]]:
+    """(points, values): the n Chebyshev nodes mapped onto the interval and
+    f at them, in node order.
 
-    ``coarse`` may hold f on the n/3-node grid, whose nodes are nodes 3k+1
-    of this one; those samples are reused instead of calling f again.
+    ``coarse`` may hold (points, values) of the n/3-node grid, whose nodes
+    are nodes 3k+1 of this one; those samples, and the points f was called
+    at for them, are reused instead of calling f again.
     """
-    return [
-        coarse[j // 3] if coarse and j % 3 == 1 else f(from_standard(interval, float(t)))
-        for j, t in enumerate(standard_nodes(n))
-    ]
+    points = from_standard(interval, standard_nodes(n)).tolist()
+    if coarse is None:
+        return points, [f(x) for x in points]
+    points[1::3] = coarse[0]
+    return points, [coarse[1][j // 3] if j % 3 == 1 else f(x) for j, x in enumerate(points)]
 
 
 def newton_polish(f, df, x0: float, interval, max_iter: int) -> PolishResult:
@@ -361,7 +376,9 @@ def _crosses(f, x: float, interval: Interval) -> bool:
     error, not of f (f may dip far below any residual threshold without
     ever crossing, e.g. a Gaussian tail).  Within a bracket step of an
     interval endpoint there is no room to straddle x, so it passes.
-    Tangential (even-order) roots fail this test by nature.
+    Tangential (even-order) roots fail this test by nature.  :func:`_vet`
+    calls it only where the samples do not certify the sign change
+    (:class:`_SampleSigns`).
     """
     scale = max(1.0, abs(x))
     h = max(_SIGN_STEP_FACTOR * min(interval.width / 2.0, scale),
@@ -373,17 +390,58 @@ def _crosses(f, x: float, interval: Interval) -> bool:
     return (f_lo < 0.0 < f_hi) or (f_hi < 0.0 < f_lo) or f_lo == 0.0 or f_hi == 0.0
 
 
+class _SampleSigns:
+    """Where the final rung's samples show that f changes sign across a root.
+
+    A location x is certified when it lies strictly inside a gap between
+    adjacent sample points whose values have strictly opposite signs, and
+    exactly one near-real eigenvalue (|Im t| <= 1e-3 in the whole
+    interval's standard coordinate, of any leaf and any fate) lies in that
+    gap, ends included: f crosses zero in the gap, and the proxy, which
+    follows f there, sees one root in it, so x is that crossing.  The
+    sorted lists are built on the first query, so a run in which no
+    candidate reaches the sign check pays nothing, and each query is three
+    binary searches.  A numpy search costs about as much per scalar as the
+    two evaluations of a cheap f it saves, and ``bisect`` a tenth of that.
+    """
+
+    def __init__(self, points, values, candidates, interval: Interval):
+        # ``candidates`` may be a one-pass iterable: it is read once, by _sorted
+        self._samples = points, values, candidates, interval
+
+    @cached_property
+    def _sorted(self) -> tuple[list[float], list[float], list[float]]:
+        """The sample points ascending, f's values there, and the near-real
+        eigenvalues' locations on the interval ascending."""
+        points, values, candidates, interval = self._samples
+        near = sorted(from_standard(interval, c.standard_coord.real) for c in candidates
+                      if abs(c.standard_coord.imag) <= _NEAR_REAL)
+        return points[::-1], values[::-1], near  # the nodes descend
+
+    def certify(self, x: float) -> bool:
+        points, values, near = self._sorted
+        k = bisect_left(points, x)  # points[k-1] < x <= points[k]
+        if not (0 < k < len(points) and x != points[k]):
+            return False
+        lo, hi = values[k - 1], values[k]
+        return ((lo < 0.0 < hi or hi < 0.0 < lo)
+                and bisect_right(near, points[k]) - bisect_left(near, points[k - 1]) == 1)
+
+
 def _vet(cand: RootCandidate, f, df, dseries: ChebyshevSeries, interval: Interval,
-         config: RootConfig) -> RootCandidate:
+         config: RootConfig, signs: _SampleSigns) -> RootCandidate:
     """Polish one in-box candidate and decide whether it is a root of f.
 
     Rejects it as ``newton_diverged`` if the polish diverged or ended more
     than half the box tolerance outside the interval.  Otherwise the clamped
     location is held to the explicit ``residual_tol`` or, when polishing
     with the automatic threshold, to 1000*eps*max(1,|x|)*|p'(x)| and then
-    to a sign change of f across it (:func:`_crosses`); failing either is
-    ``residual_too_large``.  Unpolished candidates in automatic mode are the
-    proxy's roots as-is and are only given their residual.  In every mode a
+    to a sign change of f across it; failing either is
+    ``residual_too_large``.  The sign change is read from the samples where
+    they certify it (``signs``), and from :func:`_crosses`, at two more
+    evaluations of f, where they do not.  Unpolished candidates in
+    automatic mode are the proxy's roots as-is and are only given their
+    residual.  In every mode a
     location where f is not finite is ``residual_too_large`` with residual
     None: a NaN would pass each residual test.
     """
@@ -413,7 +471,7 @@ def _vet(cand: RootCandidate, f, df, dseries: ChebyshevSeries, interval: Interva
     elif config.polish:
         # backward-error test: is |f| at the rounding floor a Newton step sees?
         tol = _AUTO_RESIDUAL_FACTOR * _EPS * max(1.0, abs(clamped)) * abs(evaluate(dseries, clamped))
-        if residual > tol or not _crosses(f, clamped, interval):
+        if residual > tol or not (signs.certify(clamped) or _crosses(f, clamped, interval)):
             return _reject(cand, RejectionReason.RESIDUAL_TOO_LARGE)
     return cand
 
@@ -541,19 +599,24 @@ def build_proxy(f, interval,
     the cap was reached without the tail decaying (the series is still
     usable).
     """
-    interval = _as_interval(interval)
+    return _ladder(f, _as_interval(interval), config)[:3]
+
+
+def _ladder(f, interval: Interval, config: RootConfig):
+    """:func:`build_proxy`'s (raw, chopped, converged), then the final
+    rung's sample points and f's values there, in node order."""
     tol = _noise_tol(interval)
     fixed = config.degree is not None
     cap = config.degree if fixed else config.max_adaptive_degree
     n = cap if fixed else min(16, cap)
     samples = _sample_at_nodes(f, interval, n)
     while True:
-        raw = transform(samples, interval)
+        raw = transform(samples[1], interval)
         chopped = chop_series(raw, tol)
         # resolved when the chop drops the last 8 coefficients
         resolved = n - len(chopped.coeffs) >= min(8, n - 1)
         if resolved or n >= cap:
-            return raw, chopped, resolved or fixed
+            return raw, chopped, resolved or fixed, *samples
         if n & (n - 1) == 0 and 3 * n <= cap:
             n *= 3
             samples = _sample_at_nodes(f, interval, n, samples)
@@ -599,16 +662,17 @@ def find_roots(f, interval, config: RootConfig = RootConfig(), df=None) -> RootR
     """
     interval = _as_interval(interval)
     counter = _CountingFunction(f)
-    raw, chopped, proxy_converged = build_proxy(counter, interval, config)
-    vetted = []
+    raw, chopped, proxy_converged, points, values = _ladder(counter, interval, config)
     scale = np.abs(chopped.coeffs).max()
-    for lo, hi, leaf in _leaves(chopped, _noise_tol(interval), scale):
+    leaves = [(leaf, filter_candidates(series_spectrum(leaf), config, (lo, hi)))
+              for lo, hi, leaf in _leaves(chopped, _noise_tol(interval), scale)]
+    signs = _SampleSigns(points, values, (c for _, cands in leaves for c in cands), interval)
+    vetted = []
+    for leaf, cands in leaves:
         dseries = differentiate(leaf)
         newton_df = df if df is not None else (lambda x, d=dseries: evaluate(d, x))
-        vetted += [
-            _vet(cand, counter, newton_df, dseries, interval, config) if cand.accepted else cand
-            for cand in filter_candidates(series_spectrum(leaf), config, (lo, hi))
-        ]
+        vetted += [_vet(cand, counter, newton_df, dseries, interval, config, signs) if cand.accepted else cand
+                   for cand in cands]
     return RootReport(
         candidates=_dedupe_candidates(tuple(vetted), interval, counter, config.residual_tol),
         degree_used=len(raw.coeffs),

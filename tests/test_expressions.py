@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -99,10 +100,7 @@ class TestParse:
 
     def test_deep_nesting_parses(self):
         assert parse("(" * 120 + "x" + ")" * 120) == Variable()
-        tree = parse("-" * 900 + "x")
-        for _ in range(900):
-            tree = tree.operand
-        assert tree == Variable()
+        assert parse("-" * 900 + "x") == chain(["-"] * 900)
 
 
 class TestParseErrors:
@@ -169,23 +167,17 @@ class TestParseErrors:
         assert excinfo.value.position == position
 
 
-def unwind(tree, openers):
-    """The node under the chain that ``openers`` build, one opener at a
-    time: "(" builds no node, "-" a UnaryNeg, "2^" a power of 2 and "sin("
-    a call.
-
-    Dataclass ``==`` and ``repr`` recurse, so a deep tree is walked by hand.
-    """
-    for opener in openers:
+def chain(openers, leaf=Variable()):
+    """The tree of ``openers`` around ``leaf``: "(" builds no node, "-" a
+    UnaryNeg, "2^" a power of 2 and "sin(" a call."""
+    tree = leaf
+    for opener in reversed(openers):
         if opener == "-":
-            assert isinstance(tree, UnaryNeg)
-            tree = tree.operand
+            tree = UnaryNeg(tree)
         elif opener == "2^":
-            assert isinstance(tree, BinaryOp) and tree.op == "^" and tree.left == Number(2.0)
-            tree = tree.right
+            tree = BinaryOp("^", Number(2.0), tree)
         elif opener == "sin(":
-            assert isinstance(tree, FunctionCall) and tree.name == "sin"
-            tree = tree.argument
+            tree = FunctionCall("sin", tree)
     return tree
 
 
@@ -315,7 +307,7 @@ class TestParseIsTotal:
             openers = rng.choices(["(", "-", "sin(", "2^"], k=10000)
             closers = [")" for opener in reversed(openers) if opener.endswith("(")]
             text = "".join(openers) + "x" + "".join(closers)
-            assert unwind(parse(text), openers) == Variable()
+            assert parse(text) == chain(openers)
             # one token dropped, doubled or replaced somewhere in the text
             toks = [*openers, "x", *closers]
             k = rng.randrange(len(toks))
@@ -327,8 +319,7 @@ class TestParseIsTotal:
                              ids=["parentheses", "signs", "powers", "calls"])
     def test_deep_text_parses(self, opener, closer, depth):
         # no depth is too deep: the parser keeps its own stack
-        tree = parse(opener * depth + "x" + closer * depth)
-        assert unwind(tree, [opener] * depth) == Variable()
+        assert parse(opener * depth + "x" + closer * depth) == chain([opener] * depth)
         with pytest.raises(ParseError, match="^unexpected end of input"):
             parse(opener * depth)
 
@@ -749,6 +740,63 @@ class TestWalksMatchRecursion:
     def test_abs_is_unsupported_at_any_depth(self):
         with pytest.raises(UnsupportedDerivativeError):
             differentiate_expr(parse("+".join(["x"] * 3000) + "+abs(x)"))
+
+
+# the node classes as plain frozen dataclasses, with the generated ==, hash and repr
+GENERATED = {cls: dataclasses.make_dataclass(cls.__name__, [f.name for f in dataclasses.fields(cls)], frozen=True)
+             for cls in (Number, Variable, UnaryNeg, BinaryOp, FunctionCall)}
+
+
+def generated_twin(tree):
+    """``tree`` rebuilt from the ``GENERATED`` classes (by recursion, so shallow trees only)."""
+    values = [getattr(tree, f.name) for f in dataclasses.fields(tree)]
+    return GENERATED[type(tree)](*(generated_twin(v) if type(v) in GENERATED else v for v in values))
+
+
+class TestNodeMethods:
+    """The nodes' ==, hash and repr keep their own stack; on every tree they
+    must agree with the dataclass-generated methods."""
+
+    @staticmethod
+    def corpus():
+        rng = np.random.default_rng(303)
+        texts = TestDifferentiate.CORPUS + TestPrinterRoundtrip.SAMPLES
+        trees = [parse(text) for text in texts] + [parse(text) for text in texts[::4]]  # equal, not identical
+        trees += [differentiate_expr(parse(text)) for text in TestDifferentiate.CORPUS[::2]]
+        trees += [random_expression(rng, depth=4)[0] for _ in range(20)]
+        shared = parse("sin(x)+1")
+        trees += [Number(float("nan")), Number(float("nan")), Number(0.0), Number(-0.0), Variable(),
+                  BinaryOp("*", shared, shared), BinaryOp("*", shared, parse("sin(x)+1")),
+                  BinaryOp("+", Number(2.0), Number(2.0)), UnaryNeg(Number(2.0)), FunctionCall("cos", Number(2.0))]
+        return trees
+
+    def test_results_match_the_generated_methods(self):
+        trees = self.corpus()
+        twins = [generated_twin(tree) for tree in trees]
+        for tree, twin in zip(trees, twins):
+            assert repr(tree) == repr(twin)
+        equal_pairs = 0
+        for (a, twin_a), (b, twin_b) in itertools.product(zip(trees, twins), repeat=2):
+            equal = a == b
+            assert equal == (twin_a == twin_b) and equal != (a != b), (a, b)
+            if equal:
+                equal_pairs += a is not b
+                assert hash(a) == hash(b), (a, b)
+        assert equal_pairs > 20
+
+    def test_other_types_are_unequal(self):
+        assert Number(2.0) != 2.0 and 2.0 != Number(2.0)
+        assert Variable() != UnaryNeg(Variable()) and Number(2.0) != generated_twin(Number(2.0))
+
+    def test_deep_trees_compare_hash_and_print(self):
+        depth = 100000
+        chosen = random.Random(22).choices(["-", "sin(", "2^"], k=depth)
+        a, b = chain(chosen), chain(chosen)
+        assert a == b and hash(a) == hash(b)
+        assert a != chain(chosen, Number(1.0))
+        prefix = {"-": "UnaryNeg(operand=", "sin(": "FunctionCall(name='sin', argument=",
+                  "2^": "BinaryOp(op='^', left=Number(value=2.0), right="}
+        assert repr(a) == "".join(prefix[opener] for opener in chosen) + "Variable()" + ")" * depth
 
 
 def assert_bit_identical(tree, xs):

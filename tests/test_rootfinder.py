@@ -526,13 +526,18 @@ class TestFindRoots:
         assert len(find_roots(cubes, Interval(-1, 1), RootConfig(residual_tol=1e-6)).roots) == 4
 
     def test_vet_evaluation_budget(self):
-        """The sign check runs only after the residual test passes.
+        """The sign check runs only after the residual test passes, and
+        costs no evaluations where the samples certify it.
 
         Candidates the residual test rejects cost no sign-bracket evaluations,
-        so these counts rise if the two checks run in the other order.
+        so the Gaussian's count rises if the two checks run in the other
+        order.  The 4 roots of the Hermite-like f each lie alone in a gap of
+        the 40 samples across which f changes sign, so none of them costs a
+        sign-bracket evaluation either; the count rises by 2 per root if they
+        do.
         """
         f = lambda x: math.exp(-0.5 * x * x) * (12 - 48 * x * x + 16 * x ** 4)
-        assert find_roots(f, BIG, RootConfig(degree=40)).function_evaluations == 292
+        assert find_roots(f, BIG, RootConfig(degree=40)).function_evaluations == 284
         gauss = lambda x: math.exp(-x * x)
         assert find_roots(gauss, BIG, RootConfig(degree=8)).function_evaluations == 50
 
@@ -642,6 +647,97 @@ def gaussian_sine(k):
 
 def wilkinson20(x):
     return math.prod(x - k for k in range(1, 21))
+
+
+def sample_sign_corpus():
+    """(f, interval, config): the README's cases and cases like the benchmark's."""
+    rng = np.random.default_rng(71)
+    quartic = lambda x: math.exp(-0.5 * x * x) * (12 - 48 * x * x + 16 * x ** 4)
+    waves = rng.uniform((0.1, 0.0), (0.5, 2 * math.pi), size=(20, 2)).tolist()
+    costly_like = lambda x: math.sin(2.1 * x + 0.7) * math.exp(0.1 * sum(math.cos(w * x + p) for w, p in waves))
+    cases = [(math.cos, BIG, RootConfig(degree=d)) for d in (12, 13, 20, 30)]
+    cases += [(math.exp, BIG, RootConfig(degree=d)) for d in (8, 13, 20, 30)]
+    cases += [(quartic, BIG, RootConfig(degree=d)) for d in (10, 20, 30, 40, None)]
+    cases += [
+        (math.cos, BIG, RootConfig()),
+        (math.sin, Interval(999.0, 1001.0), RootConfig()),
+        (lambda x: (x - 1000) * (x - 1000 - 1e-5), Interval(999.0, 1001.0), RootConfig()),
+        (lambda x: x * (x - 1), Interval(-1e6, 1e6), RootConfig()),
+        (wilkinson20, Interval(0.0, 21.0), RootConfig()),
+        (costly_like, Interval(-20.0, 20.0), RootConfig()),
+    ]
+    for k, phi in rng.uniform((1.0, 0.0), (12.0, 3.0), size=(6, 2)).tolist():
+        cases.append((lambda x, k=k, phi=phi: math.sin(k * x + phi), BIG, RootConfig(max_adaptive_degree=256)))
+        cases.append((gaussian_sine(k), BIG, RootConfig(degree=64)))
+    for _ in range(6):
+        roots = np.sort(rng.uniform(-0.9, 0.9, size=int(rng.integers(2, 9))))
+        cases.append((lambda x, r=roots: math.prod(x - root for root in r), Interval(-1.0, 1.0), RootConfig()))
+    return cases
+
+
+class TestSampleSignCertificate:
+    """A root alone in a gap of the final rung's samples across which they
+    change sign skips :func:`rootfinder._crosses`; nothing else changes."""
+
+    def test_certified_roots_pass_the_bracket_test(self, monkeypatch):
+        # every certified location must pass _crosses on the uncounted f too
+        certify = rootfinder._SampleSigns.certify
+        case, tally = {}, {True: 0, False: 0}
+
+        def checked(signs, x):
+            certified = certify(signs, x)
+            tally[certified] += 1
+            assert not certified or rootfinder._crosses(case["f"], x, case["interval"]), (case, x)
+            return certified
+
+        monkeypatch.setattr(rootfinder._SampleSigns, "certify", checked)
+        for f, interval, config in sample_sign_corpus():
+            case.update(f=f, interval=interval)
+            find_roots(f, interval, config)
+        assert tally[True] > 150 and tally[False] > 0, tally
+
+    def test_reports_differ_only_in_evaluations(self, monkeypatch):
+        corpus = sample_sign_corpus()
+        certified = [find_roots(f, interval, config) for f, interval, config in corpus]
+        monkeypatch.setattr(rootfinder._SampleSigns, "certify", lambda signs, x: False)
+        saved = 0
+        for report, (f, interval, config) in zip(certified, corpus):
+            bracketed = find_roots(f, interval, config)
+            assert replace(report, function_evaluations=0) == replace(bracketed, function_evaluations=0)
+            assert bracketed.function_evaluations >= report.function_evaluations
+            saved += bracketed.function_evaluations - report.function_evaluations
+        assert saved > 300
+
+    def test_fallbacks_keep_their_results(self, monkeypatch):
+        crosses = rootfinder._crosses
+        calls = []
+        monkeypatch.setattr(rootfinder, "_crosses", lambda f, x, interval: calls.append(x) or crosses(f, x, interval))
+        unit = Interval(-1.0, 1.0)
+
+        def run(f, config, roots, evaluations, brackets):
+            calls.clear()
+            report = find_roots(f, unit, config)
+            assert report.roots == pytest.approx(roots, abs=1e-12)
+            assert (report.function_evaluations, len(calls)) == (evaluations, brackets)
+
+        # two roots in one gap of the samples
+        run(lambda x: (x - 0.3) * (x - 0.3 - 1e-7), RootConfig(), (0.3, 0.3 + 1e-7), 28, 2)
+        # three roots in one gap, across which the samples do change sign
+        run(lambda x: (x - 0.3) * (x - 0.3 - 1e-4) * (x - 0.3 - 2e-4), RootConfig(), (0.3, 0.3001, 0.3002), 34, 3)
+        # a root between a and the outermost node, -0.98 at 8 nodes
+        run(lambda x: x + 0.9999, RootConfig(degree=8), (-0.9999,), 12, 1)
+        # samples of one sign: the bracket rejects the proxy's crossings
+        gauss = lambda x: math.exp(-50 * x * x)
+        run(gauss, RootConfig(), (), 328, 0)
+        run(gauss, RootConfig(degree=8), (), 50, 4)
+        run(lambda x: x * x + 1e-10, RootConfig(), (), 16, 0)
+
+    @pytest.mark.parametrize("mode", [{"residual_tol": 1e-10}, {"polish": False}], ids=["residual_tol", "no_polish"])
+    def test_modes_without_a_sign_check_never_consult_the_samples(self, monkeypatch, mode):
+        corpus = [(f, interval, replace(config, **mode)) for f, interval, config in sample_sign_corpus()]
+        reports = [find_roots(f, interval, config) for f, interval, config in corpus]
+        monkeypatch.setattr(rootfinder._SampleSigns, "certify", lambda signs, x: pytest.fail("samples consulted"))
+        assert [find_roots(f, interval, config) for f, interval, config in corpus] == reports
 
 
 class TestLeaves:

@@ -111,14 +111,18 @@ def to_standard(interval: Interval, x: float) -> float:
     """Map x from [a, b] to the standard coordinate, a -> -1 and b -> +1.
 
     The map is affine everywhere, so points outside the interval are mapped
-    outside [-1, 1] rather than rejected.
+    outside [-1, 1] rather than rejected.  It works on halved endpoints,
+    which is exact and keeps the midpoint finite for any interval whose
+    width is finite.
     """
-    return (2.0 * x - (interval.a + interval.b)) / (interval.b - interval.a)
+    a, b = 0.5 * interval.a, 0.5 * interval.b
+    return (x - (a + b)) / (b - a)
 
 
 def from_standard(interval: Interval, t: float) -> float:
     """Map a standard coordinate t back to the interval, -1 -> a and +1 -> b."""
-    return 0.5 * (interval.a + interval.b + (interval.b - interval.a) * t)
+    a, b = 0.5 * interval.a, 0.5 * interval.b
+    return a + b + (b - a) * t
 
 
 def standard_nodes(n: int) -> np.ndarray:
@@ -167,7 +171,12 @@ def transform(samples, interval: Interval) -> ChebyshevSeries:
 
     The basis values use the closed cosine form rather than the three-term
     recurrence so the discrete orthogonality of the grid holds to machine
-    precision.
+    precision.  The samples are scaled by a power of two to at most 1 in
+    magnitude for the product and the coefficients scaled back, which is
+    exact and keeps the sums finite.  A coefficient can still exceed the
+    largest sample by a factor up to about 4/pi, so samples within that
+    factor of the largest float can give a non-finite coefficient, which
+    :class:`ChebyshevSeries` refuses with ``ValueError``.
 
     Parameters
     ----------
@@ -197,9 +206,10 @@ def transform(samples, interval: Interval) -> ChebyshevSeries:
         idx = int(bad[0])
         node = from_standard(interval, float(standard_nodes(n)[idx]))
         raise NonFiniteSampleError(idx, node, float(y[idx]))
-    coeffs = (2.0 / n) * (_cosine_basis(n) @ y)
+    e = math.frexp(float(np.abs(y).max()))[1]
+    coeffs = (2.0 / n) * (_cosine_basis(n) @ np.ldexp(y, -e))
     coeffs[0] *= 0.5
-    return ChebyshevSeries(interval, coeffs)
+    return ChebyshevSeries(interval, np.ldexp(coeffs, e))
 
 
 def evaluate(series: ChebyshevSeries, x: float | np.ndarray) -> float | np.ndarray:

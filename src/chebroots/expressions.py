@@ -536,8 +536,8 @@ def _derivative(node: Expression, d: dict) -> Expression:
         return _sub(du, dv)
     if node.op == "*":
         return _add(_mul(du, v), _mul(u, dv))
-    if node.op == "/":
-        return _div(_sub(_mul(du, v), _mul(u, dv)), BinaryOp("^", v, Number(2.0)))
+    if node.op == "/":  # (u' - (u/v)*v')/v: no v^2 to overflow or underflow
+        return _div(_sub(du, _mul(_div(u, v), dv)), v)
     # power rule; the general case goes through u^v * (v'*log(u) + v*u'/u)
     if isinstance(v, Number):
         return _mul(_mul(v, BinaryOp("^", u, _num(v.value - 1.0))), du)

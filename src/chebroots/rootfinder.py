@@ -18,9 +18,8 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -97,7 +96,7 @@ _MAX_NODES = 4096
 
 # An eigenvalue with |Im t| at most this, in the whole interval's standard
 # coordinate, counts as a root the proxy sees when the samples certify a
-# sign change (:class:`_SampleSigns`).  Far above ``imag_tol``, so that a
+# sign change (:func:`_samples_cross`).  Far above ``imag_tol``, so that a
 # second root the eigen stage pushed off the real line still counts.
 _NEAR_REAL = 1e-3
 
@@ -364,10 +363,6 @@ def filter_candidates(spectrum: Spectrum, config: RootConfig = RootConfig(),
     return tuple(out)
 
 
-def _reject(cand: RootCandidate, reason: RejectionReason, **changes) -> RootCandidate:
-    return replace(cand, rejection_reason=reason, mapped_coord=None, **changes)
-
-
 def _crosses(f, x: float, interval: Interval) -> bool:
     """Whether f changes sign across x, or x is too near an endpoint to tell.
 
@@ -377,8 +372,8 @@ def _crosses(f, x: float, interval: Interval) -> bool:
     ever crossing, e.g. a Gaussian tail).  Within a bracket step of an
     interval endpoint there is no room to straddle x, so it passes.
     Tangential (even-order) roots fail this test by nature.  :func:`_vet`
-    calls it only where the samples do not certify the sign change
-    (:class:`_SampleSigns`).
+    calls it only where the samples do not show the sign change
+    (:func:`_samples_cross`).
     """
     scale = max(1.0, abs(x))
     h = max(_SIGN_STEP_FACTOR * min(interval.width / 2.0, scale),
@@ -390,46 +385,31 @@ def _crosses(f, x: float, interval: Interval) -> bool:
     return (f_lo < 0.0 < f_hi) or (f_hi < 0.0 < f_lo) or f_lo == 0.0 or f_hi == 0.0
 
 
-class _SampleSigns:
-    """Where the final rung's samples show that f changes sign across a root.
+def _samples_cross(table, x: float) -> bool:
+    """Whether the samples show that f changes sign across x.
 
-    A location x is certified when it lies strictly inside a gap between
-    adjacent sample points whose values have strictly opposite signs, and
-    exactly one near-real eigenvalue (|Im t| <= 1e-3 in the whole
-    interval's standard coordinate, of any leaf and any fate) lies in that
-    gap, ends included: f crosses zero in the gap, and the proxy, which
-    follows f there, sees one root in it, so x is that crossing.  The
-    sorted lists are built on the first query, so a run in which no
-    candidate reaches the sign check pays nothing, and each query is three
-    binary searches.  A numpy search costs about as much per scalar as the
+    True when x lies strictly inside a gap between adjacent sample points
+    whose values have strictly opposite signs, and exactly one near-real
+    eigenvalue lies in that gap, ends included: f crosses zero in the gap,
+    and the proxy, which follows f there, sees one root in it, so x is that
+    crossing.  ``table`` holds the final rung's sample points ascending,
+    f's values there, and the ascending locations on the interval of the
+    near-real eigenvalues (|Im t| <= 1e-3 in the whole interval's standard
+    coordinate, of any leaf and any fate); each query is three binary
+    searches.  A numpy search costs about as much per scalar as the
     two evaluations of a cheap f it saves, and ``bisect`` a tenth of that.
     """
-
-    def __init__(self, points, values, candidates, interval: Interval):
-        # ``candidates`` may be a one-pass iterable: it is read once, by _sorted
-        self._samples = points, values, candidates, interval
-
-    @cached_property
-    def _sorted(self) -> tuple[list[float], list[float], list[float]]:
-        """The sample points ascending, f's values there, and the near-real
-        eigenvalues' locations on the interval ascending."""
-        points, values, candidates, interval = self._samples
-        near = sorted(from_standard(interval, c.standard_coord.real) for c in candidates
-                      if abs(c.standard_coord.imag) <= _NEAR_REAL)
-        return points[::-1], values[::-1], near  # the nodes descend
-
-    def certify(self, x: float) -> bool:
-        points, values, near = self._sorted
-        k = bisect_left(points, x)  # points[k-1] < x <= points[k]
-        if not (0 < k < len(points) and x != points[k]):
-            return False
-        lo, hi = values[k - 1], values[k]
-        return ((lo < 0.0 < hi or hi < 0.0 < lo)
-                and bisect_right(near, points[k]) - bisect_left(near, points[k - 1]) == 1)
+    points, values, near = table
+    k = bisect_left(points, x)  # points[k-1] < x <= points[k]
+    if not (0 < k < len(points) and x != points[k]):
+        return False
+    lo, hi = values[k - 1], values[k]
+    return ((lo < 0.0 < hi or hi < 0.0 < lo)
+            and bisect_right(near, points[k]) - bisect_left(near, points[k - 1]) == 1)
 
 
 def _vet(cand: RootCandidate, f, df, dseries: ChebyshevSeries, interval: Interval,
-         config: RootConfig, signs: _SampleSigns) -> RootCandidate:
+         config: RootConfig, signs) -> RootCandidate:
     """Polish one in-box candidate and decide whether it is a root of f.
 
     Rejects it as ``newton_diverged`` if the polish diverged or ended more
@@ -438,42 +418,42 @@ def _vet(cand: RootCandidate, f, df, dseries: ChebyshevSeries, interval: Interva
     with the automatic threshold, to 1000*eps*max(1,|x|)*|p'(x)| and then
     to a sign change of f across it; failing either is
     ``residual_too_large``.  The sign change is read from the samples where
-    they certify it (``signs``), and from :func:`_crosses`, at two more
-    evaluations of f, where they do not.  Unpolished candidates in
-    automatic mode are the proxy's roots as-is and are only given their
-    residual.  In every mode a
-    location where f is not finite is ``residual_too_large`` with residual
-    None: a NaN would pass each residual test.
+    they show it (:func:`_samples_cross` on the table ``signs``), and from
+    :func:`_crosses`, at two more evaluations of f, where they do not.
+    Unpolished candidates in automatic mode are the proxy's roots as-is and
+    are only given their residual.  In every mode a location where f is not
+    finite is ``residual_too_large`` with residual None: a NaN would pass
+    each residual test.
     """
     # eigenvalues admitted by the box tolerance can map a hair outside
     # [a, b]; start the polish inside so f is only probed where defined
     x = min(max(from_standard(interval, cand.standard_coord.real), interval.a), interval.b)
-    residual = None
-    iters = 0
+    reason, residual, iters = RejectionReason.NONE, None, 0
     if config.polish:
         pol = newton_polish(f, df, x, interval, _POLISH_MAX_ITER)
-        iters = pol.iterations
         slack = config.box_tol * interval.width / 2.0
         if pol.diverged or pol.x < interval.a - slack or pol.x > interval.b + slack:
-            residual = pol.residual if math.isfinite(pol.residual) else None
-            return _reject(cand, RejectionReason.NEWTON_DIVERGED, residual=residual, polish_iterations=iters)
-        x = pol.x
-        residual = pol.residual
-    clamped = min(max(x, interval.a), interval.b)
-    if residual is None or clamped != x:
-        residual = abs(f(clamped))
-    if not math.isfinite(residual):
-        return _reject(cand, RejectionReason.RESIDUAL_TOO_LARGE, residual=None, polish_iterations=iters)
-    cand = replace(cand, mapped_coord=clamped, residual=residual, polish_iterations=iters)
-    if config.residual_tol is not None:
-        if residual > config.residual_tol:
-            return _reject(cand, RejectionReason.RESIDUAL_TOO_LARGE)
-    elif config.polish:
-        # backward-error test: is |f| at the rounding floor a Newton step sees?
-        tol = _AUTO_RESIDUAL_FACTOR * _EPS * max(1.0, abs(clamped)) * abs(evaluate(dseries, clamped))
-        if residual > tol or not (signs.certify(clamped) or _crosses(f, clamped, interval)):
-            return _reject(cand, RejectionReason.RESIDUAL_TOO_LARGE)
-    return cand
+            reason = RejectionReason.NEWTON_DIVERGED
+        x, residual, iters = pol.x, pol.residual, pol.iterations
+    if reason is RejectionReason.NONE:
+        clamped = min(max(x, interval.a), interval.b)
+        if residual is None or clamped != x:
+            residual = abs(f(clamped))
+        x = clamped
+        if not math.isfinite(residual):
+            failed = True
+        elif config.residual_tol is not None:
+            failed = residual > config.residual_tol
+        elif config.polish:
+            # backward-error test: is |f| at the rounding floor a Newton step sees?
+            tol = _AUTO_RESIDUAL_FACTOR * _EPS * max(1.0, abs(x)) * abs(evaluate(dseries, x))
+            failed = residual > tol or not (_samples_cross(signs, x) or _crosses(f, x, interval))
+        else:
+            failed = False
+        if failed:
+            reason = RejectionReason.RESIDUAL_TOO_LARGE
+    return RootCandidate(cand.standard_coord, x if reason is RejectionReason.NONE else None, reason,
+                         residual if math.isfinite(residual) else None, iters)
 
 
 def _one_touching_root(f, r1: float, r2: float, lo: float, hi: float, tol: float) -> bool:
@@ -548,7 +528,9 @@ def _dedupe_candidates(candidates, interval: Interval, f=None, touch_tol: float 
                 same = _one_touching_root(f, r1, r2, lo, hi, touch_tol)
             if same:
                 loser, winner = (j, i) if out[i].residual < out[j].residual else (i, j)
-                out[loser] = _reject(out[loser], RejectionReason.DUPLICATE)
+                c = out[loser]
+                out[loser] = RootCandidate(c.standard_coord, None, RejectionReason.DUPLICATE,
+                                           c.residual, c.polish_iterations)
                 kept[-1] = winner
                 continue
         kept.append(i)
@@ -666,7 +648,9 @@ def find_roots(f, interval, config: RootConfig = RootConfig(), df=None) -> RootR
     scale = np.abs(chopped.coeffs).max()
     leaves = [(leaf, filter_candidates(series_spectrum(leaf), config, (lo, hi)))
               for lo, hi, leaf in _leaves(chopped, _noise_tol(interval), scale)]
-    signs = _SampleSigns(points, values, (c for _, cands in leaves for c in cands), interval)
+    near = sorted(from_standard(interval, c.standard_coord.real) for _, cands in leaves for c in cands
+                  if abs(c.standard_coord.imag) <= _NEAR_REAL)
+    signs = points[::-1], values[::-1], near  # ascending: the nodes descend
     vetted = []
     for leaf, cands in leaves:
         dseries = differentiate(leaf)

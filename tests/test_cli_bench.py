@@ -361,6 +361,19 @@ class TestRootsCommand:
         assert [(c["reason"], c["residual"]) for c in doc["candidates"] if c["reason"] != "imag_too_large"] \
             == [("residual_too_large", None)]
 
+    @pytest.mark.parametrize("function, interval, roots", [
+        ("1e308*(x-0.5)", ["0", "1"], [0.5]),
+        ("x-1.5e308", ["1e308", "1.7e308"], [1.5e308]),
+        ("(x-0.5)/1e200", ["0", "1"], [0.5]),
+        ("sin(x)/1e155", ["-1", "1"], [0.0]),
+    ])
+    def test_extreme_magnitudes(self, capsys, function, interval, roots):
+        # samples near the largest float, endpoints whose sum overflows, and
+        # a quotient whose denominator squared leaves the float range
+        code, doc = run_json(capsys, ["roots", "--function", function, "--interval", *interval])
+        assert code == 0
+        assert doc["roots"] == pytest.approx(roots, rel=1e-15, abs=1e-15)
+
     def test_no_polish_flag(self, capsys):
         code, doc = run_json(capsys, [
             "roots", "--function", "cos(x)", "--interval", "-10", "10",

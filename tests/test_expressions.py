@@ -425,6 +425,11 @@ class TestDifferentiate:
         # the CLI polishes with these trees, so their shape is part of its output
         assert differentiate_expr(FunctionCall(name, self.TWO_X)) == self.RULES[name]
 
+    def test_quotient_rule_never_squares_the_denominator(self):
+        # v^2 overflows for |v| above about 1e154 and underflows below 1e-154
+        assert eval_expr(differentiate_expr(parse("x/1e200")), 0.3) == 1e-200
+        assert eval_expr(differentiate_expr(parse("x/1e-200")), 0.3) == 1e200
+
     def test_general_power_rule(self):
         d = differentiate_expr(parse("x^x"))
         expected = 4.0 * (math.log(2.0) + 1.0)  # d/dx x^x = x^x (ln x + 1)
@@ -673,7 +678,7 @@ def recursive_derivative(expr):
     if expr.op == "*":
         return e._add(e._mul(du, v), e._mul(u, dv))
     if expr.op == "/":
-        return e._div(e._sub(e._mul(du, v), e._mul(u, dv)), BinaryOp("^", v, Number(2.0)))
+        return e._div(e._sub(du, e._mul(e._div(u, v), dv)), v)
     if isinstance(v, Number):
         return e._mul(e._mul(v, BinaryOp("^", u, e._num(v.value - 1.0))), du)
     return e._mul(BinaryOp("^", u, v), e._add(e._mul(dv, FunctionCall("log", u)), e._mul(v, e._div(du, u))))

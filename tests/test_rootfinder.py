@@ -354,6 +354,15 @@ class TestNonFiniteResidual:
         assert nan_at and all(c.residual is None and c.mapped_coord is None for c in nan_at)
         assert not any(c.accepted for c in report.candidates)
 
+    def test_infinite_residual_fails_an_infinite_tolerance(self):
+        # inf <= inf, so f's finiteness must be tested before the tolerance
+        f = lambda x: math.inf if abs(x - 0.3) < 1e-3 else x - 0.3
+        config = RootConfig(degree=8, polish=False, residual_tol=math.inf)
+        report = find_roots(f, Interval(-1, 1), config)
+        assert report.roots == ()
+        inf_at = [c for c in report.candidates if c.rejection_reason is RejectionReason.RESIDUAL_TOO_LARGE]
+        assert len(inf_at) == 1 and inf_at[0].residual is None and inf_at[0].mapped_coord is None
+
 
 class TestFindRoots:
     def test_cosine_six_roots(self):
@@ -603,6 +612,8 @@ class TestPipelineInvariants:
             (lambda x: math.cos(3 * x) * (x - 7.3), 3.0, 11.0),
             (lambda x: math.exp(x / 4) * math.sin(5 * x) - 0.3, -2.0, 5.0),
             (lambda x: (x - 0.1) * (x + 0.7) * (x - 0.93), -1.0, 1.0),
+            # a + b overflows here unless the interval maps are scaled
+            (lambda x: x - 1.5e308, 1e308, 1.7e308),
         ]
         for f, a, b in cases:
             report = find_roots(f, (a, b))
@@ -617,7 +628,7 @@ class TestPipelineInvariants:
     def test_power_of_two_scaling_invariance(self):
         # scaling by 2^k is exact, so no stage may see a different problem
         expected = [-math.pi, 0.0, math.pi]
-        for k in (-1000, -500, -10, 0, 10, 500, 1000):
+        for k in (-1000, -500, -10, 0, 10, 500, 1000, 1020, 1021):
             scale = 2.0 ** k
             report = find_roots(lambda x: scale * math.sin(x), (-4, 4))
             assert len(report.roots) == 3, k
@@ -681,7 +692,7 @@ class TestSampleSignCertificate:
 
     def test_certified_roots_pass_the_bracket_test(self, monkeypatch):
         # every certified location must pass _crosses on the uncounted f too
-        certify = rootfinder._SampleSigns.certify
+        certify = rootfinder._samples_cross
         case, tally = {}, {True: 0, False: 0}
 
         def checked(signs, x):
@@ -690,7 +701,7 @@ class TestSampleSignCertificate:
             assert not certified or rootfinder._crosses(case["f"], x, case["interval"]), (case, x)
             return certified
 
-        monkeypatch.setattr(rootfinder._SampleSigns, "certify", checked)
+        monkeypatch.setattr(rootfinder, "_samples_cross", checked)
         for f, interval, config in sample_sign_corpus():
             case.update(f=f, interval=interval)
             find_roots(f, interval, config)
@@ -699,7 +710,7 @@ class TestSampleSignCertificate:
     def test_reports_differ_only_in_evaluations(self, monkeypatch):
         corpus = sample_sign_corpus()
         certified = [find_roots(f, interval, config) for f, interval, config in corpus]
-        monkeypatch.setattr(rootfinder._SampleSigns, "certify", lambda signs, x: False)
+        monkeypatch.setattr(rootfinder, "_samples_cross", lambda signs, x: False)
         saved = 0
         for report, (f, interval, config) in zip(certified, corpus):
             bracketed = find_roots(f, interval, config)
@@ -736,7 +747,7 @@ class TestSampleSignCertificate:
     def test_modes_without_a_sign_check_never_consult_the_samples(self, monkeypatch, mode):
         corpus = [(f, interval, replace(config, **mode)) for f, interval, config in sample_sign_corpus()]
         reports = [find_roots(f, interval, config) for f, interval, config in corpus]
-        monkeypatch.setattr(rootfinder._SampleSigns, "certify", lambda signs, x: pytest.fail("samples consulted"))
+        monkeypatch.setattr(rootfinder, "_samples_cross", lambda signs, x: pytest.fail("samples consulted"))
         assert [find_roots(f, interval, config) for f, interval, config in corpus] == reports
 
 

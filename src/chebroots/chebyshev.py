@@ -237,20 +237,25 @@ def differentiate(series: ChebyshevSeries) -> ChebyshevSeries:
     Uses the backward recurrence d[j-1] = d[j+1] + 2*j*coeffs[j] (with the
     final d[0] halved) and then scales by the chain-rule factor 2/(b - a).
     The degree drops by one; differentiating a constant yields the zero
-    series.
+    series.  Every d[j] is at most n*(n+1)*max|coeffs| in magnitude; where
+    that bound could overflow, the coefficients are scaled by a power of two
+    2^-e for the recurrence and the result by 2^e after the chain-rule
+    factor, as in :func:`transform`.  That is exact, so f near the largest
+    float keeps a finite derivative, and every other series is untouched.
     """
     c = series.coeffs
     n = len(c) - 1
     if n == 0:
         return ChebyshevSeries(series.interval, (0.0,))
+    e = max(0, math.frexp(float(np.abs(c).max()))[1] + (n * (n + 1)).bit_length() - 1023)
     # w starts at the recurrence's d[n+1] = d[n] = 0 and adds the terms 2*j*c[j]
     # for j = n, n-1, n-2, ... paired by row, so each column's running sum is
     # one parity chain of d, added in the recurrence's order.
     w = np.zeros(n + n % 2)
-    w[:n] += 2.0 * np.arange(n, 0, -1) * c[:0:-1]
+    w[:n] += 2.0 * np.arange(n, 0, -1) * np.ldexp(c[:0:-1], -e)
     d = w.reshape(-1, 2).cumsum(axis=0).ravel()[n - 1::-1]
     d[0] *= 0.5
-    return ChebyshevSeries(series.interval, d * (2.0 / series.interval.width))
+    return ChebyshevSeries(series.interval, np.ldexp(d * (2.0 / series.interval.width), e))
 
 
 @functools.lru_cache(maxsize=8)

@@ -94,6 +94,21 @@ _SPLIT = -0.004849834917525
 # 4096 (2.0 s) on a 2-core Xeon VM, about 3.4x per doubling.
 _MAX_NODES = 4096
 
+# Under a cap between 64 and 192 no rung reuses the 64-node samples, so the
+# adaptive ladder goes from 48 nodes straight to the next rung when the
+# 48-node series' last 8 coefficients exceed tol**_SKIP_POWER times its
+# largest, tol being the noise level (:func:`_noise_tol`): 64 nodes cannot
+# resolve f then.  Geometric decay |c_k| ~ rho^-k would carry a tail T at 48
+# to about T^(4/3) at 64, above tol while T > tol^(3/4); an entire f decays
+# faster (sin(kx)'s coefficients are Bessel J_j(k)), and the largest 48-node
+# tail found among inputs that 64 nodes resolve is 3.1e-5 at tol = 1e-13
+# (sin(26.19x + 0.8) on [-1, 1]), about tol^0.35.  The level must grow with
+# tol: on [1e8 - 5e-4, 1e8 + 5e-4], where tol = 4.4e-5, a sine that 64 nodes
+# resolve has a 48-node tail of 2.0e-4, above a fixed 1e-4.  A polynomial of
+# degree 40-55, which 64 nodes represent exactly, can still have a 48-node
+# tail that high; it is then resolved at 128 nodes, for 64 more samples.
+_SKIP_POWER = 1.0 / 3.0
+
 # An eigenvalue with |Im t| at most this, in the whole interval's standard
 # coordinate, counts as a root the proxy sees when the samples certify a
 # sign change (:func:`_samples_cross`).  Far above ``imag_tol``, so that a
@@ -268,9 +283,10 @@ def newton_polish(f, df, x0: float, interval, max_iter: int) -> PolishResult:
 
     Stops as soon as further iterations produce no reduction in the
     correction, or the correction falls below 4*eps*max(1, |x|), or
-    ``max_iter`` is reached.  The returned location is the iterate with the
-    smallest |f| seen (including the starting point), so polishing never
-    increases the residual.  Runs are abandoned as diverged -- never raised
+    ``max_iter`` is reached; that last small correction is tried, at one
+    more evaluation of f, only if it moves x.  The returned location is the
+    iterate with the smallest |f| seen (including the starting point), so
+    polishing never increases the residual.  Runs are abandoned as diverged -- never raised
     -- when the derivative is exactly zero, a value goes non-finite, or an
     iterate leaves the interval widened by 10% of its width on each side.
     There is no absolute floor on the derivative, so the result does not
@@ -303,9 +319,10 @@ def newton_polish(f, df, x0: float, interval, max_iter: int) -> PolishResult:
             break
         if abs(corr) <= 4.0 * _EPS * max(1.0, abs(x)):
             x_next = x + corr
-            f_next = float(f(x_next))
-            if math.isfinite(f_next) and abs(f_next) < best_f:
-                best_x, best_f = x_next, abs(f_next)
+            if x_next != x:  # f(x) is fx already
+                f_next = float(f(x_next))
+                if math.isfinite(f_next) and abs(f_next) < best_f:
+                    best_x, best_f = x_next, abs(f_next)
             converged = True
             break
         if prev_corr is not None and abs(corr) >= abs(prev_corr):
@@ -577,9 +594,13 @@ def build_proxy(f, interval,
     at the default ``max_adaptive_degree``) and stops at the first rung
     whose chop drops its trailing 8 coefficients.
     Tripling a power-of-two rung reuses its samples, so each step costs as
-    many new samples as doubling would.  ``converged`` is False only when
-    the cap was reached without the tail decaying (the series is still
-    usable).
+    many new samples as doubling would.  Under a cap between 64 and 192,
+    where no rung reuses the 64 samples, the 64-node rung is skipped when
+    the 48-node tail rules it out (see ``_SKIP_POWER``): that saves 64
+    evaluations and leaves the final rung as it was, except for a
+    polynomial of degree 40-55, which is then resolved at the next rung
+    for 64 more evaluations.  ``converged`` is False only when the cap was
+    reached without the tail decaying (the series is still usable).
     """
     return _ladder(f, _as_interval(interval), config)[:3]
 
@@ -604,6 +625,9 @@ def _ladder(f, interval: Interval, config: RootConfig):
             samples = _sample_at_nodes(f, interval, n, samples)
         else:  # fresh samples at the next 16*2^k above n
             n = min(16 << (n // 16).bit_length(), cap)
+            mags = np.abs(raw.coeffs)
+            if n == 64 < cap < 192 and mags[-8:].max() > tol ** _SKIP_POWER * mags.max():
+                n = min(128, cap)  # no rung would reuse the 64 samples, and they cannot resolve f
             samples = _sample_at_nodes(f, interval, n)
 
 

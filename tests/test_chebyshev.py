@@ -173,6 +173,13 @@ class TestDifferentiate:
     def test_constant_differentiates_to_zero(self):
         assert differentiate(series_on(-1, 1, 3.0)).coeffs.tolist() == [0.0]
 
+    def test_coefficients_near_the_largest_float(self):
+        # the terms 2*j*c[j] overflow unless scaled; the scaling is by a power
+        # of two, so the result is the small series' derivative scaled exactly
+        small = series_on(-40, 40, 0.3, -0.9, 0.5, 0.25, -0.7)
+        big = ChebyshevSeries(small.interval, np.ldexp(small.coeffs, 1023))
+        assert bits(differentiate(big).coeffs) == bits(np.ldexp(differentiate(small).coeffs, 1023))
+
     def test_against_central_differences(self):
         rng = np.random.default_rng(23)
         iv = Interval(-3, 5)

@@ -42,6 +42,20 @@ class Recorder:
         return self.f(x)
 
 
+# roots of the degree-50 Chebyshev polynomial, ascending
+CHEBYSHEV_50 = [math.cos((2 * j - 1) * math.pi / 100) for j in range(50, 0, -1)]
+
+
+@pytest.fixture
+def rungs(monkeypatch):
+    """The sample count of each transform the ladder takes, in order."""
+    sizes = []
+    original = rootfinder.transform
+    monkeypatch.setattr(rootfinder, "transform",
+                        lambda samples, iv: sizes.append(len(samples)) or original(samples, iv))
+    return sizes
+
+
 def fresh_transform(f, interval, n):
     return transform([f(from_standard(interval, float(t))) for t in standard_nodes(n)], interval)
 
@@ -77,6 +91,19 @@ class TestNewtonPolish:
         assert result.x == 2.0
         assert result.iterations == 1
         assert result.converged
+
+    def test_a_step_that_does_not_move_costs_no_call(self):
+        # at an exact root the correction is -0.0, so x + corr is x and f(x)
+        # is already known; a correction of one ulp still moves and is tried
+        f = Recorder(lambda x: x - 0.25)
+        result = newton_polish(f, lambda x: 1.0, 0.25, Interval(0, 1), 12)
+        assert (result.x, result.residual, result.converged) == (0.25, 0.0, True)
+        assert f.xs == [0.25]
+        above = 0.25 + 2.0 ** -54
+        f = Recorder(lambda x: x - above)
+        result = newton_polish(f, lambda x: 1.0, 0.25, Interval(0, 1), 12)
+        assert (result.x, result.residual, result.converged) == (above, 0.0, True)
+        assert f.xs == [0.25, above]
 
     def test_zero_derivative_diverges_without_raising(self):
         f = lambda x: x * x + 1.0
@@ -197,17 +224,16 @@ class TestAdaptiveDegree:
             seen.add(budget)
         assert seen == {16, 48, 112, 240}  # k passed through every rung
 
-    def test_ladder_rungs_and_sample_counts(self, monkeypatch):
-        rungs = []
-        original = rootfinder.transform
-        monkeypatch.setattr(rootfinder, "transform",
-                            lambda samples, iv: rungs.append(len(samples)) or original(samples, iv))
+    def test_ladder_rungs_and_sample_counts(self, rungs):
         step = lambda x: math.copysign(1.0, x)
+        # the step's 48-node tail rules out 64 nodes, so 64 is skipped where
+        # no later rung would reuse its samples (caps 100 and 128) and kept
+        # where 192 does (cap 512)
         for cap, ladder, samples in (
             (8, [8], 8),
             (40, [16, 32, 40], 16 + 32 + 40),
-            (100, [16, 48, 64, 100], 16 + 32 + 64 + 100),
-            (128, [16, 48, 64, 128], 16 + 32 + 64 + 128),
+            (100, [16, 48, 100], 16 + 32 + 100),
+            (128, [16, 48, 128], 16 + 32 + 128),
             (512, [16, 48, 64, 192, 256, 512], 16 + 32 + 64 + 128 + 256 + 512),
         ):
             rungs.clear()
@@ -217,6 +243,20 @@ class TestAdaptiveDegree:
             assert not converged
             assert rungs == ladder, cap
             assert len(f.xs) == len(set(f.xs)) == samples, cap
+
+    @pytest.mark.parametrize("f, ladder, roots", [
+        # sin(30x)'s 48-node tail rules 64 nodes out; sin(26x)'s does not
+        (lambda x: math.sin(30 * x), [16, 48, 128], [j * math.pi / 30 for j in range(-9, 10)]),
+        (lambda x: math.sin(26 * x), [16, 48, 64], [j * math.pi / 26 for j in range(-8, 9)]),
+        # 64 nodes would resolve this degree-50 polynomial, but its 48-node
+        # tail is large, so it is resolved at 128 nodes instead
+        (lambda x: math.prod(x - r for r in CHEBYSHEV_50), [16, 48, 128], CHEBYSHEV_50),
+    ], ids=["sin30x", "sin26x", "degree50"])
+    def test_the_48_node_tail_decides_the_64_node_rung(self, rungs, f, ladder, roots):
+        report = find_roots(f, Interval(-1.0, 1.0))
+        assert rungs == ladder
+        assert report.proxy_converged and report.degree_used == ladder[-1]
+        assert report.roots == pytest.approx(roots, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("a, width", [(1.0, 1e-12), (1e6, 1e-4)])
     def test_narrow_interval_resolves_above_its_rounding_noise(self, a, width):
@@ -238,11 +278,9 @@ class TestAdaptiveDegree:
         raw, series, _ = build_proxy(math.cos, BIG, RootConfig(degree=30))
         assert series == chop_series(raw, 1e-13)
 
-    def test_each_rung_is_chopped_once_and_returned(self, monkeypatch):
-        rungs, chops = [], []
-        transform_, chop_ = rootfinder.transform, rootfinder.chop_series
-        monkeypatch.setattr(rootfinder, "transform",
-                            lambda samples, iv: rungs.append(len(samples)) or transform_(samples, iv))
+    def test_each_rung_is_chopped_once_and_returned(self, monkeypatch, rungs):
+        chops = []
+        chop_ = rootfinder.chop_series
         monkeypatch.setattr(rootfinder, "chop_series",
                             lambda series, tol: chops.append(chop_(series, tol)) or chops[-1])
         _, series, converged = build_proxy(math.cos, BIG)
@@ -546,9 +584,9 @@ class TestFindRoots:
         do.
         """
         f = lambda x: math.exp(-0.5 * x * x) * (12 - 48 * x * x + 16 * x ** 4)
-        assert find_roots(f, BIG, RootConfig(degree=40)).function_evaluations == 284
+        assert find_roots(f, BIG, RootConfig(degree=40)).function_evaluations == 276
         gauss = lambda x: math.exp(-x * x)
-        assert find_roots(gauss, BIG, RootConfig(degree=8)).function_evaluations == 50
+        assert find_roots(gauss, BIG, RootConfig(degree=8)).function_evaluations == 46
 
 
 class TestPipelineInvariants:
@@ -628,7 +666,7 @@ class TestPipelineInvariants:
     def test_power_of_two_scaling_invariance(self):
         # scaling by 2^k is exact, so no stage may see a different problem
         expected = [-math.pi, 0.0, math.pi]
-        for k in (-1000, -500, -10, 0, 10, 500, 1000, 1020, 1021):
+        for k in (-1000, -500, -10, 0, 10, 500, 1000, 1020, 1021, 1022, 1023):
             scale = 2.0 ** k
             report = find_roots(lambda x: scale * math.sin(x), (-4, 4))
             assert len(report.roots) == 3, k
@@ -644,6 +682,37 @@ class TestPipelineInvariants:
             )
         assert errors[0] >= errors[1] >= errors[2]
         assert errors[2] <= 1e-6
+
+    def test_skipping_the_64_node_rung_changes_only_the_evaluations(self, monkeypatch):
+        # on a seeded corpus of sines, Runge bumps, Gaussians and random trig
+        # sums, centred and far from 0 (noise level up to 4.4e-5), every
+        # skip is one that 64 nodes could not have resolved
+        rng = np.random.default_rng(83)
+        shapes = []
+        for k, phi in rng.uniform((1.0, 0.0), (70.0, 3.0), size=(12, 2)).tolist():
+            shapes.append(lambda u, k=k, phi=phi: math.sin(k * u + phi))
+        for s, mu, level in rng.uniform((0.02, -0.8, 0.1), (0.5, 0.8, 0.9), size=(8, 3)).tolist():
+            shapes.append(lambda u, s=s, mu=mu, level=level: 1.0 / (1.0 + ((u - mu) / s) ** 2) - level)
+        for _ in range(8):
+            bumps = rng.uniform((-2.0, 0.05, 0.2), (2.0, 1.0, 1.0), size=(int(rng.integers(1, 7)), 3)).tolist()
+            shapes.append(lambda u, b=bumps, c=float(rng.uniform(0.05, 0.8)):
+                          sum(h * math.exp(-((3 * u - mu) / s) ** 2) for mu, s, h in b) - c)
+        for _ in range(12):
+            w, count = float(rng.uniform(0.25, 4.0)), int(rng.integers(1, 31))
+            terms = [(float(rng.normal()) / (1 + j) ** float(rng.uniform(0, 1.5)), j, float(rng.uniform(0, 2 * math.pi)))
+                     for j in range(1, count + 1)]
+            shapes.append(lambda u, t=terms, w=w: sum(c * math.cos(j * w * u + p) for c, j, p in t))
+        corpus = [(lambda x, g=g, c=c, h=h: g((x - c) / h), Interval(c - h, c + h))
+                  for g in shapes for c, h in ((0.0, 1.0), (1e4, 1e-4), (1e8, 5e-4))]
+        skipping = [find_roots(f, interval) for f, interval in corpus]
+        monkeypatch.setattr(rootfinder, "_SKIP_POWER", 0.0)  # the level is then max|c|, never passed
+        skipped = 0
+        for report, (f, interval) in zip(skipping, corpus):
+            kept = find_roots(f, interval)
+            assert replace(report, function_evaluations=0) == replace(kept, function_evaluations=0)
+            assert kept.function_evaluations - report.function_evaluations in (0, 64)
+            skipped += kept.function_evaluations > report.function_evaluations
+        assert skipped >= 40, skipped
 
     def test_determinism_bit_identical_reports(self):
         for config in (RootConfig(degree=27), RootConfig()):
@@ -732,15 +801,15 @@ class TestSampleSignCertificate:
             assert (report.function_evaluations, len(calls)) == (evaluations, brackets)
 
         # two roots in one gap of the samples
-        run(lambda x: (x - 0.3) * (x - 0.3 - 1e-7), RootConfig(), (0.3, 0.3 + 1e-7), 28, 2)
+        run(lambda x: (x - 0.3) * (x - 0.3 - 1e-7), RootConfig(), (0.3, 0.3 + 1e-7), 26, 2)
         # three roots in one gap, across which the samples do change sign
-        run(lambda x: (x - 0.3) * (x - 0.3 - 1e-4) * (x - 0.3 - 2e-4), RootConfig(), (0.3, 0.3001, 0.3002), 34, 3)
+        run(lambda x: (x - 0.3) * (x - 0.3 - 1e-4) * (x - 0.3 - 2e-4), RootConfig(), (0.3, 0.3001, 0.3002), 31, 3)
         # a root between a and the outermost node, -0.98 at 8 nodes
-        run(lambda x: x + 0.9999, RootConfig(degree=8), (-0.9999,), 12, 1)
+        run(lambda x: x + 0.9999, RootConfig(degree=8), (-0.9999,), 11, 1)
         # samples of one sign: the bracket rejects the proxy's crossings
         gauss = lambda x: math.exp(-50 * x * x)
-        run(gauss, RootConfig(), (), 328, 0)
-        run(gauss, RootConfig(degree=8), (), 50, 4)
+        run(gauss, RootConfig(), (), 264, 0)
+        run(gauss, RootConfig(degree=8), (), 48, 4)
         run(lambda x: x * x + 1e-10, RootConfig(), (), 16, 0)
 
     @pytest.mark.parametrize("mode", [{"residual_tol": 1e-10}, {"polish": False}], ids=["residual_tol", "no_polish"])
@@ -894,11 +963,11 @@ class TestLeaves:
                                 lambda samples, iv, t=original: calls.append(len(samples)) or t(samples, iv))
         f = lambda x: math.sin(4.6 * x + 0.1)
         split = find_roots(f, BIG)
-        assert calls == [16, 48, 64, 128]
+        assert calls == [16, 48, 128]
         calls.clear()
         monkeypatch.setattr(rootfinder, "_LEAF", self.OFF)
         whole = find_roots(f, BIG)
-        assert calls == [16, 48, 64, 128]
+        assert calls == [16, 48, 128]
         assert len(split.candidates) > len(whole.candidates)  # the first proxy was split
 
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .chebyshev import ChebyshevSeries, Interval, evaluate
-from .expressions import eval_expr, parse
+from .expressions import differentiate_expr, eval_expr, parse
 from .rootfinder import RootConfig, build_proxy, find_roots
 from .serialize import FORMAT_VERSION, format_cell, json_number, write_csv_rows
 
@@ -134,16 +134,22 @@ def run_bench(corpus=None, config: RootConfig = RootConfig()) -> BenchReport:
     """Run every (case, degree) pair and collect one row per run.
 
     ``config`` supplies everything except the degree, which the sweep sets.
-    Oracle mismatches are reported in the row, never raised.
+    Each case's text is differentiated once, and the polish uses that exact
+    derivative, as ``chebroots roots`` does.  Oracle mismatches are reported
+    in the row, never raised.
     """
     if corpus is None:
         corpus = default_corpus()
     rows = []
     for case in corpus:
         expr = parse(case.function_text)
+        dexpr = differentiate_expr(expr)
 
         def f(x, _expr=expr):
             return eval_expr(_expr, x)
+
+        def df(x, _dexpr=dexpr):
+            return eval_expr(_dexpr, x)
 
         for degree in case.degree_sweep:
             run_config = replace(config, degree=degree)
@@ -154,7 +160,7 @@ def run_bench(corpus=None, config: RootConfig = RootConfig()) -> BenchReport:
                 return fx
 
             start = time.perf_counter()
-            report = find_roots(f_row, case.interval, run_config)
+            report = find_roots(f_row, case.interval, run_config, df=df)
             wall = time.perf_counter() - start
             # the proxy again, from the samples find_roots took: f is not called twice
             _, series, _ = build_proxy(seen.__getitem__, case.interval, run_config)

@@ -29,7 +29,7 @@ from numpy.linalg import LinAlgError
 from .bench import (GRID_POINTS, bench_to_csv, bench_to_json, bench_to_text, default_corpus,
                     grid_max_error, proxy_grid, run_bench)
 from .chebyshev import Interval, NonFiniteSampleError
-from .expressions import UnsupportedDerivativeError, differentiate_expr, eval_expr, parse
+from .expressions import differentiate_expr, eval_expr, parse
 from .rootfinder import RootConfig, build_proxy, find_roots
 from .serialize import (
     FORMAT_VERSION,
@@ -95,19 +95,17 @@ def _config_from_args(args, **fixed) -> RootConfig:
 
 
 def _function_from_args(args, derivative: bool):
-    """f and, if ``derivative`` and the function has one, its exact derivative df.
+    """f and, if ``derivative``, its exact derivative df, else None.
 
-    Only a run that polishes reads df, so any other skips differentiating.
+    Every parsed text has a derivative.  Only a run that polishes reads df,
+    so any other skips differentiating.
     """
     expr = parse(args.function)
     def f(x):
         return eval_expr(expr, x)
     if not derivative:
         return f, None
-    try:
-        dexpr = differentiate_expr(expr)
-    except UnsupportedDerivativeError:
-        return f, None  # polish falls back to the proxy-series derivative
+    dexpr = differentiate_expr(expr)
     def df(x):
         return eval_expr(dexpr, x)
     return f, df

@@ -50,7 +50,6 @@ __all__ = [
     "BinaryOp",
     "FunctionCall",
     "ParseError",
-    "UnsupportedDerivativeError",
     "parse",
     "eval_expr",
     "differentiate_expr",
@@ -63,10 +62,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         self.position = position
         super().__init__(f"{message} (at offset {position})")
-
-
-class UnsupportedDerivativeError(ValueError):
-    """The expression contains abs, which has no derivative at 0."""
 
 
 class _Node:
@@ -290,7 +285,8 @@ _PREC_NEG = 3
 _PREC_ATOM = 5
 
 # name -> (value function, which may raise ValueError or OverflowError,
-# derivative rule (u, du) -> tree); abs has no rule
+# derivative rule (u, du) -> tree).  abs's rule is sign(u)*du as u/abs(u)*du,
+# NaN at u = 0, where abs has no derivative
 _FUNCTIONS = {
     "sin": (math.sin, lambda u, du: _mul(FunctionCall("cos", u), du)),
     "cos": (math.cos, lambda u, du: _neg(_mul(FunctionCall("sin", u), du))),
@@ -298,7 +294,7 @@ _FUNCTIONS = {
     "exp": (math.exp, lambda u, du: _mul(FunctionCall("exp", u), du)),
     "log": (math.log, lambda u, du: _div(du, u)),
     "sqrt": (math.sqrt, lambda u, du: _div(du, _mul(Number(2.0), FunctionCall("sqrt", u)))),
-    "abs": (abs, None),
+    "abs": (abs, lambda u, du: _mul(_div(u, FunctionCall("abs", u)), du)),
 }
 
 # the names compiled code calls, as the fast twins bind them: the raw
@@ -524,10 +520,7 @@ def _derivative(node: Expression, d: dict) -> Expression:
     if isinstance(node, UnaryNeg):
         return _neg(d[id(node.operand)])
     if isinstance(node, FunctionCall):
-        rule = _FUNCTIONS[node.name][1]
-        if rule is None:
-            raise UnsupportedDerivativeError(f"{node.name}(...) is not differentiable at 0")
-        return rule(node.argument, d[id(node.argument)])
+        return _FUNCTIONS[node.name][1](node.argument, d[id(node.argument)])
     u, v = node.left, node.right
     du, dv = d[id(u)], d[id(v)]
     if node.op == "+":
@@ -551,9 +544,9 @@ def differentiate_expr(expr: Expression) -> Expression:
 
     Standard rules; no simplification is promised beyond folding of literal
     arithmetic.  Each distinct node is differentiated once, children first,
-    so tree depth is unbounded.  Raises :class:`UnsupportedDerivativeError`
-    if the expression contains abs (not differentiable at 0); callers are
-    expected to fall back to the differentiated proxy series.
+    so tree depth is unbounded.  Every function has a rule, so no tree
+    raises; where f has no derivative (abs at 0) the derivative's value is
+    NaN, as a domain violation is.
     """
     return _fold(expr, _derivative)
 

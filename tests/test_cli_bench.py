@@ -68,8 +68,8 @@ class TestDeclarations:
         "build_frobenius", "eigenvalues", "series_spectrum", "PolishResult", "RejectionReason",
         "RootCandidate", "RootConfig", "RootReport", "build_proxy",
         "filter_candidates", "find_roots", "newton_polish", "Expression", "ParseError",
-        "UnsupportedDerivativeError", "differentiate_expr", "eval_expr", "expression_to_text",
-        "parse", "BenchCase", "BenchReport", "BenchRow", "default_corpus", "run_bench",
+        "differentiate_expr", "eval_expr", "expression_to_text", "parse", "BenchCase",
+        "BenchReport", "BenchRow", "default_corpus", "run_bench",
     }
 
     def test_package_exports_each_module_list_once(self):
@@ -344,12 +344,26 @@ class TestRootsCommand:
             rows = list(csv.DictReader(io.StringIO(text)))
             assert sum(row["accepted"] == "true" for row in rows) == 6
 
-    def test_abs_function_falls_back_to_proxy_derivative(self, capsys):
+    def test_abs_function_polishes_with_its_exact_derivative(self, capsys):
         code, doc = run_json(capsys, [
             "roots", "--function", "abs(x)-1", "--interval", "-2", "2", "--degree", "40",
         ])
         assert code == 0
         assert np.allclose(doc["roots"], [-1.0, 1.0], atol=1e-9, rtol=0)
+
+    def test_abs_of_a_cosine_keeps_every_root(self, capsys):
+        # |cos(5x)| = 0.3 where 5x is +-acos(0.3) or +-acos(-0.3) plus a
+        # multiple of 2 pi.  The proxy does not converge at the cap, so its
+        # own derivative would mislead Newton; the exact one polishes all 20
+        code, doc = run_json(capsys, [
+            "roots", "--function", "abs(cos(5*x))-0.3", "--interval", "-3", "3", "--allow-nonconverged",
+        ])
+        assert code == 0
+        angles = [sign * base + 2.0 * math.pi * k for base in (math.acos(0.3), math.acos(-0.3))
+                  for sign in (1, -1) for k in range(-3, 4)]
+        oracle = sorted(t / 5.0 for t in angles if abs(t) < 15.0)
+        assert len(oracle) == 20
+        assert doc["roots"] == pytest.approx(oracle, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("residual_tol", [[], ["--residual-tol", "1e-12"]], ids=["automatic", "explicit"])
     def test_nan_at_the_proxy_root_is_no_root(self, capsys, residual_tol):
@@ -738,18 +752,30 @@ class TestBench:
     def test_each_sample_node_is_evaluated_once(self, monkeypatch):
         # find_roots and the proxy behind proxy_max_error share one sampling of f
         calls = Counter()
+        (case,) = [c for c in default_corpus() if c.name == "cosine"]
+        f_tree = parse(case.function_text)
 
         def counting_eval(expr, x):
-            calls[x] += 1
+            calls[x] += expr == f_tree  # the polish's calls on the derivative's tree are no samples
             return eval_expr(expr, x)
 
         monkeypatch.setattr(bench, "eval_expr", counting_eval)
-        (case,) = [c for c in default_corpus() if c.name == "cosine"]
         case = replace(case, degree_sweep=(12,))
         (row,) = run_bench([case]).rows
         nodes = [from_standard(case.interval, float(t)) for t in standard_nodes(12)]
         assert [calls[x] for x in nodes] == [1] * 12
         assert sum(calls.values()) == row.function_evaluations + GRID_POINTS
+
+    @pytest.mark.parametrize("case", default_corpus(), ids=lambda case: case.name)
+    def test_polished_rows_equal_sweep(self, report, capsys, case):
+        # bench polishes with the exact derivative, as roots and sweep do
+        code, doc = run_json(capsys, [
+            "sweep", "--function", case.function_text, "--interval", repr(case.interval.a),
+            repr(case.interval.b), "--degrees", ",".join(map(str, case.degree_sweep)),
+        ])
+        assert code == 0
+        rows = [(r.roots_found, r.function_evaluations) for r in report.rows if r.case == case.name]
+        assert rows == [(len(run["roots"]), run["function_evaluations"]) for run in doc["sweeps"]]
 
     def test_csv_and_json_payloads_match(self, report):
         doc = bench_to_dict(report)

@@ -19,7 +19,6 @@ from chebroots.expressions import (
     Number,
     ParseError,
     UnaryNeg,
-    UnsupportedDerivativeError,
     Variable,
     differentiate_expr,
     eval_expr,
@@ -406,9 +405,12 @@ class TestDifferentiate:
         d = differentiate_expr(parse("exp(-0.5*x^2)"))
         assert eval_expr(d, 1.0) == pytest.approx(-math.exp(-0.5), abs=1e-12)
 
-    def test_abs_is_unsupported(self):
-        with pytest.raises(UnsupportedDerivativeError):
-            differentiate_expr(parse("abs(x)+1"))
+    def test_abs_derivative_is_the_sign(self):
+        # abs has no derivative at 0, so its derivative is NaN there
+        d = differentiate_expr(parse("abs(x)+1"))
+        assert eval_expr(d, 2.0) == 1.0
+        assert eval_expr(d, -2.0) == -1.0
+        assert math.isnan(eval_expr(d, 0.0))
 
     TWO_X = BinaryOp("*", Number(2.0), Variable())
     RULES = {
@@ -418,6 +420,7 @@ class TestDifferentiate:
         "exp": BinaryOp("*", FunctionCall("exp", TWO_X), Number(2.0)),
         "log": BinaryOp("/", Number(2.0), TWO_X),
         "sqrt": BinaryOp("/", Number(2.0), BinaryOp("*", Number(2.0), FunctionCall("sqrt", TWO_X))),
+        "abs": BinaryOp("*", BinaryOp("/", TWO_X, FunctionCall("abs", TWO_X)), Number(2.0)),
     }
 
     @pytest.mark.parametrize("name", list(RULES))
@@ -445,6 +448,7 @@ class TestDifferentiate:
         "tan(x/4)",
         "2^x",
         "-x^2+x/3",
+        "x*abs(x^2-2)",
     ]
 
     @pytest.mark.parametrize("text", CORPUS)
@@ -742,9 +746,10 @@ class TestWalksMatchRecursion:
         assert text == recursive_text(d)
         assert peak < 20 * len(text)
 
-    def test_abs_is_unsupported_at_any_depth(self):
-        with pytest.raises(UnsupportedDerivativeError):
-            differentiate_expr(parse("+".join(["x"] * 3000) + "+abs(x)"))
+    def test_abs_derivative_at_any_depth(self):
+        d = differentiate_expr(parse("+".join(["x"] * 3000) + "+abs(x)"))
+        assert eval_expr(d, -1.0) == 2999.0
+        assert parse(expression_to_text(d)) == d
 
 
 # the node classes as plain frozen dataclasses, with the generated ==, hash and repr

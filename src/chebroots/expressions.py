@@ -20,8 +20,10 @@ Evaluation follows real arithmetic; domain violations (log of a
 non-positive number, sqrt of a negative, division by zero) produce a
 non-finite value rather than raising, so the rootfinder's own sampling
 checks see them.  A tree is compiled once, on its first evaluation, into
-straight-line Python: one assignment per node, split into chunks of at most
-256 statements that run one after another.  Each chunk's code is bound
+straight-line Python: each node's value written inline into the expression
+that reads it, and assigned to a name only where it is read twice, read in
+a later chunk or nested deep, with the nodes split into chunks of at most
+256 that run one after another.  Each chunk's code is bound
 twice: a fast twin calls math's functions and ``math.pow`` directly, which
 raise ValueError or OverflowError on a domain error, and a guarded twin
 calls them through wrappers that return NaN or an infinity instead.  A
@@ -269,14 +271,16 @@ def _div_by_zero(num: float, den: float) -> float:
 
 
 # symbol -> (the Python expression the compiled code computes it with from
-# operands {a} and {b}, precedence); "^" is right-associative.  Division
-# by zero calls _div_by_zero for its IEEE value; pow is math.pow, or
-# _safe_pow in a guarded twin.
+# operands {a} and {b}, bracketed so that it nests as an operand, and
+# precedence); "^" is right-associative.  Division by zero calls
+# _div_by_zero for its IEEE value; pow is math.pow, or _safe_pow in a
+# guarded twin.  "/" reads each operand twice, so _compile assigns an
+# operand of it other than x or a number to a name instead of copying its text.
 _OPERATORS = {
-    "+": ("{a} + {b}", 1),
-    "-": ("{a} - {b}", 1),
-    "*": ("{a} * {b}", 2),
-    "/": ("{a} / {b} if {b} else div({a}, {b})", 2),
+    "+": ("({a} + {b})", 1),
+    "-": ("({a} - {b})", 1),
+    "*": ("({a} * {b})", 2),
+    "/": ("({a} / {b} if {b} else div({a}, {b}))", 2),
     "^": ("pow({a}, {b})", 4),
 }
 
@@ -298,16 +302,21 @@ _FUNCTIONS = {
 }
 
 # the names compiled code calls, as the fast twins bind them: the raw
-# functions, which raise on a domain error.  A tree's numbers join them as
-# c0, c1, ... and its values live in r0, r1, ..., so no name is taken twice.
+# functions, which raise on a domain error.  A tree's numbers that have no
+# literal join them as c0, c1, ... and its values live in r0, r1, ..., so no
+# name is taken twice.
 _NAMESPACE = {"div": _div_by_zero, "pow": math.pow, **{name: entry[0] for name, entry in _FUNCTIONS.items()}}
 
 # the names the guarded twins bind in place of the raising ones
 _GUARDED = {"pow": _safe_pow, **{name: _guarded(entry[0]) for name, entry in _FUNCTIONS.items()}}
 
-# Most statements in one compiled function.  One function per tree runs
-# faster, but compiling a body of thousands of statements takes megabytes.
+# Most interior nodes in one compiled function.  One function per tree runs
+# faster, but compiling the code of thousands of nodes at once takes megabytes.
 _CHUNK = 256
+
+# Most operators nested in one inline text.  It keeps each statement far
+# inside the limits of CPython's parser and compiler, whatever the tree's depth.
+_NEST = 12
 
 # id(tree) -> its compiled chunks, each a (fast, guarded) pair of functions.  A
 # tree's entry is dropped when the tree is collected, so a later tree that
@@ -372,16 +381,33 @@ def _code(params: list, body: list, returns: list) -> types.CodeType:
     return next(const for const in module.co_consts if isinstance(const, types.CodeType))
 
 
+def _template(node: Expression) -> str:
+    """The bracketed Python expression an interior node computes its value with from operands {a} and {b}."""
+    if isinstance(node, BinaryOp):
+        return _OPERATORS[node.op][0]
+    if isinstance(node, UnaryNeg):
+        return "(-{a})"
+    return node.name + "({a})"
+
+
 def _compile(expr: Expression) -> tuple:
     """Compile a tree to straight-line Python and memoize it under ``id(expr)``.
 
-    Each interior node becomes one assignment, children before parents; a
-    subtree shared by reference is computed once.  A value's name is reused
-    once its last reader has run, so few names are live at any point.  The
-    statements are split into functions of at most ``_CHUNK`` of them, each
-    taking x and the values live at its start and returning those live at
-    its end; the last returns the root's value.  Numbers are read from the
-    functions' namespace, never written into the source.
+    Each interior node's value is written inline into the one expression
+    that reads it, as in ``r0 = (r0 + (0.5 * cos(((0.2 * x) + 1.0))))``.
+    A node gets an assignment of its own only where it must: it is the
+    root, its value is read more than once (a subtree shared by reference)
+    or in a later chunk, its reader's template reads it twice (an operand
+    of "/"), or its inline text would nest more than ``_NEST`` operators
+    deep.  Python evaluates the nested form with the same operations on the
+    same values, so each value is what one assignment per node would give,
+    bit for bit.  A name is reused once every assignment that reads it has
+    run, so few names are live at any point.  The interior nodes are cut,
+    in post-order, into chunks of ``_CHUNK``, each compiled to a function
+    that takes x and the values live at its start and returns those live at
+    its end; the last returns the root's value.  A finite Python float is
+    written as a literal; any other number (an int, a numpy float, a NaN or
+    an infinity) is read from the functions' namespace.
 
     Each chunk's code is compiled once and bound twice: its fast twin reads
     ``_NAMESPACE``'s raising functions, its guarded twin ``_GUARDED``'s
@@ -389,43 +415,63 @@ def _compile(expr: Expression) -> tuple:
     all its chunks.
     """
     namespace = dict(_NAMESPACE)
-    name, steps = {}, []  # id(node) -> the name its value is read by
+    text, steps = {}, []  # id(node) -> the text its value is read by
     for node in _post_order(expr):
         if isinstance(node, Variable):
-            name[id(node)] = "x"
-        elif isinstance(node, Number):
+            text[id(node)] = "x"
+        elif not isinstance(node, Number):
+            steps.append(node)
+        elif type(node.value) is float and math.isfinite(node.value):
+            text[id(node)] = repr(node.value)
+        else:
             # interned: the compiled code's names are, so each tree's
             # namespace shares them instead of holding copies
-            name[id(node)] = key = sys.intern(f"c{len(name)}")
+            text[id(node)] = key = sys.intern(f"c{len(text)}")
             namespace[key] = node.value
-        else:
-            steps.append(node)
-    last_read = {id(child): k for k, node in enumerate(steps) for child in _children(node)}
-    last_read[id(expr)] = len(steps)  # the root is returned
+    # id(node) -> how often its value is read, an operand its template reads
+    # twice counted twice, and the step that reads it last
+    reads, last_read = {}, {}
+    templates = [_template(node) for node in steps]
+    for k, (node, template) in enumerate(zip(steps, templates)):
+        for child, slot in zip(_children(node), "ab"):
+            reads[id(child)] = reads.get(id(child), 0) + template.count("{" + slot + "}")
+            last_read[id(child)] = k
 
+    # id(node) -> its inline text, how many operators deep that nests, and
+    # the ids of the named values it reads, once per read
+    inline = {}
     codes, body, params, free, held = [], [], [], [], set()
-    for k, node in enumerate(steps):
+    for k, (node, template) in enumerate(zip(steps, templates)):
         if k and k % _CHUNK == 0:
             live = sorted(held)
             codes.append(_code(params, body, live))
             body, params = [], live
-        children = _children(node)
-        operands = [name[id(child)] for child in children]
-        for child in {id(child) for child in children}:
-            if last_read[child] == k and name[child] in held:  # x and numbers hold no name
-                held.remove(name[child])
-                free.append(name[child])
+        operands, depth, named = [], 0, []
+        for child, slot in zip(_children(node), "ab"):
+            if id(child) in inline:
+                operand, child_depth, child_named = inline.pop(id(child))
+                depth = max(depth, child_depth)
+                named += child_named
+            else:
+                operand = text[id(child)]
+                if operand in held:  # x and numbers hold no name
+                    named += [id(child)] * template.count("{" + slot + "}")
+            operands.append(operand)
+        value = template.format(a=operands[0], b=operands[-1])
+        if reads.get(id(node)) == 1 and last_read[id(node)] // _CHUNK == k // _CHUNK and depth < _NEST:
+            inline[id(node)] = (value, depth + 1, named)
+            continue
+        # a name is free once every assignment that reads it has been written
+        for key in named:
+            reads[key] -= 1
+            if not reads[key]:
+                held.remove(text[key])
+                free.append(text[key])
         out = free.pop() if free else f"r{len(held)}"  # with none free, every name is held
         held.add(out)
-        name[id(node)] = out
-        if isinstance(node, BinaryOp):
-            value = _OPERATORS[node.op][0].format(a=operands[0], b=operands[1])
-        elif isinstance(node, UnaryNeg):
-            value = f"-{operands[0]}"
-        else:
-            value = f"{node.name}({operands[0]})"
+        text[id(node)] = out
         body.append(f"{out} = {value}")
-    codes.append(_code(params, body, [name[id(expr)]]))
+    codes.append(_code(params, body, [text[id(expr)]]))
 
     guarded = {**namespace, **_GUARDED}
     compiled = tuple((types.FunctionType(code, namespace), types.FunctionType(code, guarded))

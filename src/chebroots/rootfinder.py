@@ -289,6 +289,9 @@ def newton_polish(f, df, x0: float, interval, max_iter: int) -> PolishResult:
     polishing never increases the residual.  Runs are abandoned as diverged -- never raised
     -- when the derivative is exactly zero, a value goes non-finite, or an
     iterate leaves the interval widened by 10% of its width on each side.
+    An iterate where f is exactly zero is a root whatever the derivative
+    there: a zero or non-finite derivative (a kink, as in x+0.5*abs(x) at
+    0) ends such a run converged.
     There is no absolute floor on the derivative, so the result does not
     change when f is scaled by a power of two; a tiny nonzero derivative
     far from a root ends in the escape check instead.
@@ -310,8 +313,9 @@ def newton_polish(f, df, x0: float, interval, max_iter: int) -> PolishResult:
     for it in range(1, max_iter + 1):
         iterations = it
         dfx = float(df(x))
-        if not math.isfinite(dfx) or dfx == 0.0:
-            diverged = True
+        if not math.isfinite(dfx) or dfx == 0.0:  # at an exact root there is nothing to correct
+            converged = fx == 0.0
+            diverged = not converged
             break
         corr = -fx / dfx
         if not math.isfinite(corr):

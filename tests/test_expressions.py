@@ -1,4 +1,5 @@
 import dataclasses
+import dis
 import gc
 import itertools
 import math
@@ -1033,3 +1034,74 @@ class TestTape:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [[repr(reference_eval(tree, x)) for x in xs]] * 4
+
+
+@pytest.fixture
+def deep_reference():
+    """Room for reference_eval, which recurses once per tree level."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10000))
+    yield
+    sys.setrecursionlimit(limit)
+
+
+class TestCompiled:
+    """The shape of the compiled code: a node's value is written inline into
+    its one reader unless it must be named, and a finite float is a literal."""
+
+    @staticmethod
+    def codes(tree):
+        eval_expr(tree, 0.5)
+        return [fast.__code__ for fast, _ in expressions._COMPILED[id(tree)]]
+
+    def test_costly_text_has_few_assignments(self):
+        tree = parse(costly_text(np.random.default_rng(3)))
+        interior = sum(1 for node in expressions._post_order(tree) if expressions._children(node))
+        stores = sum(ins.opname == "STORE_FAST" for code in self.codes(tree) for ins in dis.get_instructions(code))
+        assert 0 < stores < interior / 10
+
+    def test_nested_quotients_compile_in_linear_size(self, deep_reference):
+        # "/" reads each operand twice, so inlining its operands would copy
+        # the text of every quotient below it twice
+        trees = {depth: parse("x/(3+" * depth + "x" + ")" * depth) for depth in (1000, 2000)}
+        sizes = {depth: sum(len(code.co_code) for code in self.codes(tree)) for depth, tree in trees.items()}
+        assert sizes[2000] < 2.2 * sizes[1000] and sizes[2000] < 200 * 2000
+        assert_bit_identical(trees[2000], [0.0, -0.0, 0.5, -1.0, math.inf, math.nan])
+
+    def test_finite_python_float_is_a_literal(self):
+        others = [np.float64(2.0), 2, math.nan, math.inf]
+        tree = BinaryOp("*", Number(2.5), Variable())
+        for value in others:
+            tree = BinaryOp("+", tree, BinaryOp("*", Number(value), Variable()))
+        (code,) = self.codes(tree)
+        fast = expressions._COMPILED[id(tree)][0][0]
+        numbers = [const for const in code.co_consts if isinstance(const, (int, float))]
+        assert numbers == [2.5]
+        for value in others:
+            assert any(bound is value for bound in fast.__globals__.values()), value
+        assert_bit_identical(tree, [1.5, 0.0, -0.0])
+
+    def test_long_chains_match_the_tree_walk(self, deep_reference):
+        power = parse("^".join(["x"] * 3000))
+        assert_bit_identical(power, [0.5, 1.0, 1.25, 2.0, -1.0, 0.0, -0.0, math.inf])
+        terms = ["x", "sin(x)", "0.5*x^2", "-cos(2*x)"]
+        total = parse("+".join(terms[k % 4] for k in range(3000)))
+        assert_bit_identical(total, [0.5, -1.0, 3.0, 0.0, math.nan])
+
+    def test_named_value_outlives_an_assignment_after_its_last_reader(self):
+        # sin(s) is inlined into the sum, so s is still read after p, the
+        # value named after s's last reader, is assigned
+        s = parse("cos(x)+1")
+        p = BinaryOp("*", s, Variable())
+        tree = BinaryOp("+", FunctionCall("sin", s), BinaryOp("*", p, p))
+        assert_bit_identical(tree, TestTape.POINTS)
+
+    def test_nesting_is_capped_at_any_depth(self):
+        # each statement nests a bounded number of operators, however deep the tree
+        chosen = ["sin(", "-", "2^", "sin("] * 25000
+        tree = chain(chosen)
+        assert max(code.co_stacksize for code in self.codes(tree)) < 40
+        x = 0.3
+        for opener in reversed(chosen):
+            x = -x if opener == "-" else math.sin(x) if opener == "sin(" else math.pow(2.0, x)
+        assert math.isfinite(x) and repr(eval_expr(tree, 0.3)) == repr(x)

@@ -10,7 +10,7 @@ from chebroots import chebyshev, rootfinder
 from chebroots.chebyshev import (DecayProfile, Interval, NonFiniteSampleError, chop_series, evaluate, from_standard,
                                  restrict, standard_nodes, transform)
 from chebroots.companion import Spectrum, series_spectrum
-from chebroots.expressions import eval_expr, parse
+from chebroots.expressions import differentiate_expr, eval_expr, parse
 from chebroots.rootfinder import (
     RejectionReason,
     RootCandidate,
@@ -109,6 +109,23 @@ class TestNewtonPolish:
         f = lambda x: x * x + 1.0
         result = newton_polish(f, lambda x: 2 * x, 0.0, Interval(-1, 1), 12)
         assert result.diverged and not result.converged
+
+    @pytest.mark.parametrize("dfx", [math.nan, 0.0, math.inf])
+    def test_exact_root_where_the_derivative_fails_converges(self, dfx):
+        # x+0.5*abs(x) has a kink at its root 0: Newton lands on it from 0.3,
+        # and there is nothing left to correct whatever df says
+        f = parse("x+0.5*abs(x)")
+        result = newton_polish(lambda x: eval_expr(f, x), lambda x: 1.5 if x else dfx, 0.3, Interval(-1, 1), 12)
+        assert (result.x, result.converged, result.diverged, result.residual) == (0.0, True, False, 0.0)
+
+    @pytest.mark.parametrize("text, root", [("x+0.5*abs(x)", 0.0), ("2*x+abs(x)", 0.0),
+                                            ("x-0.2+0.5*abs(x-0.2)", 0.2)])
+    def test_root_on_a_kink_with_the_exact_derivative(self, text, root):
+        # the exact derivative is NaN at the kink, where abs has none
+        f, df = parse(text), differentiate_expr(parse(text))
+        assert math.isnan(eval_expr(df, root))
+        report = find_roots(lambda x: eval_expr(f, x), (-1.0, 1.0), df=lambda x: eval_expr(df, x))
+        assert report.roots == (root,)
 
     def test_escaping_iterate_diverges(self):
         # constant correction of -1 walks left out of the widened interval

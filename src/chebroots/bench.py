@@ -135,21 +135,25 @@ def run_bench(corpus=None, config: RootConfig = RootConfig()) -> BenchReport:
 
     ``config`` supplies everything except the degree, which the sweep sets.
     Each case's text is differentiated once, and the polish uses that exact
-    derivative, as ``chebroots roots`` does.  Oracle mismatches are reported
-    in the row, never raised.
+    derivative, as ``chebroots roots`` does; a run without the polish reads
+    no df, so it differentiates nothing.  Oracle mismatches are reported in
+    the row, never raised.
     """
     if corpus is None:
         corpus = default_corpus()
     rows = []
     for case in corpus:
         expr = parse(case.function_text)
-        dexpr = differentiate_expr(expr)
 
         def f(x, _expr=expr):
             return eval_expr(_expr, x)
 
-        def df(x, _dexpr=dexpr):
-            return eval_expr(_dexpr, x)
+        df = None
+        if config.polish:
+            dexpr = differentiate_expr(expr)
+
+            def df(x, _dexpr=dexpr):
+                return eval_expr(_dexpr, x)
 
         for degree in case.degree_sweep:
             run_config = replace(config, degree=degree)

@@ -20,13 +20,13 @@ Evaluation follows real arithmetic; domain violations (log of a
 non-positive number, sqrt of a negative, division by zero) produce a
 non-finite value rather than raising, so the rootfinder's own sampling
 checks see them.  A tree is compiled once, on its first evaluation, into
-straight-line Python: each node's value written inline into the expression
-that reads it, and assigned to a name only where it is read twice, read in
-a later chunk or nested deep, with the nodes split into chunks of at most
-256 that run one after another.  Each chunk's code is bound
-twice: a fast twin calls math's functions and ``math.pow`` directly, which
-raise ValueError or OverflowError on a domain error, and a guarded twin
-calls them through wrappers that return NaN or an infinity instead.  A
+straight-line Python kept on the tree: each node's value written inline
+into the expression that reads it, and assigned to a name only where it is
+read twice, read in a later chunk or nested deep, with the nodes split into
+chunks of at most 256 that run one after another.  Each chunk's code is
+bound twice: a fast twin calls math's functions and ``math.pow`` directly,
+which raise ValueError or OverflowError on a domain error, and a guarded
+twin calls them through wrappers that return NaN or an infinity instead.  A
 chunk runs its fast twin, and only a chunk that raises is run again, from
 the same inputs, by its guarded twin.  A chunk is a pure function of its
 inputs and the twins compute the same value wherever the fast one returns,
@@ -41,7 +41,6 @@ import math
 import re
 import sys
 import types
-import weakref
 from dataclasses import dataclass
 
 __all__ = [
@@ -76,6 +75,10 @@ class _Node:
     generated methods recurse once per level, so a tree a few thousand
     levels deep would raise RecursionError.
     """
+
+    # the tree's compiled chunks, set by _compile on its first evaluation;
+    # not a field, so ``==``, ``hash`` and ``repr`` never read it
+    _compiled = None
 
     def _tokens(self) -> list:
         """The tree in pre-order: each node's class, then its fields' values,
@@ -289,16 +292,18 @@ _PREC_NEG = 3
 _PREC_ATOM = 5
 
 # name -> (value function, which may raise ValueError or OverflowError,
-# derivative rule (u, du) -> tree).  abs's rule is sign(u)*du as u/abs(u)*du,
-# NaN at u = 0, where abs has no derivative
+# derivative rule (f, du) -> tree, for the call node f = name(u)).  A rule
+# that reads f's value reads the node itself, so compiled code computes it
+# once.  abs's rule is sign(u)*du as u/abs(u)*du, NaN at u = 0, where abs
+# has no derivative
 _FUNCTIONS = {
-    "sin": (math.sin, lambda u, du: _mul(FunctionCall("cos", u), du)),
-    "cos": (math.cos, lambda u, du: _neg(_mul(FunctionCall("sin", u), du))),
-    "tan": (math.tan, lambda u, du: _div(du, BinaryOp("^", FunctionCall("cos", u), Number(2.0)))),
-    "exp": (math.exp, lambda u, du: _mul(FunctionCall("exp", u), du)),
-    "log": (math.log, lambda u, du: _div(du, u)),
-    "sqrt": (math.sqrt, lambda u, du: _div(du, _mul(Number(2.0), FunctionCall("sqrt", u)))),
-    "abs": (abs, lambda u, du: _mul(_div(u, FunctionCall("abs", u)), du)),
+    "sin": (math.sin, lambda f, du: _mul(FunctionCall("cos", f.argument), du)),
+    "cos": (math.cos, lambda f, du: _neg(_mul(FunctionCall("sin", f.argument), du))),
+    "tan": (math.tan, lambda f, du: _div(du, BinaryOp("^", FunctionCall("cos", f.argument), Number(2.0)))),
+    "exp": (math.exp, lambda f, du: _mul(f, du)),
+    "log": (math.log, lambda f, du: _div(du, f.argument)),
+    "sqrt": (math.sqrt, lambda f, du: _div(du, _mul(Number(2.0), f))),
+    "abs": (abs, lambda f, du: _mul(_div(f.argument, f), du)),
 }
 
 # the names compiled code calls, as the fast twins bind them: the raw
@@ -317,11 +322,6 @@ _CHUNK = 256
 # Most operators nested in one inline text.  It keeps each statement far
 # inside the limits of CPython's parser and compiler, whatever the tree's depth.
 _NEST = 12
-
-# id(tree) -> its compiled chunks, each a (fast, guarded) pair of functions.  A
-# tree's entry is dropped when the tree is collected, so a later tree that
-# reuses the id never finds it.
-_COMPILED: dict[int, tuple] = {}
 
 
 def _children(node: Expression) -> tuple:
@@ -391,28 +391,31 @@ def _template(node: Expression) -> str:
 
 
 def _compile(expr: Expression) -> tuple:
-    """Compile a tree to straight-line Python and memoize it under ``id(expr)``.
+    """Compile a tree to straight-line Python and keep it as ``expr._compiled``.
 
     Each interior node's value is written inline into the one expression
-    that reads it, as in ``r0 = (r0 + (0.5 * cos(((0.2 * x) + 1.0))))``.
+    that reads it, as in ``r9 = (r4 + (0.5 * cos(((0.2 * x) + 1.0))))``.
     A node gets an assignment of its own only where it must: it is the
     root, its value is read more than once (a subtree shared by reference)
     or in a later chunk, its reader's template reads it twice (an operand
     of "/"), or its inline text would nest more than ``_NEST`` operators
     deep.  Python evaluates the nested form with the same operations on the
     same values, so each value is what one assignment per node would give,
-    bit for bit.  A name is reused once every assignment that reads it has
-    run, so few names are live at any point.  The interior nodes are cut,
-    in post-order, into chunks of ``_CHUNK``, each compiled to a function
-    that takes x and the values live at its start and returns those live at
-    its end; the last returns the root's value.  A finite Python float is
-    written as a literal; any other number (an int, a numpy float, a NaN or
-    an infinity) is read from the functions' namespace.
+    bit for bit.  Each assigned value has a name of its own, never reused:
+    ``r`` and its node's index among the interior nodes.  Those nodes are
+    cut, in post-order, into chunks of ``_CHUNK``, each compiled to a
+    function that takes x and the values live at its start and returns
+    those a later chunk still reads; the last returns the root's value.  A
+    finite Python float is written as a literal; any other number (an int,
+    a numpy float, a NaN or an infinity) is read from the functions'
+    namespace.
 
     Each chunk's code is compiled once and bound twice: its fast twin reads
     ``_NAMESPACE``'s raising functions, its guarded twin ``_GUARDED``'s
     wrappers instead.  The tree has one namespace of each kind, shared by
-    all its chunks.
+    all its chunks.  The chunks hold no reference to the tree, so they go
+    when it does.  Two threads that compile one tree at once each store a
+    complete and identical result.
     """
     namespace = dict(_NAMESPACE)
     text, steps = {}, []  # id(node) -> the text its value is read by
@@ -437,59 +440,49 @@ def _compile(expr: Expression) -> tuple:
             reads[id(child)] = reads.get(id(child), 0) + template.count("{" + slot + "}")
             last_read[id(child)] = k
 
-    # id(node) -> its inline text, how many operators deep that nests, and
-    # the ids of the named values it reads, once per read
+    # id(node) -> its inline text and how many operators deep that nests
     inline = {}
-    codes, body, params, free, held = [], [], [], [], set()
+    # the ids of the named values live at the chunk's start, and of those it assigns
+    codes, body, params, fresh = [], [], [], []
     for k, (node, template) in enumerate(zip(steps, templates)):
         if k and k % _CHUNK == 0:
-            live = sorted(held)
-            codes.append(_code(params, body, live))
-            body, params = [], live
-        operands, depth, named = [], 0, []
-        for child, slot in zip(_children(node), "ab"):
+            live = [key for key in params + fresh if last_read[key] >= k]
+            codes.append(_code([text[key] for key in params], body, [text[key] for key in live]))
+            body, params, fresh = [], live, []
+        operands, depth = [], 0
+        for child in _children(node):
             if id(child) in inline:
-                operand, child_depth, child_named = inline.pop(id(child))
+                operand, child_depth = inline.pop(id(child))
                 depth = max(depth, child_depth)
-                named += child_named
             else:
                 operand = text[id(child)]
-                if operand in held:  # x and numbers hold no name
-                    named += [id(child)] * template.count("{" + slot + "}")
             operands.append(operand)
         value = template.format(a=operands[0], b=operands[-1])
         if reads.get(id(node)) == 1 and last_read[id(node)] // _CHUNK == k // _CHUNK and depth < _NEST:
-            inline[id(node)] = (value, depth + 1, named)
+            inline[id(node)] = (value, depth + 1)
             continue
-        # a name is free once every assignment that reads it has been written
-        for key in named:
-            reads[key] -= 1
-            if not reads[key]:
-                held.remove(text[key])
-                free.append(text[key])
-        out = free.pop() if free else f"r{len(held)}"  # with none free, every name is held
-        held.add(out)
-        text[id(node)] = out
+        text[id(node)] = out = f"r{k}"
+        fresh.append(id(node))
         body.append(f"{out} = {value}")
-    codes.append(_code(params, body, [text[id(expr)]]))
+    codes.append(_code([text[key] for key in params], body, [text[id(expr)]]))
 
     guarded = {**namespace, **_GUARDED}
     compiled = tuple((types.FunctionType(code, namespace), types.FunctionType(code, guarded))
                      for code in codes)
-    stored = _COMPILED.setdefault(id(expr), compiled)
-    if stored is compiled:  # another thread may have compiled the same tree first
-        weakref.finalize(expr, _COMPILED.pop, id(expr), None).atexit = False
-    return stored
+    object.__setattr__(expr, "_compiled", compiled)
+    return compiled
 
 
 def eval_expr(expr: Expression, x: float) -> float:
     """Evaluate the expression at x with real-arithmetic semantics.
 
     Never raises on domain violations; the result is NaN or +/-inf instead.
+    The tree is compiled on its first evaluation (:func:`_compile`), and
+    later ones run the code kept on it.
     """
     x = float(x)
     live = ()
-    for fast, guarded in _COMPILED.get(id(expr)) or _compile(expr):
+    for fast, guarded in expr._compiled or _compile(expr):
         try:
             live = fast(x, *live)
         except (ValueError, OverflowError):  # a domain error: rerun the chunk, guarded
@@ -566,7 +559,7 @@ def _derivative(node: Expression, d: dict) -> Expression:
     if isinstance(node, UnaryNeg):
         return _neg(d[id(node.operand)])
     if isinstance(node, FunctionCall):
-        return _FUNCTIONS[node.name][1](node.argument, d[id(node.argument)])
+        return _FUNCTIONS[node.name][1](node, d[id(node.argument)])
     u, v = node.left, node.right
     du, dv = d[id(u)], d[id(v)]
     if node.op == "+":
@@ -577,12 +570,13 @@ def _derivative(node: Expression, d: dict) -> Expression:
         return _add(_mul(du, v), _mul(u, dv))
     if node.op == "/":  # (u' - (u/v)*v')/v: no v^2 to overflow or underflow
         return _div(_sub(du, _mul(_div(u, v), dv)), v)
-    # power rule; the general case goes through u^v * (v'*log(u) + v*u'/u)
+    # power rule; the general case goes through u^v * (v'*log(u) + v*u'/u),
+    # with u^v the node itself
     if isinstance(v, Number):
         return _mul(_mul(v, BinaryOp("^", u, _num(v.value - 1.0))), du)
     log_term = _mul(dv, FunctionCall("log", u))
     ratio_term = _mul(v, _div(du, u))
-    return _mul(BinaryOp("^", u, v), _add(log_term, ratio_term))
+    return _mul(node, _add(log_term, ratio_term))
 
 
 def differentiate_expr(expr: Expression) -> Expression:

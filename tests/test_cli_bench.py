@@ -388,6 +388,29 @@ class TestRootsCommand:
         assert code == 0
         assert doc["roots"] == pytest.approx(roots, rel=1e-15, abs=1e-15)
 
+    @pytest.mark.parametrize("function, interval, degree, roots, degree_used, evaluations_below", [
+        # 168 coefficients after the chop, so the eigenvalues come from leaves
+        ("sin(30*x)", ["-4", "4"], ["--degree", "256"], [j * math.pi / 30 for j in range(-38, 39)], 256, None),
+        # sin(26*x) resolves at 64 nodes; the 48-node tail of sin(30*x) rules
+        # 64 out, so it goes from 48 straight to 128 nodes and spends fewer
+        # evaluations than the 240 samples of the rungs 16, 48, 64 and 128
+        ("sin(26*x)", ["-1", "1"], [], [j * math.pi / 26 for j in range(-8, 9)], 64, None),
+        ("sin(30*x)", ["-1", "1"], [], [j * math.pi / 30 for j in range(-9, 10)], 128, 240),
+        # the Gaussian's samples never change sign, and the two roots 1e-7
+        # apart share one gap of the samples, so x - h and x + h decide both
+        ("exp(-50*x^2)", ["-1", "1"], [], [], None, None),
+        ("(x-0.3)*(x-0.3-1e-7)", ["-1", "1"], [], [0.3, 0.3 + 1e-7], None, None),
+    ], ids=["split-proxy", "rung-64", "rung-64-skipped", "gaussian", "pair-1e-7-apart"])
+    def test_polish_with_the_exact_derivative(self, capsys, function, interval, degree, roots, degree_used,
+                                              evaluations_below):
+        code, doc = run_json(capsys, ["roots", "--function", function, "--interval", *interval, *degree])
+        assert code == 0
+        assert doc["roots"] == pytest.approx(roots, rel=0, abs=1e-12)
+        if degree_used is not None:
+            assert doc["degree_used"] == degree_used
+        if evaluations_below is not None:
+            assert doc["function_evaluations"] < evaluations_below
+
     def test_no_polish_flag(self, capsys):
         code, doc = run_json(capsys, [
             "roots", "--function", "cos(x)", "--interval", "-10", "10",
@@ -397,21 +420,29 @@ class TestRootsCommand:
         assert doc["config"]["polish"] is False
         assert all(c["polish_iterations"] == 0 for c in doc["candidates"])
 
-    @pytest.mark.parametrize("command", [["roots", "--degree", "30"], ["sweep", "--degrees", "13,30"]],
-                             ids=["roots", "sweep"])
-    def test_no_polish_skips_the_derivative(self, capsys, monkeypatch, command):
+    @pytest.mark.parametrize("command, module", [
+        (["roots", "--degree", "30", "--function", "cos(x)", "--interval", "-10", "10"], chebroots.cli),
+        (["sweep", "--degrees", "13,30", "--function", "cos(x)", "--interval", "-10", "10"], chebroots.cli),
+        (["bench", "--format", "csv"], chebroots.bench),
+    ], ids=["roots", "sweep", "bench"])
+    def test_no_polish_skips_the_derivative(self, capsys, monkeypatch, command, module):
         # only the polish reads df, so a run without it never differentiates
-        argv = command + ["--function", "cos(x)", "--interval", "-10", "10", "--no-polish"]
+        def without_wall_time(out):
+            """The output, a bench CSV's rows without their last cell, wall_time_s, which varies from run to run."""
+            rows = list(csv.reader(io.StringIO(out)))
+            return [row[:-1] for row in rows] if rows[0][-1] == "wall_time_s" else out
+
+        argv = command + ["--no-polish"]
         assert run_cli(argv) == 0
-        expected = capsys.readouterr().out
+        expected = without_wall_time(capsys.readouterr().out)
 
         def refuse(expr):
             raise AssertionError("differentiate_expr called")
-        monkeypatch.setattr(chebroots.cli, "differentiate_expr", refuse)
+        monkeypatch.setattr(module, "differentiate_expr", refuse)
         assert run_cli(argv) == 0
-        assert capsys.readouterr().out == expected
+        assert without_wall_time(capsys.readouterr().out) == expected
         with pytest.raises(AssertionError, match="differentiate_expr called"):
-            run_cli([arg for arg in argv if arg != "--no-polish"])
+            run_cli(command)
 
 
 class TestExitCodes:
@@ -427,17 +458,29 @@ class TestExitCodes:
         assert code == 1
         assert "unknown identifier" in capsys.readouterr().err
 
-    def test_deeply_nested_function_solves(self, capsys):
-        # the parser keeps its own stack, so 3000 parentheses are no limit
-        code, doc = run_json(capsys, ["roots", "--function", "(" * 3000 + "x" + ")" * 3000, "--interval", "0", "1"])
+    @pytest.mark.parametrize("function, interval, roots", [
+        ("(" * 3000 + "x" + ")" * 3000, ["0", "1"], [0.0]),
+        ("(" * 5000 + "x-0.5" + ")" * 5000, ["0", "1"], [pytest.approx(0.5, rel=0, abs=1e-12)]),
+        # "/" reads each operand twice, so each denominator gets a name of
+        # its own instead of being copied into its quotient's text
+        ("x/(3+" * 2000 + "x" + ")" * 2000, ["-1", "1"], [0.0]),
+    ], ids=["3000-parentheses", "5000-parentheses", "2000-quotients"])
+    def test_deeply_nested_function_solves(self, capsys, function, interval, roots):
+        # the parser keeps its own stack, so nesting depth is no limit
+        code, doc = run_json(capsys, ["roots", "--function", function, "--interval", *interval])
         assert code == 0
-        assert doc["roots"] == [0.0]
+        assert doc["roots"] == roots
 
-    def test_many_minus_signs_solve(self, capsys):
+    @pytest.mark.parametrize("function, roots", [
         # an even run of signs: the function is x
-        code, doc = run_json(capsys, ["roots", "--function=" + "-" * 3000 + "x", "--interval", "0", "1"])
+        ("-" * 3000 + "x", [0.0]),
+        ("-" * 5001 + "(x-0.5)", [pytest.approx(0.5, rel=0, abs=1e-12)]),
+    ], ids=["3000-signs", "5001-signs"])
+    def test_many_minus_signs_solve(self, capsys, function, roots):
+        # a text that starts with "-" is passed as --function=TEXT, or it would read as a flag
+        code, doc = run_json(capsys, ["roots", "--function=" + function, "--interval", "0", "1"])
         assert code == 0
-        assert doc["roots"] == [0.0]
+        assert doc["roots"] == roots
 
     def test_deep_sum_solves(self, capsys):
         # the sum parses in a loop into a 3000-deep tree, which is differentiated,
@@ -683,8 +726,14 @@ class TestInterpCommand:
         assert capsys.readouterr().out == (
             "degree used: 16\nmax |f - proxy| on 1001 uniform points: nan\n")
 
-    def test_non_finite_f_is_null_in_json(self, capsys):
-        argv = ["interp", "--function", "log(x)", "--interval", "0", "1", "--degree", "16"]
+    # log(x) between 150 cosines on each side lands in a middle chunk of the
+    # compiled code, which raises at x = 0 and reruns guarded
+    MIDDLE_LOG = "+".join([f"cos({k}*x)" for k in range(1, 151)] + ["log(x)"]
+                          + [f"cos({k}*x)" for k in range(151, 301)])
+
+    @pytest.mark.parametrize("function", ["log(x)", MIDDLE_LOG], ids=["log", "log-in-a-middle-chunk"])
+    def test_non_finite_f_is_null_in_json(self, capsys, function):
+        argv = ["interp", "--function", function, "--interval", "0", "1", "--degree", "16"]
         assert run_cli(argv) == 0
         grid = strict_json(capsys.readouterr().out)["grid"]
         assert grid[0]["x"] == 0.0 and grid[0]["f"] is None and math.isfinite(grid[0]["proxy"])

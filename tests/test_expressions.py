@@ -8,6 +8,7 @@ import random
 import sys
 import threading
 import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
@@ -429,6 +430,14 @@ class TestDifferentiate:
         # the CLI polishes with these trees, so their shape is part of its output
         assert differentiate_expr(FunctionCall(name, self.TWO_X)) == self.RULES[name]
 
+    @pytest.mark.parametrize("text", ["exp(x^2)", "sqrt(x^2+1)", "abs(x-1)", "x^x"])
+    def test_rule_reuses_the_node_it_differentiates(self, text):
+        # a rule that reads f's own value reads f's node, so compiled code computes it once
+        t = parse(text)
+        d = differentiate_expr(t)
+        assert any(node is t for node in expressions._post_order(d))
+        assert_bit_identical(d, [0.5, 2.0, -1.5, 0.0])
+
     def test_quotient_rule_never_squares_the_denominator(self):
         # v^2 overflows for |v| above about 1e154 and underflows below 1e-154
         assert eval_expr(differentiate_expr(parse("x/1e200")), 0.3) == 1e-200
@@ -673,7 +682,7 @@ def recursive_derivative(expr):
     if isinstance(expr, UnaryNeg):
         return e._neg(recursive_derivative(expr.operand))
     if isinstance(expr, FunctionCall):
-        return e._FUNCTIONS[expr.name][1](expr.argument, recursive_derivative(expr.argument))
+        return e._FUNCTIONS[expr.name][1](expr, recursive_derivative(expr.argument))
     u, v = expr.left, expr.right
     du, dv = recursive_derivative(u), recursive_derivative(v)
     if expr.op == "+":
@@ -686,7 +695,7 @@ def recursive_derivative(expr):
         return e._div(e._sub(du, e._mul(e._div(u, v), dv)), v)
     if isinstance(v, Number):
         return e._mul(e._mul(v, BinaryOp("^", u, e._num(v.value - 1.0))), du)
-    return e._mul(BinaryOp("^", u, v), e._add(e._mul(dv, FunctionCall("log", u)), e._mul(v, e._div(du, u))))
+    return e._mul(expr, e._add(e._mul(dv, FunctionCall("log", u)), e._mul(v, e._div(du, u))))
 
 
 def recursive_text(expr):
@@ -867,9 +876,30 @@ class TestTape:
     def test_costly_text(self):
         tree = parse(costly_text(np.random.default_rng(3)))
         assert_bit_identical(tree, np.linspace(-4, 4, 17).tolist())
-        # left operands first and names reused once dead: few values live at a
-        # time; a chunk's two twins share one code object
-        assert max(fast.__code__.co_nlocals for fast, _ in expressions._COMPILED[id(tree)]) <= 8
+
+    @pytest.mark.parametrize("derivative", [False, True], ids=["tree", "derivative"])
+    def test_each_value_has_one_name(self, derivative):
+        tree = parse(costly_text(np.random.default_rng(3), terms=200))
+        if derivative:  # shares subtrees with f, read chunks apart
+            tree = differentiate_expr(tree)
+        eval_expr(tree, 0.5)
+        codes = [fast.__code__ for fast, _ in tree._compiled]
+        assert len(codes) > 2
+        stores = [[ins.argval for ins in dis.get_instructions(code) if ins.opname == "STORE_FAST"] for code in codes]
+        flat = [name for names in stores for name in names]
+        assert len(flat) == len(set(flat))  # no name stored twice, in one chunk or across chunks
+        # a statement's reads come before its store, so every load up to a
+        # chunk's last store is a read; the loads after it build the return
+        reads = []
+        for code in codes:
+            instructions = list(dis.get_instructions(code))
+            last = max(k for k, ins in enumerate(instructions) if ins.opname == "STORE_FAST")
+            reads.append({ins.argval for ins in instructions[:last] if ins.opname == "LOAD_FAST"})
+        for k, code in enumerate(codes):
+            params = code.co_varnames[1:code.co_argcount]
+            # the earlier chunks' names that this chunk or a later one reads
+            wanted = {name for names in stores[:k] for name in names} & set().union(*reads[k:])
+            assert len(params) == len(set(params)) and set(params) == wanted, k
 
     def test_subtree_shared_by_neighbouring_statements(self):
         # s is read by the product and then at once by the quotient
@@ -888,7 +918,7 @@ class TestTape:
         # sin(x) is computed first and read last, hundreds of statements later
         tree = parse("sin(x)*(" + "+".join(f"cos({k}*x)" for k in range(1, 200)) + ")/exp(x)")
         assert_bit_identical(tree, self.POINTS)
-        assert len(expressions._COMPILED[id(tree)]) > 1
+        assert len(tree._compiled) > 1
 
     def test_shared_subtree_read_across_a_chunk_boundary(self):
         d = differentiate_expr(parse(costly_text(np.random.default_rng(3), terms=100)))
@@ -942,7 +972,7 @@ class TestTape:
     def fallback_chunks(tree, x):
         """The indices of the chunks whose fast twin raises at x."""
         live, raised = (), []
-        for k, (fast, guarded) in enumerate(expressions._COMPILED[id(tree)]):
+        for k, (fast, guarded) in enumerate(tree._compiled):
             try:
                 live = fast(x, *live)
             except (ValueError, OverflowError):
@@ -963,7 +993,7 @@ class TestTape:
         guard = FunctionCall("exp", UnaryNeg(FunctionCall("abs", raising)))
         tree = BinaryOp("+", before, BinaryOp("*", guard, after))
         assert_bit_identical(tree, self.POINTS + (-1.0, 1.0, 0.1, -0.1))
-        chunks = expressions._COMPILED[id(tree)]
+        chunks = tree._compiled
         steps = [node for node in expressions._post_order(tree) if expressions._children(node)]
         middle = steps.index(raising) // expressions._CHUNK
         assert 0 < middle < len(chunks) - 1
@@ -986,7 +1016,7 @@ class TestTape:
         eval_expr(tree, 0.5)
         raw = {name: getattr(math, name) for name in ("sin", "cos", "tan", "exp", "log", "sqrt", "pow")}
         raw["abs"] = abs
-        for fast, guarded in expressions._COMPILED[id(tree)]:
+        for fast, guarded in tree._compiled:
             assert fast.__code__ is guarded.__code__
             for name, fn in raw.items():
                 assert fast.__globals__[name] is fn, name
@@ -997,19 +1027,29 @@ class TestTape:
     def test_one_namespace_of_each_kind_per_tree(self):
         tree = parse("sin(x)*(" + "+".join(f"cos({k}*x)" for k in range(1, 200)) + ")")
         eval_expr(tree, 0.5)
-        chunks = expressions._COMPILED[id(tree)]
+        chunks = tree._compiled
         assert len(chunks) > 1
         assert len({id(fast.__globals__) for fast, _ in chunks}) == 1
         assert len({id(guarded.__globals__) for _, guarded in chunks}) == 1
 
-    def test_tape_dropped_with_its_tree(self):
+    def test_code_dropped_with_its_tree(self):
         tree = parse("sin(x)+1")
         eval_expr(tree, 0.5)
-        key = id(tree)
-        assert key in expressions._COMPILED
+        chunk = weakref.ref(tree._compiled[0][0])
         del tree
         gc.collect()
-        assert key not in expressions._COMPILED
+        assert chunk() is None
+
+    def test_compiled_code_is_no_part_of_the_value(self):
+        texts = ["sin(x)+1", costly_text(np.random.default_rng(3), terms=50)]
+        texts += TestDifferentiate.CORPUS + TestPrinterRoundtrip.SAMPLES[:10]
+        for text in texts:
+            tree = parse(text)
+            eval_expr(tree, 0.5)
+            assert tree._compiled is not None
+            fresh = parse(text)
+            assert fresh._compiled is None
+            assert tree == fresh and fresh == tree and hash(tree) == hash(fresh) and repr(tree) == repr(fresh)
 
     def test_threads_share_a_fresh_tree(self):
         # four threads race to compile the same tree, switching every microsecond
@@ -1052,7 +1092,13 @@ class TestCompiled:
     @staticmethod
     def codes(tree):
         eval_expr(tree, 0.5)
-        return [fast.__code__ for fast, _ in expressions._COMPILED[id(tree)]]
+        return [fast.__code__ for fast, _ in tree._compiled]
+
+    def test_costly_derivative_calls_exp_once(self):
+        d = differentiate_expr(parse(costly_text(np.random.default_rng(3))))
+        calls = [ins for code in self.codes(d) for ins in dis.get_instructions(code)
+                 if ins.opname == "LOAD_GLOBAL" and ins.argval == "exp"]
+        assert len(calls) == 1
 
     def test_costly_text_has_few_assignments(self):
         tree = parse(costly_text(np.random.default_rng(3)))
@@ -1074,7 +1120,7 @@ class TestCompiled:
         for value in others:
             tree = BinaryOp("+", tree, BinaryOp("*", Number(value), Variable()))
         (code,) = self.codes(tree)
-        fast = expressions._COMPILED[id(tree)][0][0]
+        fast = tree._compiled[0][0]
         numbers = [const for const in code.co_consts if isinstance(const, (int, float))]
         assert numbers == [2.5]
         for value in others:

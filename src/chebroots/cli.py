@@ -249,10 +249,6 @@ def _build_parser() -> _Parser:
     function.add_argument("--interval", required=True, nargs=2, type=float, metavar=("A", "B"))
 
     vetting = argparse.ArgumentParser(add_help=False)  # roots and sweep
-    vetting.add_argument("--imag-tol", type=float,
-                         help="max |imag| for an eigenvalue to count as real")
-    vetting.add_argument("--box-tol", type=float,
-                         help="how far outside [-1,1] an eigenvalue may sit")
     vetting.add_argument("--residual-tol", type=float,
                          help="absolute |f(x)| acceptance threshold (default: automatic)")
 

@@ -109,9 +109,14 @@ _MAX_NODES = 4096
 # tail that high; it is then resolved at 128 nodes, for 64 more samples.
 _SKIP_POWER = 1.0 / 3.0
 
+# The box filter's tolerances (:func:`filter_candidates`); the box's also
+# bounds how far outside [a, b] Newton polish may end (:func:`_vet`).
+_IMAG_TOL = 1e-8
+_BOX_TOL = 1e-6
+
 # An eigenvalue with |Im t| at most this, in the whole interval's standard
 # coordinate, counts as a root the proxy sees when the samples certify a
-# sign change (:func:`_samples_cross`).  Far above ``imag_tol``, so that a
+# sign change (:func:`_samples_cross`).  Far above ``_IMAG_TOL``, so that a
 # second root the eigen stage pushed off the real line still counts.
 _NEAR_REAL = 1e-3
 
@@ -163,14 +168,12 @@ class RootConfig:
     chopping).  ``residual_tol=None`` selects the automatic per-candidate
     threshold |f(x)| <= 1000*eps*max(1,|x|)*|p'(x)| followed by a check that
     f changes sign across x, which the samples settle without evaluating f
-    when x lies alone in a gap where they change sign; an explicit value is
-    an absolute threshold with no sign check.
+    when x lies alone in a gap where they change sign; an explicit value,
+    positive and finite, is an absolute threshold with no sign check.
     ``degree`` and ``max_adaptive_degree`` are at most 4096 nodes.
     """
 
     degree: int | None = None
-    imag_tol: float = 1e-8
-    box_tol: float = 1e-6
     max_adaptive_degree: int = 128
     polish: bool = True
     residual_tol: float | None = None
@@ -178,21 +181,24 @@ class RootConfig:
     def __post_init__(self):
         for name in ("degree", "max_adaptive_degree"):
             value = getattr(self, name)
-            if value is not None:
-                if not isinstance(value, numbers.Integral):
-                    raise ValueError(f"{name} must be an integer, got {value!r}")
-                if value > _MAX_NODES:
-                    raise ValueError(f"{name} must be at most {_MAX_NODES}, got {value}")
-                object.__setattr__(self, name, int(value))  # numpy ints serialize as ints
+            if value is None and name == "degree":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value > _MAX_NODES:
+                raise ValueError(f"{name} must be at most {_MAX_NODES}, got {value}")
+            object.__setattr__(self, name, int(value))  # numpy ints serialize as ints
         if self.degree is not None and self.degree < 2:
             raise ValueError("fixed degree must be >= 2")
-        for name in ("imag_tol", "box_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.residual_tol is not None and not self.residual_tol > 0:
-            raise ValueError("residual_tol must be positive (or None for automatic)")
         if self.max_adaptive_degree < 2:
             raise ValueError("max_adaptive_degree must be >= 2")
+        if not isinstance(self.polish, bool):
+            raise ValueError(f"polish must be a bool, got {self.polish!r}")
+        tol = self.residual_tol
+        # an infinite tolerance accepts any finite residual, and is no JSON number
+        if tol is not None and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                                or not 0.0 < tol < math.inf):
+            raise ValueError(f"residual_tol must be positive and finite, or None, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -347,40 +353,32 @@ def newton_polish(f, df, x0: float, interval, max_iter: int) -> PolishResult:
     return PolishResult(best_x, iterations, converged, diverged, best_f, corr)
 
 
-def filter_candidates(spectrum: Spectrum, config: RootConfig = RootConfig(),
+def filter_candidates(spectrum: Spectrum,
                       piece: tuple[float, float] = (-1.0, 1.0)) -> tuple[RootCandidate, ...]:
     """Turn every eigenvalue into a candidate, accepted iff it sits in the box.
 
     ``piece`` = (lo, hi) is the part of the standard interval whose own
     standard coordinate the eigenvalues z are in (a leaf of a split proxy);
     t is z mapped to the whole interval's standard coordinate.  Accepted
-    means |t.imag| <= imag_tol and |z.real| <= 1 + box_tol: the box is the
-    leaf's own, ``imag_tol`` keeps its meaning on every leaf, and t is the
-    candidate's ``standard_coord``.  The imaginary-part test runs first, so
-    a candidate failing both reports ``imag_too_large``.  Mapped
-    coordinates are filled in later by the pipeline (the spectrum does not
-    know the interval).
+    means |t.imag| <= ``_IMAG_TOL`` and |z.real| <= 1 + ``_BOX_TOL``: the
+    box is the leaf's own, ``_IMAG_TOL`` keeps its meaning on every leaf,
+    and t is the candidate's ``standard_coord``.  The imaginary-part test
+    runs first, so a candidate failing both reports ``imag_too_large``.
+    Mapped coordinates are filled in later by the pipeline (the spectrum
+    does not know the interval).
     """
     whole = piece == (-1.0, 1.0)
     mid, half = (piece[0] + piece[1]) / 2.0, (piece[1] - piece[0]) / 2.0
     out = []
     for z in spectrum.values:
         t = z if whole else complex(mid + half * z.real, half * z.imag)
-        if abs(t.imag) > config.imag_tol:
+        if abs(t.imag) > _IMAG_TOL:
             reason = RejectionReason.IMAG_TOO_LARGE
-        elif abs(z.real) > 1.0 + config.box_tol:
+        elif abs(z.real) > 1.0 + _BOX_TOL:
             reason = RejectionReason.OUTSIDE_BOX
         else:
             reason = RejectionReason.NONE
-        out.append(
-            RootCandidate(
-                standard_coord=complex(t),
-                mapped_coord=None,
-                rejection_reason=reason,
-                residual=None,
-                polish_iterations=0,
-            )
-        )
+        out.append(RootCandidate(complex(t), None, reason, None, 0))
     return tuple(out)
 
 
@@ -434,7 +432,7 @@ def _vet(cand: RootCandidate, f, df, dseries: ChebyshevSeries, interval: Interva
     """Polish one in-box candidate and decide whether it is a root of f.
 
     Rejects it as ``newton_diverged`` if the polish diverged or ended more
-    than half the box tolerance outside the interval.  Otherwise the clamped
+    than ``_BOX_TOL``*width/2 outside the interval.  Otherwise the clamped
     location is held to the explicit ``residual_tol`` or, when polishing
     with the automatic threshold, to 1000*eps*max(1,|x|)*|p'(x)| and then
     to a sign change of f across it; failing either is
@@ -452,7 +450,7 @@ def _vet(cand: RootCandidate, f, df, dseries: ChebyshevSeries, interval: Interva
     reason, residual, iters = RejectionReason.NONE, None, 0
     if config.polish:
         pol = newton_polish(f, df, x, interval, _POLISH_MAX_ITER)
-        slack = config.box_tol * interval.width / 2.0
+        slack = _BOX_TOL * interval.width / 2.0
         if pol.diverged or pol.x < interval.a - slack or pol.x > interval.b + slack:
             reason = RejectionReason.NEWTON_DIVERGED
         x, residual, iters = pol.x, pol.residual, pol.iterations
@@ -674,7 +672,7 @@ def find_roots(f, interval, config: RootConfig = RootConfig(), df=None) -> RootR
     counter = _CountingFunction(f)
     raw, chopped, proxy_converged, points, values = _ladder(counter, interval, config)
     scale = np.abs(chopped.coeffs).max()
-    leaves = [(leaf, filter_candidates(series_spectrum(leaf), config, (lo, hi)))
+    leaves = [(leaf, filter_candidates(series_spectrum(leaf), (lo, hi)))
               for lo, hi, leaf in _leaves(chopped, _noise_tol(interval), scale)]
     near = sorted(from_standard(interval, c.standard_coord.real) for _, cands in leaves for c in cands
                   if abs(c.standard_coord.imag) <= _NEAR_REAL)

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .chebyshev import DecayProfile
 from .rootfinder import RejectionReason, RootCandidate, RootConfig, RootReport
@@ -32,7 +32,7 @@ __all__ = [
     "json_number",
 ]
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _DECAY_EXACT = "exact"
 
@@ -45,6 +45,10 @@ def config_to_dict(config: RootConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> RootConfig:
+    """The config ``data`` describes; ``ValueError`` unless it has exactly the valid fields of a RootConfig."""
+    names = {field.name for field in fields(RootConfig)}
+    if not isinstance(data, dict) or data.keys() != names:
+        raise ValueError(f"config must have exactly the keys {sorted(names)}, got {data!r}")
     return RootConfig(**data)
 
 

@@ -133,7 +133,6 @@ def test_criterion_6_companion_matches_closed_form_roots():
 
 def test_criterion_7_filter_contract():
     rng = np.random.default_rng(77)
-    config = RootConfig()
     values = []
     for _ in range(400):
         re = float(rng.uniform(-1.3, 1.3))
@@ -146,7 +145,7 @@ def test_criterion_7_filter_contract():
         complex(-(1.0 + 1e-6), 0.0), complex(0.99, -1e-8),
     ]
     spectrum = Spectrum(tuple(values))
-    for cand, z in zip(filter_candidates(spectrum, config), values):
+    for cand, z in zip(filter_candidates(spectrum), values):
         expected = abs(z.imag) <= 1e-8 and abs(z.real) <= 1.0 + 1e-6
         assert cand.accepted == expected, z
     print(f"ACCEPTANCE 7 PASS: filter accepts iff |im|<=1e-8 and "

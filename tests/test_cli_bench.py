@@ -90,9 +90,9 @@ class TestDeclarations:
 
     # each subcommand takes exactly the flags its handler reads
     SURFACE = {
-        "roots": {"--function", "--interval", "--imag-tol", "--box-tol", "--residual-tol", "--no-polish",
+        "roots": {"--function", "--interval", "--residual-tol", "--no-polish",
                   "--format", "--output", "--degree", "--adaptive", "--allow-nonconverged"},
-        "sweep": {"--function", "--interval", "--imag-tol", "--box-tol", "--residual-tol", "--no-polish",
+        "sweep": {"--function", "--interval", "--residual-tol", "--no-polish",
                   "--format", "--output", "--degrees"},
         "interp": {"--function", "--interval", "--format", "--output", "--degree", "--adaptive",
                    "--allow-nonconverged"},
@@ -109,13 +109,16 @@ class TestDeclarations:
         assert len(actions) == len(self.SURFACE[command])  # one option string per flag
 
     @pytest.mark.parametrize("command, flag", [
-        (["interp"], ["--imag-tol", "1e-6"]),
-        (["interp"], ["--box-tol", "0.001"]),
         (["interp"], ["--residual-tol", "1e-10"]),
         (["interp"], ["--no-polish"]),
         (["sweep", "--degrees", "30"], ["--allow-nonconverged"]),
-    ], ids=["interp-imag-tol", "interp-box-tol", "interp-residual-tol", "interp-no-polish",
-            "sweep-allow-nonconverged"])
+        # the box filter's tolerances are constants, set by no flag
+        (["roots"], ["--imag-tol", "1e-6"]),
+        (["roots"], ["--box-tol", "0.001"]),
+        (["sweep", "--degrees", "30"], ["--imag-tol", "1e-6"]),
+        (["sweep", "--degrees", "30"], ["--box-tol", "0.001"]),
+    ], ids=["interp-residual-tol", "interp-no-polish", "sweep-allow-nonconverged",
+            "roots-imag-tol", "roots-box-tol", "sweep-imag-tol", "sweep-box-tol"])
     def test_flag_the_subcommand_ignored_is_a_usage_error(self, capsys, command, flag):
         argv = command + ["--function", "cos(x)", "--interval", "-10", "10"]
         assert run_cli(argv) == 0
@@ -135,13 +138,10 @@ class TestDeclarations:
 
     @pytest.mark.parametrize("flags, changed", [
         ([], {}),
-        (["--imag-tol", "1e-6"], {"imag_tol": 1e-6}),
-        (["--box-tol", "0.001"], {"box_tol": 0.001}),
         (["--residual-tol", "1e-10"], {"residual_tol": 1e-10}),
         (["--no-polish"], {"polish": False}),
-        (["--imag-tol", "1e-6", "--box-tol", "0.001", "--residual-tol", "1e-10", "--no-polish"],
-         {"imag_tol": 1e-6, "box_tol": 0.001, "residual_tol": 1e-10, "polish": False}),
-    ], ids=["defaults", "imag-tol", "box-tol", "residual-tol", "no-polish", "all"])
+        (["--residual-tol", "1e-10", "--no-polish"], {"residual_tol": 1e-10, "polish": False}),
+    ], ids=["defaults", "residual-tol", "no-polish", "all"])
     @pytest.mark.parametrize("command", ["roots", "sweep"])
     def test_flag_reaches_its_config_field(self, capsys, command, flags, changed):
         degree = ["--degree", "30"] if command == "roots" else ["--degrees", "30"]
@@ -199,8 +199,7 @@ class TestSerializationRoundtrip:
     def test_config_keys(self):
         config = RootConfig(degree=30)
         doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config), config)
-        assert list(doc["config"]) == ["degree", "imag_tol", "box_tol", "max_adaptive_degree",
-                                       "polish", "residual_tol"]
+        assert list(doc["config"]) == ["degree", "max_adaptive_degree", "polish", "residual_tol"]
 
     def test_version_1_document_is_refused(self):
         config = RootConfig(degree=30)
@@ -217,6 +216,35 @@ class TestSerializationRoundtrip:
         doc["config"].update(polish_max_iter=12, dedupe_tol=1e-9)
         with pytest.raises(ValueError, match="unsupported report version 2"):
             report_from_dict(doc)
+
+    def test_version_3_document_is_refused(self):
+        config = RootConfig(degree=30)
+        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config), config)
+        doc["version"] = 3
+        doc["config"].update(imag_tol=1e-8, box_tol=1e-6)
+        with pytest.raises(ValueError, match="unsupported report version 3"):
+            report_from_dict(doc)
+
+    CONFIG = {"degree": 30, "max_adaptive_degree": 128, "polish": True, "residual_tol": None}
+
+    @pytest.mark.parametrize("section", [
+        dict(CONFIG, imag_tol=1e-8),
+        {name: value for name, value in CONFIG.items() if name != "polish"},
+        dict(CONFIG, max_adaptive_degree=None),
+        dict(CONFIG, degree=True),
+        dict(CONFIG, residual_tol="1e-9"),
+        dict(CONFIG, residual_tol=True),
+        dict(CONFIG, polish=1),
+        dict(CONFIG, polish="yes"),
+        [],
+    ], ids=["unknown-key", "missing-polish", "null-cap", "bool-degree", "string-tol", "bool-tol",
+            "int-polish", "string-polish", "not-an-object"])
+    def test_bad_config_section_is_a_value_error(self, section):
+        config = RootConfig(degree=30)
+        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config), config)
+        assert report_from_dict(dict(doc, config=self.CONFIG))[0] == config
+        with pytest.raises(ValueError, match="^(config must have exactly the keys|[a-z_]+ must be)"):
+            report_from_dict(dict(doc, config=section))
 
     @pytest.mark.parametrize("f, interval, config", [
         (math.cos, Interval(-10, 10), RootConfig(degree=30)),
@@ -270,7 +298,7 @@ class TestRootsCommand:
             "roots", "--function", "cos(x)", "--interval", "-10", "10", "--degree", "30",
         ])
         assert code == 0
-        assert doc["version"] == 3
+        assert doc["version"] == 4
         assert len(doc["roots"]) == 6
         assert doc["config"]["degree"] == 30
         truth = sorted(s * k * math.pi / 2 for k in (1, 3, 5) for s in (1, -1))
@@ -452,6 +480,14 @@ class TestExitCodes:
 
     def test_missing_required_flags(self, capsys):
         assert run_cli(["roots", "--function", "cos(x)"]) == 1
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_residual_tol_exits_1_with_no_output(self, capsys, value):
+        # "Infinity" would be no JSON number, and an infinite tolerance accepts any residual
+        code = run_cli(["roots", "--function", "x-0.5", "--interval", "0", "1", "--residual-tol", value])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: residual_tol must be positive and finite")
 
     def test_bad_function_text(self, capsys):
         code = run_cli(["roots", "--function", "cos(y)", "--interval", "0", "1"])
@@ -889,5 +925,5 @@ class TestBench:
 
     def test_bench_json_parses(self, report):
         doc = json.loads(bench_to_json(report))
-        assert doc["version"] == 3
+        assert doc["version"] == 4
         assert len(doc["cases"]) == 3

@@ -175,12 +175,11 @@ class TestFilterCandidates:
         assert outside.rejection_reason is RejectionReason.OUTSIDE_BOX
 
     def test_boundary_values_are_inclusive(self):
-        config = RootConfig()
         spectrum = synthetic_spectrum(
-            complex(0.0, config.imag_tol),
-            complex(1.0 + config.box_tol, 0.0),
+            complex(0.0, rootfinder._IMAG_TOL),
+            complex(1.0 + rootfinder._BOX_TOL, 0.0),
         )
-        results = filter_candidates(spectrum, config)
+        results = filter_candidates(spectrum)
         assert all(c.accepted for c in results)
 
     def test_whole_interval_keeps_eigenvalues_as_they_are(self):
@@ -190,7 +189,7 @@ class TestFilterCandidates:
     def test_leaf_box_is_its_own_and_imag_test_the_whole_intervals(self):
         # on the leaf [0, 0.5] of the standard interval, z maps to 0.25 + 0.25*z
         near_real, off_box, tilted = filter_candidates(
-            synthetic_spectrum(0.5 + 2e-8j, 1.1, -1.0000005 + 8e-8j), RootConfig(), (0.0, 0.5))
+            synthetic_spectrum(0.5 + 2e-8j, 1.1, -1.0000005 + 8e-8j), (0.0, 0.5))
         assert near_real.accepted  # |imag| is 5e-9 in the whole interval's coordinate
         assert near_real.standard_coord == complex(0.375, 5e-9)
         assert off_box.rejection_reason is RejectionReason.OUTSIDE_BOX
@@ -409,14 +408,37 @@ class TestNonFiniteResidual:
         assert nan_at and all(c.residual is None and c.mapped_coord is None for c in nan_at)
         assert not any(c.accepted for c in report.candidates)
 
-    def test_infinite_residual_fails_an_infinite_tolerance(self):
-        # inf <= inf, so f's finiteness must be tested before the tolerance
+    def test_infinite_residual_fails_the_largest_tolerance(self):
         f = lambda x: math.inf if abs(x - 0.3) < 1e-3 else x - 0.3
-        config = RootConfig(degree=8, polish=False, residual_tol=math.inf)
+        config = RootConfig(degree=8, polish=False, residual_tol=sys.float_info.max)
         report = find_roots(f, Interval(-1, 1), config)
         assert report.roots == ()
         inf_at = [c for c in report.candidates if c.rejection_reason is RejectionReason.RESIDUAL_TOO_LARGE]
         assert len(inf_at) == 1 and inf_at[0].residual is None and inf_at[0].mapped_coord is None
+
+
+class TestPolishSlack:
+    """Polish may end up to _BOX_TOL*width/2 outside [a, b]: within that slack
+    the root is clamped to the endpoint, beyond it the candidate is rejected."""
+
+    SLACK = rootfinder._BOX_TOL * Interval(-1, 1).width / 2.0
+
+    def test_root_within_the_slack_is_clamped(self):
+        root = 1.0 + 5e-7
+        assert root <= 1.0 + self.SLACK
+        report = find_roots(lambda x: x - root, Interval(-1, 1), RootConfig(residual_tol=1e-6))
+        assert report.roots == (1.0,)
+
+    def test_root_beyond_the_slack_is_newton_diverged(self):
+        # T_20's alias at 16 nodes moves the proxy's root inside the box
+        t20 = [0.0] * 20 + [1.0]
+        f = lambda x: x - 1.000002 - 2e-6 * float(np.polynomial.chebyshev.chebval(x, t20))
+        assert f(1.0 + self.SLACK) < 0.0  # f increases, so its root lies beyond the slack
+        report = find_roots(f, Interval(-1, 1), RootConfig(degree=16, residual_tol=1e-3))
+        assert report.roots == ()
+        (edge,) = [c for c in report.candidates if abs(c.standard_coord.real) <= 1.0 + rootfinder._BOX_TOL
+                   and abs(c.standard_coord.imag) <= rootfinder._IMAG_TOL]
+        assert edge.rejection_reason is RejectionReason.NEWTON_DIVERGED
 
 
 class TestFindRoots:
@@ -997,16 +1019,19 @@ class TestRootConfigValidation:
         with pytest.raises(ValueError, match="max_adaptive_degree must be >= 2"):
             RootConfig(max_adaptive_degree=1)
 
-    def test_rejects_non_positive_tolerances(self):
-        with pytest.raises(ValueError, match="imag_tol"):
-            RootConfig(imag_tol=0.0)
-        with pytest.raises(ValueError, match="residual_tol"):
-            RootConfig(residual_tol=-1e-9)
+    @pytest.mark.parametrize("value", [-1e-9, 0.0, math.nan, math.inf])
+    def test_rejects_a_residual_tol_that_is_not_positive_and_finite(self, value):
+        # an infinite tolerance would accept any finite residual
+        with pytest.raises(ValueError, match="^residual_tol must be positive and finite"):
+            RootConfig(residual_tol=value)
 
     @pytest.mark.parametrize("name, value", [
         ("degree", 30.5),
         ("degree", 30.0),
         ("max_adaptive_degree", 40.5),
+        ("degree", True),
+        ("max_adaptive_degree", False),
+        ("max_adaptive_degree", None),
     ])
     def test_rejects_non_integral_counts(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):

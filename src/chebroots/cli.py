@@ -253,11 +253,8 @@ def _build_parser() -> _Parser:
                          help="absolute |f(x)| acceptance threshold (default: automatic)")
 
     degree = argparse.ArgumentParser(add_help=False)  # roots and interp
-    group = degree.add_mutually_exclusive_group()
-    group.add_argument("--degree", type=int, metavar="N",
-                       help="number of interpolation nodes (proxy degree N-1)")
-    group.add_argument("--adaptive", action="store_true",
-                       help="choose the degree automatically (default)")
+    degree.add_argument("--degree", type=int, metavar="N",
+                        help="number of interpolation nodes (proxy degree N-1; default: adaptive)")
     degree.add_argument("--allow-nonconverged", action="store_true",
                         help="exit 0 even if the adaptive proxy hit its degree cap")
 

@@ -20,19 +20,20 @@ Evaluation follows real arithmetic; domain violations (log of a
 non-positive number, sqrt of a negative, division by zero) produce a
 non-finite value rather than raising, so the rootfinder's own sampling
 checks see them.  A tree is compiled once, on its first evaluation, into
-straight-line Python kept on the tree: each node's value written inline
-into the expression that reads it, and assigned to a name only where it is
-read twice, read in a later chunk or nested deep, with the nodes split into
-chunks of at most 256 that run one after another.  Each chunk's code is
-bound twice: a fast twin calls math's functions and ``math.pow`` directly,
-which raise ValueError or OverflowError on a domain error, and a guarded
-twin calls them through wrappers that return NaN or an infinity instead.  A
-chunk runs its fast twin, and only a chunk that raises is run again, from
-the same inputs, by its guarded twin.  A chunk is a pure function of its
-inputs and the twins compute the same value wherever the fast one returns,
-so every value is the guarded code's bit for bit.  Parsing, compiling,
-differentiating, printing and the nodes' ``==``, ``hash`` and ``repr`` keep
-their own stack, so nesting depth is unbounded.
+straight-line Python kept on the tree, in chunks of at most 256 nodes that
+run one after another: each node's value written inline into the
+expression that reads it, assigned to a name only where it is read twice or
+nested deep, and to a slot of one list per evaluation where a later chunk
+reads it.  Each chunk's code is bound twice: a fast twin calls math's
+functions and ``math.pow`` directly, which raise ValueError or
+OverflowError on a domain error, and a guarded twin calls them through
+wrappers that return NaN or an infinity instead.  A chunk runs its fast
+twin, and only a chunk that raises is run again by its guarded twin.  The
+twins compute the same value wherever the fast one returns, so the rerun
+writes the chunk's slots again with the same values, and every value is
+the guarded code's bit for bit.  Parsing, compiling, differentiating,
+printing and the nodes' ``==``, ``hash`` and ``repr`` keep their own stack,
+so nesting depth is unbounded.
 """
 
 from __future__ import annotations
@@ -308,8 +309,8 @@ _FUNCTIONS = {
 
 # the names compiled code calls, as the fast twins bind them: the raw
 # functions, which raise on a domain error.  A tree's numbers that have no
-# literal join them as c0, c1, ... and its values live in r0, r1, ..., so no
-# name is taken twice.
+# literal join them as c0, c1, ... and its values live in r0, r1, ... and the
+# slot list s, so no name is taken twice.
 _NAMESPACE = {"div": _div_by_zero, "pow": math.pow, **{name: entry[0] for name, entry in _FUNCTIONS.items()}}
 
 # the names the guarded twins bind in place of the raising ones
@@ -373,11 +374,9 @@ def _fold(expr: Expression, rule):
     return done[id(expr)]
 
 
-def _code(params: list, body: list, returns: list) -> types.CodeType:
-    """The code of a function of x and ``params`` that runs ``body`` and returns ``returns`` as a tuple."""
-    source = "\n    ".join([f"def chunk({', '.join(['x', *params])}):", *body,
-                            f"return ({''.join(name + ', ' for name in returns)})"])
-    module = compile(source, "<expression>", "exec")
+def _code(body: list) -> types.CodeType:
+    """The code of ``chunk(x, s)``, a function that runs ``body``."""
+    module = compile("\n    ".join(["def chunk(x, s):", *body]), "<expression>", "exec")
     return next(const for const in module.co_consts if isinstance(const, types.CodeType))
 
 
@@ -401,21 +400,22 @@ def _compile(expr: Expression) -> tuple:
     of "/"), or its inline text would nest more than ``_NEST`` operators
     deep.  Python evaluates the nested form with the same operations on the
     same values, so each value is what one assignment per node would give,
-    bit for bit.  Each assigned value has a name of its own, never reused:
-    ``r`` and its node's index among the interior nodes.  Those nodes are
-    cut, in post-order, into chunks of ``_CHUNK``, each compiled to a
-    function that takes x and the values live at its start and returns
-    those a later chunk still reads; the last returns the root's value.  A
-    finite Python float is written as a literal; any other number (an int,
-    a numpy float, a NaN or an infinity) is read from the functions'
-    namespace.
+    bit for bit.  The interior nodes are cut, in post-order, into chunks of
+    ``_CHUNK``, each compiled to a function ``chunk(x, s)``; the last returns
+    the root's value.  An assigned value that a later chunk reads is written
+    once to a slot of ``s``, a list of one slot per such value, and read from
+    there as ``s[3]``; any other has a local name of its own, never reused:
+    ``r`` and its node's index among the interior nodes.  A finite Python
+    float is written as a literal; any other number (an int, a numpy float,
+    a NaN or an infinity) is read from the functions' namespace.
 
     Each chunk's code is compiled once and bound twice: its fast twin reads
     ``_NAMESPACE``'s raising functions, its guarded twin ``_GUARDED``'s
     wrappers instead.  The tree has one namespace of each kind, shared by
     all its chunks.  The chunks hold no reference to the tree, so they go
-    when it does.  Two threads that compile one tree at once each store a
-    complete and identical result.
+    when it does.  The tree keeps the slot count and the chunks as one value,
+    so two threads that compile one tree at once each store a complete and
+    identical result.
     """
     namespace = dict(_NAMESPACE)
     text, steps = {}, []  # id(node) -> the text its value is read by
@@ -442,13 +442,9 @@ def _compile(expr: Expression) -> tuple:
 
     # id(node) -> its inline text and how many operators deep that nests
     inline = {}
-    # the ids of the named values live at the chunk's start, and of those it assigns
-    codes, body, params, fresh = [], [], [], []
+    # each chunk's statements; a tree of x or a number alone is one chunk
+    bodies, slots = [[] for _ in range(max(1, math.ceil(len(steps) / _CHUNK)))], 0
     for k, (node, template) in enumerate(zip(steps, templates)):
-        if k and k % _CHUNK == 0:
-            live = [key for key in params + fresh if last_read[key] >= k]
-            codes.append(_code([text[key] for key in params], body, [text[key] for key in live]))
-            body, params, fresh = [], live, []
         operands, depth = [], 0
         for child in _children(node):
             if id(child) in inline:
@@ -461,14 +457,15 @@ def _compile(expr: Expression) -> tuple:
         if reads.get(id(node)) == 1 and last_read[id(node)] // _CHUNK == k // _CHUNK and depth < _NEST:
             inline[id(node)] = (value, depth + 1)
             continue
-        text[id(node)] = out = f"r{k}"
-        fresh.append(id(node))
-        body.append(f"{out} = {value}")
-    codes.append(_code([text[key] for key in params], body, [text[id(expr)]]))
+        later = last_read.get(id(node), k) // _CHUNK > k // _CHUNK  # a later chunk reads it
+        text[id(node)] = out = f"s[{slots}]" if later else f"r{k}"
+        slots += later
+        bodies[k // _CHUNK].append(f"{out} = {value}")
+    bodies[-1].append(f"return {text[id(expr)]}")
 
     guarded = {**namespace, **_GUARDED}
-    compiled = tuple((types.FunctionType(code, namespace), types.FunctionType(code, guarded))
-                     for code in codes)
+    compiled = slots, tuple((types.FunctionType(code, namespace), types.FunctionType(code, guarded))
+                            for code in map(_code, bodies))
     object.__setattr__(expr, "_compiled", compiled)
     return compiled
 
@@ -481,13 +478,14 @@ def eval_expr(expr: Expression, x: float) -> float:
     later ones run the code kept on it.
     """
     x = float(x)
-    live = ()
-    for fast, guarded in expr._compiled or _compile(expr):
+    slots, chunks = expr._compiled or _compile(expr)
+    s = [None] * slots
+    for fast, guarded in chunks:
         try:
-            live = fast(x, *live)
+            value = fast(x, s)
         except (ValueError, OverflowError):  # a domain error: rerun the chunk, guarded
-            live = guarded(x, *live)
-    return live[0]
+            value = guarded(x, s)
+    return value
 
 
 def _num(value: float) -> Expression:

@@ -39,6 +39,27 @@ _DECAY_EXACT = "exact"
 # a candidate's CSV columns: the keys of _candidate_to_dict, in its order
 _CANDIDATE_COLUMNS = ["re", "im", "accepted", "reason", "residual", "polish_iterations", "mapped"]
 
+# the keys of a document, of each of its candidates and of each decay entry
+_REPORT_KEYS = {"version", "config", "degree_used", "proxy_converged", "roots", "candidates", "decay",
+                "decay_slope", "function_evaluations"}
+_CANDIDATE_KEYS = set(_CANDIDATE_COLUMNS)
+_DECAY_KEYS = {"j", "abs_coeff"}
+
+
+def _has_keys(data, keys: set, what: str) -> None:
+    """``ValueError`` unless ``data`` is an object with exactly ``keys``."""
+    if not isinstance(data, dict) or data.keys() != keys:
+        got = sorted(data) if isinstance(data, dict) else data
+        raise ValueError(f"{what} must have exactly the keys {sorted(keys)}, got {got!r}")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and type(value) is not bool
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
 
 def config_to_dict(config: RootConfig) -> dict:
     return asdict(config)
@@ -46,9 +67,7 @@ def config_to_dict(config: RootConfig) -> dict:
 
 def config_from_dict(data: dict) -> RootConfig:
     """The config ``data`` describes; ``ValueError`` unless it has exactly the valid fields of a RootConfig."""
-    names = {field.name for field in fields(RootConfig)}
-    if not isinstance(data, dict) or data.keys() != names:
-        raise ValueError(f"config must have exactly the keys {sorted(names)}, got {data!r}")
+    _has_keys(data, {field.name for field in fields(RootConfig)}, "config")
     return RootConfig(**data)
 
 
@@ -67,6 +86,12 @@ def _candidate_to_dict(cand: RootCandidate) -> dict:
 def _candidate_from_dict(data: dict) -> RootCandidate:
     """The candidate ``data`` describes; its ``accepted`` must agree with its
     ``reason``, and ``mapped`` must be present iff it is accepted."""
+    _has_keys(data, _CANDIDATE_KEYS, "candidate")
+    residual, mapped = data["residual"], data["mapped"]
+    if not (_is_real(data["re"]) and _is_real(data["im"]) and type(data["accepted"]) is bool
+            and (residual is None or _is_real(residual) and residual >= 0.0)
+            and _is_count(data["polish_iterations"]) and (mapped is None or _is_real(mapped))):
+        raise ValueError(f"candidate {data!r} has a value of the wrong type or sign")
     cand = RootCandidate(
         standard_coord=complex(data["re"], data["im"]),
         mapped_coord=data["mapped"],
@@ -96,14 +121,25 @@ def report_to_dict(report: RootReport, config: RootConfig) -> dict:
 
 def report_from_dict(data: dict) -> tuple[RootConfig, RootReport]:
     """The config and report of a document; ``ValueError`` if its version is
-    not ours, or its ``roots`` or any ``accepted`` contradicts its candidates."""
-    if data.get("version") != FORMAT_VERSION:
+    not ours, an object in it lacks a key or has one too many, a value has
+    the wrong type or sign, or its ``roots`` or any ``accepted`` contradicts
+    its candidates."""
+    if isinstance(data, dict) and data.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported report version {data.get('version')!r}")
-    slope = data["decay_slope"]
-    decay = DecayProfile(
-        magnitudes=tuple(entry["abs_coeff"] for entry in data["decay"]),
-        slope=None if slope == _DECAY_EXACT else float(slope),
-    )
+    _has_keys(data, _REPORT_KEYS, "report")
+    slope, entries = data["decay_slope"], data["decay"]
+    if not (_is_count(data["degree_used"]) and data["degree_used"] >= 2 and _is_count(data["function_evaluations"])
+            and type(data["proxy_converged"]) is bool and (slope == _DECAY_EXACT or _is_real(slope))
+            and type(data["roots"]) is list and type(data["candidates"]) is list):
+        raise ValueError("report has a value of the wrong type or sign")
+    if type(entries) is not list or not all(isinstance(entry, dict) and entry.keys() == _DECAY_KEYS
+                                            for entry in entries):
+        raise ValueError(f"decay must be a list of objects with exactly the keys {sorted(_DECAY_KEYS)}")
+    magnitudes = tuple(entry["abs_coeff"] for entry in entries)
+    if [entry["j"] for entry in entries] != list(range(len(entries))) or not all(
+            _is_real(magnitude) and magnitude >= 0.0 for magnitude in magnitudes):
+        raise ValueError("decay entries must count j from 0, each with a non-negative abs_coeff")
+    decay = DecayProfile(magnitudes=magnitudes, slope=None if slope == _DECAY_EXACT else float(slope))
     report = RootReport(
         candidates=tuple(_candidate_from_dict(c) for c in data["candidates"]),
         degree_used=data["degree_used"],

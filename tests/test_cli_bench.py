@@ -91,11 +91,10 @@ class TestDeclarations:
     # each subcommand takes exactly the flags its handler reads
     SURFACE = {
         "roots": {"--function", "--interval", "--residual-tol", "--no-polish",
-                  "--format", "--output", "--degree", "--adaptive", "--allow-nonconverged"},
+                  "--format", "--output", "--degree", "--allow-nonconverged"},
         "sweep": {"--function", "--interval", "--residual-tol", "--no-polish",
                   "--format", "--output", "--degrees"},
-        "interp": {"--function", "--interval", "--format", "--output", "--degree", "--adaptive",
-                   "--allow-nonconverged"},
+        "interp": {"--function", "--interval", "--format", "--output", "--degree", "--allow-nonconverged"},
         "bench": {"--format", "--output", "--no-polish"},
     }
 
@@ -117,8 +116,12 @@ class TestDeclarations:
         (["roots"], ["--box-tol", "0.001"]),
         (["sweep", "--degrees", "30"], ["--imag-tol", "1e-6"]),
         (["sweep", "--degrees", "30"], ["--box-tol", "0.001"]),
+        # the adaptive degree is the default, chosen by leaving out --degree
+        (["roots"], ["--adaptive"]),
+        (["interp"], ["--adaptive"]),
     ], ids=["interp-residual-tol", "interp-no-polish", "sweep-allow-nonconverged",
-            "roots-imag-tol", "roots-box-tol", "sweep-imag-tol", "sweep-box-tol"])
+            "roots-imag-tol", "roots-box-tol", "sweep-imag-tol", "sweep-box-tol",
+            "roots-adaptive", "interp-adaptive"])
     def test_flag_the_subcommand_ignored_is_a_usage_error(self, capsys, command, flag):
         argv = command + ["--function", "cos(x)", "--interval", "-10", "10"]
         assert run_cli(argv) == 0
@@ -127,14 +130,6 @@ class TestDeclarations:
         captured = capsys.readouterr()
         assert captured.err.startswith("usage error: ") and flag[0] in captured.err
         assert captured.out == ""
-
-    @pytest.mark.parametrize("command", ["roots", "interp"])
-    def test_adaptive_is_the_default(self, capsys, command):
-        argv = [command, "--function", "cos(x)", "--interval", "-10", "10"]
-        assert run_cli(argv) == 0
-        default = capsys.readouterr().out
-        assert run_cli(argv + ["--adaptive"]) == 0
-        assert capsys.readouterr().out == default
 
     @pytest.mark.parametrize("flags, changed", [
         ([], {}),
@@ -245,6 +240,40 @@ class TestSerializationRoundtrip:
         assert report_from_dict(dict(doc, config=self.CONFIG))[0] == config
         with pytest.raises(ValueError, match="^(config must have exactly the keys|[a-z_]+ must be)"):
             report_from_dict(dict(doc, config=section))
+
+    @staticmethod
+    def first_candidate(doc, **changes):
+        doc["candidates"][0].update(changes)
+        return doc
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: [],
+        lambda doc: dict(doc, candidates=[{}]),
+        lambda doc: {key: value for key, value in doc.items() if key != "decay"},
+        lambda doc: dict(doc, trace=None),
+        lambda doc: dict(doc, degree_used="x"),
+        lambda doc: dict(doc, degree_used=True),
+        lambda doc: dict(doc, function_evaluations=-5),
+        lambda doc: dict(doc, proxy_converged="yes"),
+        lambda doc: dict(doc, candidates={}),
+        lambda doc: dict(doc, decay_slope="steep"),
+        lambda doc: TestSerializationRoundtrip.first_candidate(doc, residual="big"),
+        lambda doc: TestSerializationRoundtrip.first_candidate(doc, residual=-1.0),
+        lambda doc: TestSerializationRoundtrip.first_candidate(doc, polish_iterations=1.5),
+        lambda doc: TestSerializationRoundtrip.first_candidate(doc, re=None),
+        lambda doc: dict(doc, decay=[{"abs_coeff": 1.0}]),
+        lambda doc: dict(doc, decay=doc["decay"][::-1]),
+        lambda doc: dict(doc, decay=[{"j": 0, "abs_coeff": "1"}]),
+    ], ids=["not-an-object", "empty-candidate", "no-decay", "unknown-key", "string-degree", "bool-degree",
+            "negative-evaluations", "string-converged", "candidates-object", "string-slope",
+            "string-residual", "negative-residual", "float-iterations", "null-re", "decay-without-j",
+            "decay-out-of-order", "string-magnitude"])
+    def test_malformed_document_is_a_value_error(self, edit):
+        config = RootConfig(degree=30)
+        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config), config)
+        assert report_from_json(json.dumps(doc)) == report_from_dict(doc)
+        with pytest.raises(ValueError):
+            report_from_json(json.dumps(edit(doc)))
 
     @pytest.mark.parametrize("f, interval, config", [
         (math.cos, Interval(-10, 10), RootConfig(degree=30)),
@@ -562,13 +591,6 @@ class TestExitCodes:
 
     def test_bad_interval(self, capsys):
         code = run_cli(["roots", "--function", "cos(x)", "--interval", "5", "1"])
-        assert code == 1
-
-    def test_degree_conflicts_with_adaptive(self, capsys):
-        code = run_cli([
-            "roots", "--function", "cos(x)", "--interval", "0", "1",
-            "--degree", "8", "--adaptive",
-        ])
         assert code == 1
 
     def test_nonconverged_proxy_exits_2(self, capsys):

@@ -837,6 +837,23 @@ def costly_text(rng, terms=600, group=25):
     return "sin(2.1*x+0.7)*exp(0.5*(" + "+".join(groups) + "))"
 
 
+class SlotLog(list):
+    """A slot list that logs each read and write as (chunk, slot); set
+    ``chunk`` to the index of the chunk about to run."""
+
+    def __init__(self, size):
+        super().__init__([None] * size)
+        self.chunk, self.reads, self.writes = 0, [], []
+
+    def __getitem__(self, i):
+        self.reads.append((self.chunk, i))
+        return super().__getitem__(i)
+
+    def __setitem__(self, i, value):
+        self.writes.append((self.chunk, i))
+        super().__setitem__(i, value)
+
+
 class TestTape:
     """eval_expr runs straight-line code compiled once per tree; it must match
     the tree walk bit for bit."""
@@ -882,24 +899,44 @@ class TestTape:
         tree = parse(costly_text(np.random.default_rng(3), terms=200))
         if derivative:  # shares subtrees with f, read chunks apart
             tree = differentiate_expr(tree)
-        eval_expr(tree, 0.5)
-        codes = [fast.__code__ for fast, _ in tree._compiled]
+        value = eval_expr(tree, 0.5)
+        slots, chunks = tree._compiled
+        codes = [fast.__code__ for fast, _ in chunks]
         assert len(codes) > 2
-        stores = [[ins.argval for ins in dis.get_instructions(code) if ins.opname == "STORE_FAST"] for code in codes]
-        flat = [name for names in stores for name in names]
-        assert len(flat) == len(set(flat))  # no name stored twice, in one chunk or across chunks
-        # a statement's reads come before its store, so every load up to a
-        # chunk's last store is a read; the loads after it build the return
-        reads = []
-        for code in codes:
-            instructions = list(dis.get_instructions(code))
-            last = max(k for k, ins in enumerate(instructions) if ins.opname == "STORE_FAST")
-            reads.append({ins.argval for ins in instructions[:last] if ins.opname == "LOAD_FAST"})
-        for k, code in enumerate(codes):
-            params = code.co_varnames[1:code.co_argcount]
-            # the earlier chunks' names that this chunk or a later one reads
-            wanted = {name for names in stores[:k] for name in names} & set().union(*reads[k:])
-            assert len(params) == len(set(params)) and set(params) == wanted, k
+        s = SlotLog(slots)  # the chunks run one after another, fast twins only
+        for k, (fast, _) in enumerate(chunks):
+            s.chunk = k
+            result = fast(0.5, s)
+        assert repr(result) == repr(value)
+        for fast, _ in chunks:
+            code = fast.__code__
+            assert code.co_varnames[:code.co_argcount] == ("x", "s")
+            # any other name a chunk reads is bound in the namespace: a
+            # local of an earlier chunk would be read as an unbound global
+            assert set(code.co_names) <= set(fast.__globals__)
+        # no local name stored twice, in one chunk or across chunks
+        stores = [ins.argval for code in codes for ins in dis.get_instructions(code) if ins.opname == "STORE_FAST"]
+        assert len(stores) == len(set(stores))
+        assert sorted(stores) == sorted(name for code in codes for name in code.co_varnames[2:])
+        # slots 0 to slots - 1, each written once, by one chunk
+        writer = {i: k for k, i in s.writes}
+        assert sorted(i for _, i in s.writes) == list(range(slots))
+        # a value has a slot exactly when a later chunk reads it, and no
+        # chunk reads a slot before it is written
+        assert {i for k, i in s.reads if k > writer[i]} == set(range(slots))
+        assert all(k >= writer[i] for k, i in s.reads)
+
+    def test_slots_are_the_values_read_outside_their_chunk(self):
+        d = differentiate_expr(parse(costly_text(np.random.default_rng(3))))
+        eval_expr(d, 0.5)
+        slots, chunks = d._compiled
+        assert len(chunks) > 10
+        assert all(fast.__code__.co_argcount == 2 for fast, _ in chunks)
+        steps = [node for node in expressions._post_order(d) if expressions._children(node)]
+        chunk_of = {id(node): k // expressions._CHUNK for k, node in enumerate(steps)}
+        crossing = {id(child) for node in steps for child in expressions._children(node)
+                    if id(child) in chunk_of and chunk_of[id(child)] != chunk_of[id(node)]}
+        assert slots == len(crossing)
 
     def test_subtree_shared_by_neighbouring_statements(self):
         # s is read by the product and then at once by the quotient
@@ -918,7 +955,7 @@ class TestTape:
         # sin(x) is computed first and read last, hundreds of statements later
         tree = parse("sin(x)*(" + "+".join(f"cos({k}*x)" for k in range(1, 200)) + ")/exp(x)")
         assert_bit_identical(tree, self.POINTS)
-        assert len(tree._compiled) > 1
+        assert len(tree._compiled[1]) > 1
 
     def test_shared_subtree_read_across_a_chunk_boundary(self):
         d = differentiate_expr(parse(costly_text(np.random.default_rng(3), terms=100)))
@@ -971,13 +1008,14 @@ class TestTape:
     @staticmethod
     def fallback_chunks(tree, x):
         """The indices of the chunks whose fast twin raises at x."""
-        live, raised = (), []
-        for k, (fast, guarded) in enumerate(tree._compiled):
+        slots, chunks = tree._compiled
+        s, raised = [None] * slots, []
+        for k, (fast, guarded) in enumerate(chunks):
             try:
-                live = fast(x, *live)
+                fast(x, s)
             except (ValueError, OverflowError):
                 raised.append(k)
-                live = guarded(x, *live)
+                guarded(x, s)
         return raised
 
     @pytest.mark.parametrize("size", [1, 2, 5, None])
@@ -986,18 +1024,37 @@ class TestTape:
         if size is not None:
             monkeypatch.setattr(expressions, "_CHUNK", size)
         # values made before the raising term are read after it, and an
-        # infinite term becomes a finite exp(-inf) = 0
+        # infinite term becomes a finite exp(-inf) = 0.  w is made just
+        # before the raising term and read again by the root
         before = parse("sin(x)*(" + "+".join(f"cos({k}*x)" for k in range(1, 150)) + ")")
         after = parse("+".join(f"cos({k}*x)" for k in range(150, 300)))
-        raising = parse(term)
+        raising, w = parse(term), parse("sin(3*x)")
         guard = FunctionCall("exp", UnaryNeg(FunctionCall("abs", raising)))
-        tree = BinaryOp("+", before, BinaryOp("*", guard, after))
+        tree = BinaryOp("+", BinaryOp("+", before, BinaryOp("*", BinaryOp("*", w, guard), after)), w)
         assert_bit_identical(tree, self.POINTS + (-1.0, 1.0, 0.1, -0.1))
-        chunks = tree._compiled
+        slots, chunks = tree._compiled
         steps = [node for node in expressions._post_order(tree) if expressions._children(node)]
         middle = steps.index(raising) // expressions._CHUNK
         assert 0 < middle < len(chunks) - 1
         assert middle in self.fallback_chunks(tree, 1.0)
+        # the guarded rerun writes again, with the same values, each slot the
+        # fast twin wrote before it raised
+        s = SlotLog(slots)
+        for k, (fast, _) in enumerate(chunks[:middle]):
+            s.chunk = k
+            fast(1.0, s)
+        s.chunk = middle
+        with pytest.raises((ValueError, OverflowError)):
+            chunks[middle][0](1.0, s)
+        written, fast_values = {i for k, i in s.writes if k == middle}, list(s)
+        chunks[middle][1](1.0, s)
+        assert all(repr(s[i]) == repr(fast_values[i]) for i in written)
+        for k, (fast, _) in enumerate(chunks[middle + 1:], middle + 1):
+            s.chunk = k
+            fast(1.0, s)
+        if size is None:  # w's chunk is the raising one, and a later chunk reads w
+            assert steps.index(w) // expressions._CHUNK == middle
+            assert any(k > middle and i in written for k, i in s.reads)
 
     def test_fallback_keeps_no_state(self):
         text = "sin(x)*(" + "+".join(f"cos({k}*x)" for k in range(1, 200)) + ")+log(x)*exp(x)"
@@ -1016,7 +1073,7 @@ class TestTape:
         eval_expr(tree, 0.5)
         raw = {name: getattr(math, name) for name in ("sin", "cos", "tan", "exp", "log", "sqrt", "pow")}
         raw["abs"] = abs
-        for fast, guarded in tree._compiled:
+        for fast, guarded in tree._compiled[1]:
             assert fast.__code__ is guarded.__code__
             for name, fn in raw.items():
                 assert fast.__globals__[name] is fn, name
@@ -1027,7 +1084,7 @@ class TestTape:
     def test_one_namespace_of_each_kind_per_tree(self):
         tree = parse("sin(x)*(" + "+".join(f"cos({k}*x)" for k in range(1, 200)) + ")")
         eval_expr(tree, 0.5)
-        chunks = tree._compiled
+        _, chunks = tree._compiled
         assert len(chunks) > 1
         assert len({id(fast.__globals__) for fast, _ in chunks}) == 1
         assert len({id(guarded.__globals__) for _, guarded in chunks}) == 1
@@ -1035,7 +1092,7 @@ class TestTape:
     def test_code_dropped_with_its_tree(self):
         tree = parse("sin(x)+1")
         eval_expr(tree, 0.5)
-        chunk = weakref.ref(tree._compiled[0][0])
+        chunk = weakref.ref(tree._compiled[1][0][0])
         del tree
         gc.collect()
         assert chunk() is None
@@ -1092,7 +1149,7 @@ class TestCompiled:
     @staticmethod
     def codes(tree):
         eval_expr(tree, 0.5)
-        return [fast.__code__ for fast, _ in tree._compiled]
+        return [fast.__code__ for fast, _ in tree._compiled[1]]
 
     def test_costly_derivative_calls_exp_once(self):
         d = differentiate_expr(parse(costly_text(np.random.default_rng(3))))
@@ -1103,7 +1160,8 @@ class TestCompiled:
     def test_costly_text_has_few_assignments(self):
         tree = parse(costly_text(np.random.default_rng(3)))
         interior = sum(1 for node in expressions._post_order(tree) if expressions._children(node))
-        stores = sum(ins.opname == "STORE_FAST" for code in self.codes(tree) for ins in dis.get_instructions(code))
+        # each local is stored once, and each slot written once
+        stores = sum(len(code.co_varnames) - 2 for code in self.codes(tree)) + tree._compiled[0]
         assert 0 < stores < interior / 10
 
     def test_nested_quotients_compile_in_linear_size(self, deep_reference):
@@ -1120,7 +1178,7 @@ class TestCompiled:
         for value in others:
             tree = BinaryOp("+", tree, BinaryOp("*", Number(value), Variable()))
         (code,) = self.codes(tree)
-        fast = tree._compiled[0][0]
+        fast = tree._compiled[1][0][0]
         numbers = [const for const in code.co_consts if isinstance(const, (int, float))]
         assert numbers == [2.5]
         for value in others:

@@ -240,8 +240,10 @@ def differentiate(series: ChebyshevSeries) -> ChebyshevSeries:
     series.  Every d[j] is at most n*(n+1)*max|coeffs| in magnitude; where
     that bound could overflow, the coefficients are scaled by a power of two
     2^-e for the recurrence and the result by 2^e after the chain-rule
-    factor, as in :func:`transform`.  That is exact, so f near the largest
-    float keeps a finite derivative, and every other series is untouched.
+    factor, as in :func:`transform`; that factor is 2/m times 2^-k, with
+    width = m*2^k, so it cannot overflow however narrow the interval.  Both
+    are exact, so f near the largest float and an interval narrower than
+    2/max float keep a finite derivative, and every other series is untouched.
     """
     c = series.coeffs
     n = len(c) - 1
@@ -255,7 +257,8 @@ def differentiate(series: ChebyshevSeries) -> ChebyshevSeries:
     w[:n] += 2.0 * np.arange(n, 0, -1) * np.ldexp(c[:0:-1], -e)
     d = w.reshape(-1, 2).cumsum(axis=0).ravel()[n - 1::-1]
     d[0] *= 0.5
-    return ChebyshevSeries(series.interval, np.ldexp(d * (2.0 / series.interval.width), e))
+    m, k = math.frexp(series.interval.width)
+    return ChebyshevSeries(series.interval, np.ldexp(d * (2.0 / m), e - k))
 
 
 @functools.lru_cache(maxsize=8)

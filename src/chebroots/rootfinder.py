@@ -87,23 +87,28 @@ _LEAF = 64
 # off centre so that a root at the centre of a symmetric problem is not on it.
 _SPLIT = -0.004849834917525
 
-# Most sample nodes a RootConfig allows, fixed or adaptive.  The transform's
+# Most sample nodes a fixed ``RootConfig.degree`` may ask for.  The transform's
 # n x n cosine matrix grows as n^2 and sampling f costs one Python call per
 # node: an in-process `roots --function "sin(x)" --interval -1000 1000
 # --degree N` peaks at 67 MB RSS for N = 1024, 148 MB at 2048 and 499 MB at
 # 4096 (2.0 s) on a 2-core Xeon VM, about 3.4x per doubling.
 _MAX_NODES = 4096
 
-# Under a cap between 64 and 192 no rung reuses the 64-node samples, so the
-# adaptive ladder goes from 48 nodes straight to the next rung when the
-# 48-node series' last 8 coefficients exceed tol**_SKIP_POWER times its
-# largest, tol being the noise level (:func:`_noise_tol`): 64 nodes cannot
-# resolve f then.  Geometric decay |c_k| ~ rho^-k would carry a tail T at 48
-# to about T^(4/3) at 64, above tol while T > tol^(3/4); an entire f decays
-# faster (sin(kx)'s coefficients are Bessel J_j(k)), and the largest 48-node
-# tail found among inputs that 64 nodes resolve is 3.1e-5 at tol = 1e-13
-# (sin(26.19x + 0.8) on [-1, 1]), about tol^0.35.  The level must grow with
-# tol: on [1e8 - 5e-4, 1e8 + 5e-4], where tol = 4.4e-5, a sine that 64 nodes
+# The adaptive ladder's node counts, tried in turn until one resolves f.  The
+# 48 nodes hold the 16 as nodes 3k+1, so that rung reuses their samples; the
+# last rung's proxy is used whether or not it resolves f.
+_RUNGS = (16, 48, 64, 128)
+
+# No rung reuses the 64-node samples, so the adaptive ladder goes from 48
+# nodes straight to 128 when the 48-node series' last 8 coefficients exceed
+# tol**_SKIP_POWER times its largest, tol being the noise level
+# (:func:`_noise_tol`): 64 nodes cannot resolve f then.  Geometric decay
+# |c_k| ~ rho^-k would carry a tail T at 48 to about T^(4/3) at 64, above
+# tol while T > tol^(3/4); an entire f decays faster (sin(kx)'s coefficients
+# are Bessel J_j(k)), and the largest 48-node tail found among inputs that
+# 64 nodes resolve is 3.1e-5 at tol = 1e-13 (sin(26.19x + 0.8) on [-1, 1]),
+# about tol^0.35.  The level must grow with tol: on
+# [1e8 - 5e-4, 1e8 + 5e-4], where tol = 4.4e-5, a sine that 64 nodes
 # resolve has a 48-node tail of 2.0e-4, above a fixed 1e-4.  A polynomial of
 # degree 40-55, which 64 nodes represent exactly, can still have a 48-node
 # tail that high; it is then resolved at 128 nodes, for 64 more samples.
@@ -170,35 +175,35 @@ class RootConfig:
     f changes sign across x, which the samples settle without evaluating f
     when x lies alone in a gap where they change sign; an explicit value,
     positive and finite, is an absolute threshold with no sign check.
-    ``degree`` and ``max_adaptive_degree`` are at most 4096 nodes.
+    ``degree`` is at most 4096 nodes.
     """
 
     degree: int | None = None
-    max_adaptive_degree: int = 128
     polish: bool = True
     residual_tol: float | None = None
 
     def __post_init__(self):
-        for name in ("degree", "max_adaptive_degree"):
-            value = getattr(self, name)
-            if value is None and name == "degree":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value > _MAX_NODES:
-                raise ValueError(f"{name} must be at most {_MAX_NODES}, got {value}")
-            object.__setattr__(self, name, int(value))  # numpy ints serialize as ints
-        if self.degree is not None and self.degree < 2:
-            raise ValueError("fixed degree must be >= 2")
-        if self.max_adaptive_degree < 2:
-            raise ValueError("max_adaptive_degree must be >= 2")
+        degree = self.degree
+        if degree is not None:
+            if isinstance(degree, bool) or not isinstance(degree, numbers.Integral):
+                raise ValueError(f"degree must be an integer, got {degree!r}")
+            if degree > _MAX_NODES:
+                raise ValueError(f"degree must be at most {_MAX_NODES}, got {degree}")
+            if degree < 2:
+                raise ValueError("fixed degree must be >= 2")
+            object.__setattr__(self, "degree", int(degree))  # numpy ints serialize as ints
         if not isinstance(self.polish, bool):
             raise ValueError(f"polish must be a bool, got {self.polish!r}")
         tol = self.residual_tol
-        # an infinite tolerance accepts any finite residual, and is no JSON number
-        if tol is not None and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
-                                or not 0.0 < tol < math.inf):
-            raise ValueError(f"residual_tol must be positive and finite, or None, got {tol!r}")
+        if tol is not None:
+            try:  # held as a float, so numpy floats and Fractions serialize as JSON numbers
+                value = math.nan if isinstance(tol, bool) or not isinstance(tol, numbers.Real) else float(tol)
+            except OverflowError:
+                value = math.inf
+            # an infinite tolerance accepts any finite residual, and is no JSON number
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"residual_tol must be positive and finite, or None, got {tol!r}")
+            object.__setattr__(self, "residual_tol", value)
 
 
 @dataclass(frozen=True)
@@ -211,8 +216,8 @@ class RootReport:
     of the split proxy, whose eigenvalues outside their own leaf are
     candidates too, so there can be more than ``degree_used - 1`` of them.
     ``degree_used`` is the number of sample nodes of the
-    final proxy; ``proxy_converged`` is False only when the adaptive degree
-    loop hit its cap without the coefficient tail decaying.  ``roots`` is
+    final proxy; ``proxy_converged`` is False only when the adaptive ladder
+    reached its last rung without the coefficient tail decaying.  ``roots`` is
     derived from the candidates: the accepted locations, strictly increasing.
     """
 
@@ -592,17 +597,14 @@ def build_proxy(f, interval,
     ``raw`` is the transform of the samples, one coefficient per sample
     node; ``chopped`` is ``raw`` with its tail below the noise level trimmed.
     A fixed ``config.degree`` samples that many nodes.  With ``degree=None``
-    the node count climbs 16, 48, 64, 192, 256, 768, ... (16, 48, 64, 128
-    at the default ``max_adaptive_degree``) and stops at the first rung
-    whose chop drops its trailing 8 coefficients.
-    Tripling a power-of-two rung reuses its samples, so each step costs as
-    many new samples as doubling would.  Under a cap between 64 and 192,
-    where no rung reuses the 64 samples, the 64-node rung is skipped when
-    the 48-node tail rules it out (see ``_SKIP_POWER``): that saves 64
-    evaluations and leaves the final rung as it was, except for a
-    polynomial of degree 40-55, which is then resolved at the next rung
-    for 64 more evaluations.  ``converged`` is False only when the cap was
-    reached without the tail decaying (the series is still usable).
+    the node count climbs the rungs 16, 48, 64, 128 and stops at the first
+    rung whose chop drops its trailing 8 coefficients.  The 48-node rung
+    reuses the 16 samples.  No rung reuses the 64 samples, so the 64-node
+    rung is skipped when the 48-node tail rules it out (see
+    ``_SKIP_POWER``): that saves 64 evaluations and leaves the final rung as
+    it was, except for a polynomial of degree 40-55, which is then resolved
+    at 128 nodes for 64 more evaluations.  ``converged`` is False only when
+    the 128-node rung does not resolve f (the series is still usable).
     """
     return _ladder(f, _as_interval(interval), config)[:3]
 
@@ -611,26 +613,20 @@ def _ladder(f, interval: Interval, config: RootConfig):
     """:func:`build_proxy`'s (raw, chopped, converged), then the final
     rung's sample points and f's values there, in node order."""
     tol = _noise_tol(interval)
-    fixed = config.degree is not None
-    cap = config.degree if fixed else config.max_adaptive_degree
-    n = cap if fixed else min(16, cap)
-    samples = _sample_at_nodes(f, interval, n)
-    while True:
+    rungs = _RUNGS if config.degree is None else (config.degree,)
+    samples = None
+    for n in rungs:
+        if n == 64 and len(rungs) > 1:
+            mags = np.abs(raw.coeffs)
+            if mags[-8:].max() > tol ** _SKIP_POWER * mags.max():
+                continue  # 64 nodes cannot resolve f
+        samples = _sample_at_nodes(f, interval, n, samples if n == 48 else None)
         raw = transform(samples[1], interval)
         chopped = chop_series(raw, tol)
         # resolved when the chop drops the last 8 coefficients
         resolved = n - len(chopped.coeffs) >= min(8, n - 1)
-        if resolved or n >= cap:
-            return raw, chopped, resolved or fixed, *samples
-        if n & (n - 1) == 0 and 3 * n <= cap:
-            n *= 3
-            samples = _sample_at_nodes(f, interval, n, samples)
-        else:  # fresh samples at the next 16*2^k above n
-            n = min(16 << (n // 16).bit_length(), cap)
-            mags = np.abs(raw.coeffs)
-            if n == 64 < cap < 192 and mags[-8:].max() > tol ** _SKIP_POWER * mags.max():
-                n = min(128, cap)  # no rung would reuse the 64 samples, and they cannot resolve f
-            samples = _sample_at_nodes(f, interval, n)
+        if resolved or n == rungs[-1]:
+            return raw, chopped, resolved or config.degree is not None, *samples
 
 
 def find_roots(f, interval, config: RootConfig = RootConfig(), df=None) -> RootReport:

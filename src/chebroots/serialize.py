@@ -32,7 +32,7 @@ __all__ = [
     "json_number",
 ]
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 _DECAY_EXACT = "exact"
 

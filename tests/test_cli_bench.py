@@ -5,6 +5,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -170,6 +171,17 @@ class TestSerializationRoundtrip:
         assert report_back == report
         assert config_back.degree is None
 
+    @pytest.mark.parametrize("tol", [np.float32(1e-9), Fraction(1, 10**9), np.float64(1e-9)],
+                             ids=["float32", "fraction", "float64"])
+    def test_real_residual_tol_roundtrip(self, tol):
+        # any real tolerance is held as a float, so the document has a JSON number
+        config = RootConfig(degree=30, residual_tol=tol)
+        assert type(config.residual_tol) is float and config.residual_tol == float(tol)
+        report = find_roots(math.cos, Interval(-10, 10), config)
+        config_back, report_back = report_from_json(report_to_json(report, config))
+        assert config_back == config
+        assert report_back == report
+
     def test_csv_and_json_payloads_match(self):
         config = RootConfig(degree=25)
         report = find_roots(math.cos, Interval(-10, 10), config)
@@ -194,7 +206,7 @@ class TestSerializationRoundtrip:
     def test_config_keys(self):
         config = RootConfig(degree=30)
         doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config), config)
-        assert list(doc["config"]) == ["degree", "max_adaptive_degree", "polish", "residual_tol"]
+        assert list(doc["config"]) == ["degree", "polish", "residual_tol"]
 
     def test_version_1_document_is_refused(self):
         config = RootConfig(degree=30)
@@ -220,19 +232,27 @@ class TestSerializationRoundtrip:
         with pytest.raises(ValueError, match="unsupported report version 3"):
             report_from_dict(doc)
 
-    CONFIG = {"degree": 30, "max_adaptive_degree": 128, "polish": True, "residual_tol": None}
+    def test_version_4_document_is_refused(self):
+        config = RootConfig(degree=30)
+        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config), config)
+        doc["version"] = 4
+        doc["config"].update(max_adaptive_degree=128)
+        with pytest.raises(ValueError, match="unsupported report version 4"):
+            report_from_dict(doc)
+
+    CONFIG = {"degree": 30, "polish": True, "residual_tol": None}
 
     @pytest.mark.parametrize("section", [
         dict(CONFIG, imag_tol=1e-8),
         {name: value for name, value in CONFIG.items() if name != "polish"},
-        dict(CONFIG, max_adaptive_degree=None),
+        dict(CONFIG, max_adaptive_degree=128),
         dict(CONFIG, degree=True),
         dict(CONFIG, residual_tol="1e-9"),
         dict(CONFIG, residual_tol=True),
         dict(CONFIG, polish=1),
         dict(CONFIG, polish="yes"),
         [],
-    ], ids=["unknown-key", "missing-polish", "null-cap", "bool-degree", "string-tol", "bool-tol",
+    ], ids=["unknown-key", "missing-polish", "stale-cap", "bool-degree", "string-tol", "bool-tol",
             "int-polish", "string-polish", "not-an-object"])
     def test_bad_config_section_is_a_value_error(self, section):
         config = RootConfig(degree=30)
@@ -327,7 +347,7 @@ class TestRootsCommand:
             "roots", "--function", "cos(x)", "--interval", "-10", "10", "--degree", "30",
         ])
         assert code == 0
-        assert doc["version"] == 4
+        assert doc["version"] == 5
         assert len(doc["roots"]) == 6
         assert doc["config"]["degree"] == 30
         truth = sorted(s * k * math.pi / 2 for k in (1, 3, 5) for s in (1, -1))
@@ -437,10 +457,13 @@ class TestRootsCommand:
         ("x-1.5e308", ["1e308", "1.7e308"], [1.5e308]),
         ("(x-0.5)/1e200", ["0", "1"], [0.5]),
         ("sin(x)/1e155", ["-1", "1"], [0.0]),
+        ("x", ["0", "1e-308"], [0.0]),
+        ("x", ["-5e-309", "5e-309"], [0.0]),
     ])
     def test_extreme_magnitudes(self, capsys, function, interval, roots):
-        # samples near the largest float, endpoints whose sum overflows, and
-        # a quotient whose denominator squared leaves the float range
+        # samples near the largest float, endpoints whose sum overflows, a
+        # quotient whose denominator squared leaves the float range, and
+        # intervals so narrow that 2/width overflows
         code, doc = run_json(capsys, ["roots", "--function", function, "--interval", *interval])
         assert code == 0
         assert doc["roots"] == pytest.approx(roots, rel=1e-15, abs=1e-15)
@@ -947,5 +970,5 @@ class TestBench:
 
     def test_bench_json_parses(self, report):
         doc = json.loads(bench_to_json(report))
-        assert doc["version"] == 4
+        assert doc["version"] == 5
         assert len(doc["cases"]) == 3

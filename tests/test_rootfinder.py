@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,17 +61,17 @@ def fresh_transform(f, interval, n):
     return transform([f(from_standard(interval, float(t))) for t in standard_nodes(n)], interval)
 
 
-def doubling_ladder_samples(f, interval, config):
-    """Samples the plain doubling ladder 16, 32, 64, ... (fresh each rung) takes."""
-    n, total = min(16, config.max_adaptive_degree), 0
+def doubling_ladder_samples(f, interval):
+    """Samples the plain doubling ladder 16, 32, 64, 128 (fresh each rung) takes."""
+    n, total = 16, 0
     tol = max(1e-13, np.finfo(float).eps * max(abs(interval.a), abs(interval.b)) / (interval.width / 2))
     while True:
         total += n
         mags = [abs(c) for c in fresh_transform(f, interval, n).coeffs]
         resolved = all(m <= tol * max(mags) for m in mags[-8:])
-        if resolved or n >= config.max_adaptive_degree:
+        if resolved or n == 128:
             return total
-        n = min(2 * n, config.max_adaptive_degree)
+        n *= 2
 
 
 class TestNewtonPolish:
@@ -235,30 +236,18 @@ class TestAdaptiveDegree:
         for k in np.geomspace(0.05, 120.0, 60):
             f = Recorder(lambda x, k=k: math.sin(k * x))
             build_proxy(f, iv, config)
-            budget = doubling_ladder_samples(lambda x, k=k: math.sin(k * x), iv, config)
+            budget = doubling_ladder_samples(lambda x, k=k: math.sin(k * x), iv)
             assert len(f.xs) <= budget, k
             seen.add(budget)
         assert seen == {16, 48, 112, 240}  # k passed through every rung
 
     def test_ladder_rungs_and_sample_counts(self, rungs):
-        step = lambda x: math.copysign(1.0, x)
-        # the step's 48-node tail rules out 64 nodes, so 64 is skipped where
-        # no later rung would reuse its samples (caps 100 and 128) and kept
-        # where 192 does (cap 512)
-        for cap, ladder, samples in (
-            (8, [8], 8),
-            (40, [16, 32, 40], 16 + 32 + 40),
-            (100, [16, 48, 100], 16 + 32 + 100),
-            (128, [16, 48, 128], 16 + 32 + 128),
-            (512, [16, 48, 64, 192, 256, 512], 16 + 32 + 64 + 128 + 256 + 512),
-        ):
-            rungs.clear()
-            f = Recorder(step)
-            _, _, converged = build_proxy(f, Interval(-1.0, 1.0),
-                                          RootConfig(max_adaptive_degree=cap))
-            assert not converged
-            assert rungs == ladder, cap
-            assert len(f.xs) == len(set(f.xs)) == samples, cap
+        # the step's 48-node tail rules out 64 nodes, so 64 is skipped
+        f = Recorder(lambda x: math.copysign(1.0, x))
+        _, _, converged = build_proxy(f, Interval(-1.0, 1.0))
+        assert not converged
+        assert rungs == [16, 48, 128]
+        assert len(f.xs) == len(set(f.xs)) == 16 + 32 + 128
 
     @pytest.mark.parametrize("f, ladder, roots", [
         # sin(30x)'s 48-node tail rules 64 nodes out; sin(26x)'s does not
@@ -786,7 +775,7 @@ def sample_sign_corpus():
         (costly_like, Interval(-20.0, 20.0), RootConfig()),
     ]
     for k, phi in rng.uniform((1.0, 0.0), (12.0, 3.0), size=(6, 2)).tolist():
-        cases.append((lambda x, k=k, phi=phi: math.sin(k * x + phi), BIG, RootConfig(max_adaptive_degree=256)))
+        cases.append((lambda x, k=k, phi=phi: math.sin(k * x + phi), BIG, RootConfig(degree=256)))
         cases.append((gaussian_sine(k), BIG, RootConfig(degree=64)))
     for _ in range(6):
         roots = np.sort(rng.uniform(-0.9, 0.9, size=int(rng.integers(2, 9))))
@@ -1015,39 +1004,38 @@ class TestRootConfigValidation:
         with pytest.raises(ValueError, match="degree"):
             RootConfig(degree=1)
 
-    def test_rejects_adaptive_cap_below_two(self):
-        with pytest.raises(ValueError, match="max_adaptive_degree must be >= 2"):
-            RootConfig(max_adaptive_degree=1)
-
-    @pytest.mark.parametrize("value", [-1e-9, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("value", [-1e-9, 0.0, math.nan, math.inf, pytest.param(10**400, id="10**400"),
+                                       pytest.param(Fraction(1, 10**400), id="10**-400")])
     def test_rejects_a_residual_tol_that_is_not_positive_and_finite(self, value):
-        # an infinite tolerance would accept any finite residual
+        # an infinite tolerance would accept any finite residual; the test is
+        # on the float the config holds, so 10**400 overflows and 10**-400 is 0
         with pytest.raises(ValueError, match="^residual_tol must be positive and finite"):
             RootConfig(residual_tol=value)
 
     @pytest.mark.parametrize("name, value", [
         ("degree", 30.5),
         ("degree", 30.0),
-        ("max_adaptive_degree", 40.5),
         ("degree", True),
-        ("max_adaptive_degree", False),
-        ("max_adaptive_degree", None),
     ])
     def test_rejects_non_integral_counts(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             RootConfig(**{name: value})
 
-    @pytest.mark.parametrize("name", ["degree", "max_adaptive_degree"])
-    def test_node_count_is_bounded(self, name):
-        assert getattr(RootConfig(**{name: 4096}), name) == 4096
-        with pytest.raises(ValueError, match=f"^{name} must be at most 4096, got 4097$"):
-            RootConfig(**{name: 4097})
-        with pytest.raises(ValueError, match=f"^{name} must be at most 4096"):
-            RootConfig(**{name: np.int64(10**8)})
+    def test_node_count_is_bounded(self):
+        assert RootConfig(degree=4096).degree == 4096
+        with pytest.raises(ValueError, match="^degree must be at most 4096, got 4097$"):
+            RootConfig(degree=4097)
+        with pytest.raises(ValueError, match="^degree must be at most 4096"):
+            RootConfig(degree=np.int64(10**8))
 
     def test_accepts_numpy_integer_counts(self):
-        config = RootConfig(degree=np.int64(30), max_adaptive_degree=np.int32(64))
-        plain = RootConfig(degree=30, max_adaptive_degree=64)
+        config = RootConfig(degree=np.int64(30))
+        plain = RootConfig(degree=30)
         assert config == plain
-        assert all(type(v) is int for v in (config.degree, config.max_adaptive_degree))
+        assert type(config.degree) is int
         assert find_roots(math.cos, BIG, config) == find_roots(math.cos, BIG, plain)
+
+    def test_has_no_adaptive_cap(self):
+        # the adaptive ladder's rungs are fixed; a larger proxy takes a fixed degree
+        with pytest.raises(TypeError, match="max_adaptive_degree"):
+            RootConfig(max_adaptive_degree=256)

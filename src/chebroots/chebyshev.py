@@ -291,12 +291,15 @@ def _restriction(lo: float, hi: float, m: int) -> np.ndarray:
 def restrict(series: ChebyshevSeries, lo: float, hi: float) -> ChebyshevSeries:
     """The series on the part [lo, hi] of its standard interval, re-expanded.
 
-    Requires -1 <= lo < hi <= 1.  The result is the same polynomial (up to
-    roundoff) on the interval that [lo, hi] maps to, with as many
+    Requires -1 <= lo < hi <= 1 (else ``ValueError``): outside [-1, 1] the
+    result would extrapolate the series.  The result is the same polynomial
+    (up to roundoff) on the interval that [lo, hi] maps to, with as many
     coefficients as the series.  The coefficient map is a matrix cached per
     (lo, hi) and power-of-two size, so each restriction to a part seen
     before costs one vector-matrix product.
     """
+    if not -1.0 <= lo < hi <= 1.0:
+        raise ValueError(f"restrict requires -1 <= lo < hi <= 1, got lo={lo!r}, hi={hi!r}")
     n = len(series.coeffs)
     m = 1 << (n - 1).bit_length()
     coeffs = series.coeffs @ _restriction(lo, hi, m)[:n, :n]
@@ -344,10 +347,6 @@ class DecayProfile:
 
     magnitudes: tuple[float, ...]
     slope: float | None
-
-    def entries(self) -> tuple[tuple[int, float], ...]:
-        """(j, |coeffs[j]|) pairs, in index order."""
-        return tuple(enumerate(self.magnitudes))
 
 
 # Relative magnitude at or below which coefficient_decay counts a coefficient as zero.

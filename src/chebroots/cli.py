@@ -143,8 +143,8 @@ def _cmd_roots(args) -> int:
     config = _config_from_args(args)
     f, df = _function_from_args(args, derivative=args.polish)
     report = find_roots(f, interval, config, df=df)
-    _emit(args, json=lambda: report_to_json(report, config), csv=lambda: report_to_csv(report),
-          text=lambda: report_to_text(report, config))
+    _emit(args, json=lambda: report_to_json(report), csv=lambda: report_to_csv(report),
+          text=lambda: report_to_text(report))
     return _exit_code(report.proxy_converged, args)
 
 
@@ -159,11 +159,11 @@ def _parse_degrees(text: str) -> list[int]:
     return degrees
 
 
-def _sweep_text(runs) -> str:
+def _sweep_text(reports) -> str:
     lines = []
-    for config, report in runs:
+    for report in reports:
         roots = ", ".join(repr(r) for r in report.roots)
-        lines.append(f"N={config.degree}: {len(report.candidates)} candidates, "
+        lines.append(f"N={report.config.degree}: {len(report.candidates)} candidates, "
                      f"{len(report.roots)} roots [{roots}]")
     return "\n".join(lines) + "\n"
 
@@ -173,20 +173,17 @@ def _cmd_sweep(args) -> int:
     f, df = _function_from_args(args, derivative=args.polish)
     # every config first, so that a bad degree costs no solve
     configs = [_config_from_args(args, degree=degree) for degree in args.degrees]
-    runs = [(config, find_roots(f, interval, config, df=df)) for config in configs]
+    reports = [find_roots(f, interval, config, df=df) for config in configs]
     _emit(
         args,
         json=lambda: json.dumps({
             "version": FORMAT_VERSION,
             "function": args.function,
             "interval": [interval.a, interval.b],
-            "sweeps": [
-                dict(report_to_dict(report, config), degree=config.degree)
-                for config, report in runs
-            ],
+            "sweeps": [dict(report_to_dict(report), degree=report.config.degree) for report in reports],
         }, indent=2),
-        csv=lambda: sweep_to_csv([(config.degree, report) for config, report in runs]),
-        text=lambda: _sweep_text(runs),
+        csv=lambda: sweep_to_csv(reports),
+        text=lambda: _sweep_text(reports),
     )
     return 0
 

@@ -215,21 +215,26 @@ class RootReport:
     chopped proxy, when it has at most 64 coefficients; otherwise the leaves
     of the split proxy, whose eigenvalues outside their own leaf are
     candidates too, so there can be more than ``degree_used - 1`` of them.
-    ``degree_used`` is the number of sample nodes of the
-    final proxy; ``proxy_converged`` is False only when the adaptive ladder
-    reached its last rung without the coefficient tail decaying.  ``roots`` is
-    derived from the candidates: the accepted locations, strictly increasing.
+    ``proxy_converged`` is False only when the adaptive ladder reached its
+    last rung without the coefficient tail decaying; ``config`` is the one
+    the run used.  Derived: ``roots``, the accepted locations, strictly
+    increasing; and ``degree_used``, the final proxy's number of sample
+    nodes, one per ``coefficient_decay`` magnitude.
     """
 
     candidates: tuple[RootCandidate, ...]
-    degree_used: int
     coefficient_decay: DecayProfile
     function_evaluations: int
     proxy_converged: bool
+    config: RootConfig
 
     @property
     def roots(self) -> tuple[float, ...]:
         return tuple(sorted(c.mapped_coord for c in self.candidates if c.accepted))
+
+    @property
+    def degree_used(self) -> int:
+        return len(self.coefficient_decay.magnitudes)
 
 
 @dataclass(frozen=True)
@@ -657,7 +662,7 @@ def find_roots(f, interval, config: RootConfig = RootConfig(), df=None) -> RootR
     -------
     report : RootReport
         Accepted roots (strictly increasing, clamped to the interval),
-        every candidate with its fate, and run diagnostics.
+        every candidate with its fate, run diagnostics, and ``config``.
 
     Raises
     ------
@@ -681,8 +686,8 @@ def find_roots(f, interval, config: RootConfig = RootConfig(), df=None) -> RootR
                    for cand in cands]
     return RootReport(
         candidates=_dedupe_candidates(tuple(vetted), interval, counter, config.residual_tol),
-        degree_used=len(raw.coeffs),
         coefficient_decay=coefficient_decay(raw),
         function_evaluations=counter.count,
         proxy_converged=proxy_converged,
+        config=config,
     )

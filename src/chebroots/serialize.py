@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import asdict, fields
 
 from .chebyshev import DecayProfile
@@ -54,7 +55,8 @@ def _has_keys(data, keys: set, what: str) -> None:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and type(value) is not bool
+    """Whether ``value`` is a finite number: no bool, NaN, infinity or int past the float range."""
+    return isinstance(value, (int, float)) and type(value) is not bool and abs(value) <= sys.float_info.max
 
 
 def _is_count(value) -> bool:
@@ -104,26 +106,31 @@ def _candidate_from_dict(data: dict) -> RootCandidate:
     return cand
 
 
-def report_to_dict(report: RootReport, config: RootConfig) -> dict:
+def report_to_dict(report: RootReport) -> dict:
     decay = report.coefficient_decay
     return {
         "version": FORMAT_VERSION,
-        "config": config_to_dict(config),
+        "config": config_to_dict(report.config),
         "degree_used": report.degree_used,
         "proxy_converged": report.proxy_converged,
         "roots": list(report.roots),
         "candidates": [_candidate_to_dict(c) for c in report.candidates],
-        "decay": [{"j": j, "abs_coeff": m} for j, m in decay.entries()],
+        "decay": [{"j": j, "abs_coeff": m} for j, m in enumerate(decay.magnitudes)],
         "decay_slope": _DECAY_EXACT if decay.slope is None else decay.slope,
         "function_evaluations": report.function_evaluations,
     }
 
 
 def report_from_dict(data: dict) -> tuple[RootConfig, RootReport]:
-    """The config and report of a document; ``ValueError`` if its version is
-    not ours, an object in it lacks a key or has one too many, a value has
-    the wrong type or sign, or its ``roots`` or any ``accepted`` contradicts
-    its candidates."""
+    """``(report.config, report)`` for the report a document describes.
+
+    ``ValueError`` if its version is not ours, an object in it lacks a key
+    or has one too many, a value has the wrong type or sign or is no finite
+    number, its ``roots`` or any ``accepted`` contradicts its candidates,
+    its ``degree_used`` is not its number of decay entries, or its config
+    fixes a ``degree`` other than ``degree_used`` or that with
+    ``proxy_converged`` false (a fixed degree always converges).
+    """
     if isinstance(data, dict) and data.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported report version {data.get('version')!r}")
     _has_keys(data, _REPORT_KEYS, "report")
@@ -139,21 +146,28 @@ def report_from_dict(data: dict) -> tuple[RootConfig, RootReport]:
     if [entry["j"] for entry in entries] != list(range(len(entries))) or not all(
             _is_real(magnitude) and magnitude >= 0.0 for magnitude in magnitudes):
         raise ValueError("decay entries must count j from 0, each with a non-negative abs_coeff")
+    config = config_from_dict(data["config"])
+    if data["degree_used"] != len(magnitudes):
+        raise ValueError(f"degree_used {data['degree_used']} differs from the {len(magnitudes)} decay entries")
+    if config.degree not in (None, data["degree_used"]):
+        raise ValueError(f"config degree {config.degree} differs from degree_used {data['degree_used']}")
+    if config.degree is not None and not data["proxy_converged"]:
+        raise ValueError("a report of a fixed degree must have a converged proxy")
     decay = DecayProfile(magnitudes=magnitudes, slope=None if slope == _DECAY_EXACT else float(slope))
     report = RootReport(
         candidates=tuple(_candidate_from_dict(c) for c in data["candidates"]),
-        degree_used=data["degree_used"],
         coefficient_decay=decay,
         function_evaluations=data["function_evaluations"],
         proxy_converged=data["proxy_converged"],
+        config=config,
     )
     if tuple(data["roots"]) != report.roots:
         raise ValueError("report roots differ from its accepted candidates")
-    return config_from_dict(data["config"]), report
+    return report.config, report
 
 
-def report_to_json(report: RootReport, config: RootConfig) -> str:
-    return json.dumps(report_to_dict(report, config), indent=2)
+def report_to_json(report: RootReport) -> str:
+    return json.dumps(report_to_dict(report), indent=2)
 
 
 def report_from_json(text: str) -> tuple[RootConfig, RootReport]:
@@ -193,13 +207,13 @@ def report_to_csv(report: RootReport) -> str:
     return write_csv_rows(_CANDIDATE_COLUMNS, [_candidate_row(c) for c in report.candidates])
 
 
-def sweep_to_csv(runs: list[tuple[int, RootReport]]) -> str:
-    """One row per (degree, candidate) across a degree sweep."""
-    rows = [[format_cell(degree)] + _candidate_row(c) for degree, report in runs for c in report.candidates]
+def sweep_to_csv(reports: list[RootReport]) -> str:
+    """One row per (degree, candidate) across a sweep of fixed-degree reports."""
+    rows = [[format_cell(r.config.degree)] + _candidate_row(c) for r in reports for c in r.candidates]
     return write_csv_rows(["degree"] + _CANDIDATE_COLUMNS, rows)
 
 
-def report_to_text(report: RootReport, config: RootConfig) -> str:
+def report_to_text(report: RootReport) -> str:
     lines = [
         f"degree used: {report.degree_used}"
         + ("" if report.proxy_converged else "  (proxy did not converge)"),
@@ -217,8 +231,11 @@ def report_to_text(report: RootReport, config: RootConfig) -> str:
                 f"  {c.standard_coord.real!r} {c.standard_coord.imag:+g}i"
                 f"  [{c.rejection_reason.value}]"
             )
-    if config.residual_tol is None:
+    config = report.config
+    if config.residual_tol is not None:  # applied with and without polish
+        lines.append(f"residual test: |f(x)| <= {config.residual_tol!r}")
+    elif config.polish:
         lines.append("residual test: automatic")
     else:
-        lines.append(f"residual test: |f(x)| <= {config.residual_tol!r}")
+        lines.append("residual test: none (unpolished, so the roots are unvetted proxy roots)")
     return "\n".join(lines) + "\n"

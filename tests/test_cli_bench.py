@@ -1,11 +1,14 @@
 import argparse
 import csv
+import importlib.util
 import io
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +43,19 @@ from chebroots.serialize import (
     report_to_dict,
     report_to_json,
 )
+
+
+def _benchmark_workloads():
+    """The benchmark's seeded inputs (``benchmark/workloads.py``, standard library only)."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks a class's module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _benchmark_workloads()
 
 
 # f is NaN at the proxy's one root: (x - 0.3) times a 0/0 there
@@ -160,14 +176,14 @@ class TestSerializationRoundtrip:
     def test_json_roundtrip_is_equal(self):
         config = RootConfig(degree=30)
         report = find_roots(math.cos, Interval(-10, 10), config)
-        config_back, report_back = report_from_json(report_to_json(report, config))
+        config_back, report_back = report_from_json(report_to_json(report))
         assert config_back == config
         assert report_back == report
 
     def test_adaptive_report_roundtrip(self):
         config = RootConfig()
         report = find_roots(lambda x: x * x - 2, Interval(0, 3), config)
-        config_back, report_back = report_from_json(report_to_json(report, config))
+        config_back, report_back = report_from_json(report_to_json(report))
         assert report_back == report
         assert config_back.degree is None
 
@@ -178,14 +194,14 @@ class TestSerializationRoundtrip:
         config = RootConfig(degree=30, residual_tol=tol)
         assert type(config.residual_tol) is float and config.residual_tol == float(tol)
         report = find_roots(math.cos, Interval(-10, 10), config)
-        config_back, report_back = report_from_json(report_to_json(report, config))
+        config_back, report_back = report_from_json(report_to_json(report))
         assert config_back == config
         assert report_back == report
 
     def test_csv_and_json_payloads_match(self):
         config = RootConfig(degree=25)
         report = find_roots(math.cos, Interval(-10, 10), config)
-        doc = report_to_dict(report, config)
+        doc = report_to_dict(report)
         rows = list(csv.DictReader(io.StringIO(report_to_csv(report))))
         assert len(rows) == len(doc["candidates"])
         for row, cand in zip(rows, doc["candidates"]):
@@ -205,12 +221,12 @@ class TestSerializationRoundtrip:
 
     def test_config_keys(self):
         config = RootConfig(degree=30)
-        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config), config)
+        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config))
         assert list(doc["config"]) == ["degree", "polish", "residual_tol"]
 
     def test_version_1_document_is_refused(self):
         config = RootConfig(degree=30)
-        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config), config)
+        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config))
         doc["version"] = 1
         doc["config"].update(chop_tol=1e-13, adaptive_tol=1e-12)
         with pytest.raises(ValueError, match="unsupported report version 1"):
@@ -218,7 +234,7 @@ class TestSerializationRoundtrip:
 
     def test_version_2_document_is_refused(self):
         config = RootConfig(degree=30)
-        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config), config)
+        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config))
         doc["version"] = 2
         doc["config"].update(polish_max_iter=12, dedupe_tol=1e-9)
         with pytest.raises(ValueError, match="unsupported report version 2"):
@@ -226,7 +242,7 @@ class TestSerializationRoundtrip:
 
     def test_version_3_document_is_refused(self):
         config = RootConfig(degree=30)
-        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config), config)
+        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config))
         doc["version"] = 3
         doc["config"].update(imag_tol=1e-8, box_tol=1e-6)
         with pytest.raises(ValueError, match="unsupported report version 3"):
@@ -234,7 +250,7 @@ class TestSerializationRoundtrip:
 
     def test_version_4_document_is_refused(self):
         config = RootConfig(degree=30)
-        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config), config)
+        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config))
         doc["version"] = 4
         doc["config"].update(max_adaptive_degree=128)
         with pytest.raises(ValueError, match="unsupported report version 4"):
@@ -256,7 +272,7 @@ class TestSerializationRoundtrip:
             "int-polish", "string-polish", "not-an-object"])
     def test_bad_config_section_is_a_value_error(self, section):
         config = RootConfig(degree=30)
-        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config), config)
+        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config))
         assert report_from_dict(dict(doc, config=self.CONFIG))[0] == config
         with pytest.raises(ValueError, match="^(config must have exactly the keys|[a-z_]+ must be)"):
             report_from_dict(dict(doc, config=section))
@@ -264,6 +280,13 @@ class TestSerializationRoundtrip:
     @staticmethod
     def first_candidate(doc, **changes):
         doc["candidates"][0].update(changes)
+        return doc
+
+    @staticmethod
+    def first_root_at(doc, x):
+        """``doc`` with its first accepted candidate moved to ``x`` and its roots to match."""
+        next(c for c in doc["candidates"] if c["accepted"])["mapped"] = x
+        doc["roots"] = sorted(c["mapped"] for c in doc["candidates"] if c["accepted"])
         return doc
 
     @pytest.mark.parametrize("edit", [
@@ -284,13 +307,30 @@ class TestSerializationRoundtrip:
         lambda doc: dict(doc, decay=[{"abs_coeff": 1.0}]),
         lambda doc: dict(doc, decay=doc["decay"][::-1]),
         lambda doc: dict(doc, decay=[{"j": 0, "abs_coeff": "1"}]),
+        # a node count, a fixed degree and convergence that contradict each other
+        lambda doc: dict(doc, decay=doc["decay"][:20]),
+        lambda doc: dict(doc, degree_used=16, decay=doc["decay"][:16]),
+        lambda doc: dict(doc, config=dict(doc["config"], degree=64)),
+        lambda doc: dict(doc, proxy_converged=False),
+        # numbers the writer never emits: json reads NaN, Infinity and integers past the float range
+        lambda doc: TestSerializationRoundtrip.first_candidate(doc, re=math.nan),
+        lambda doc: TestSerializationRoundtrip.first_candidate(doc, re=-math.inf),
+        lambda doc: TestSerializationRoundtrip.first_candidate(doc, re=10**400),
+        lambda doc: TestSerializationRoundtrip.first_candidate(doc, residual=math.inf),
+        lambda doc: TestSerializationRoundtrip.first_root_at(doc, math.inf),
+        lambda doc: dict(doc, decay=[dict(entry, abs_coeff=math.inf) for entry in doc["decay"]]),
+        lambda doc: dict(doc, decay_slope=math.nan),
+        lambda doc: dict(doc, decay_slope=-math.inf),
     ], ids=["not-an-object", "empty-candidate", "no-decay", "unknown-key", "string-degree", "bool-degree",
             "negative-evaluations", "string-converged", "candidates-object", "string-slope",
             "string-residual", "negative-residual", "float-iterations", "null-re", "decay-without-j",
-            "decay-out-of-order", "string-magnitude"])
+            "decay-out-of-order", "string-magnitude", "degree-used-past-decay", "decay-truncated",
+            "config-degree-not-degree-used", "fixed-degree-not-converged", "nan-re", "infinite-re",
+            "huge-int-re", "infinite-residual", "infinite-mapped", "infinite-magnitude", "nan-slope",
+            "infinite-slope"])
     def test_malformed_document_is_a_value_error(self, edit):
         config = RootConfig(degree=30)
-        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config), config)
+        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config))
         assert report_from_json(json.dumps(doc)) == report_from_dict(doc)
         with pytest.raises(ValueError):
             report_from_json(json.dumps(edit(doc)))
@@ -305,7 +345,15 @@ class TestSerializationRoundtrip:
     ], ids=["cosine", "no-roots", "leaves", "touching", "unpolished", "nan-at-root"])
     def test_every_written_document_reads_back(self, f, interval, config):
         report = find_roots(f, interval, config)
-        assert report_from_json(report_to_json(report, config)) == (config, report)
+        assert report_from_json(report_to_json(report)) == (config, report)
+
+    @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+    def test_workload_reports_read_back(self, workload):
+        for case in workloads.generate(workload, 1):
+            expr, config = parse(case.text), RootConfig(degree=case.degree)
+            report = find_roots(lambda x: eval_expr(expr, x), (case.a, case.b), config)
+            assert report.config == config, case.name
+            assert report_from_json(report_to_json(report)) == (config, report), case.name
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["roots"].pop(),
@@ -315,7 +363,7 @@ class TestSerializationRoundtrip:
     ], ids=["dropped", "added", "moved", "unsorted"])
     def test_edited_roots_are_refused(self, edit):
         config = RootConfig(degree=30)
-        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config), config)
+        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config))
         edit(doc)
         with pytest.raises(ValueError, match="roots"):
             report_from_dict(doc)
@@ -325,7 +373,7 @@ class TestSerializationRoundtrip:
     def test_candidate_contradicting_its_reason_is_refused(self, key, accepted):
         # only an accepted candidate has a mapped location
         config = RootConfig(degree=30)
-        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config), config)
+        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config))
         cand = next(c for c in doc["candidates"] if c["accepted"] is accepted)
         cand[key] = (not accepted) if key == "accepted" else (None if accepted else 0.5)
         with pytest.raises(ValueError, match="contradicts its reason"):
@@ -382,6 +430,12 @@ class TestRootsCommand:
         assert [float(line) for line in lines[start:start + 6]] == doc["roots"]
         assert lines[-1] == "residual test: automatic"
         assert run_cli(argv + ["--format", "text", "--residual-tol", "1e-10"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "residual test: |f(x)| <= 1e-10"
+        # unpolished, only an explicit residual_tol vets the candidates
+        assert run_cli(argv + ["--format", "text", "--no-polish"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "residual test: none (unpolished, so the roots are unvetted proxy roots)"
+        assert run_cli(argv + ["--format", "text", "--no-polish", "--residual-tol", "1e-10"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "residual test: |f(x)| <= 1e-10"
 
     def test_only_the_chosen_format_is_rendered(self, capsys, monkeypatch):

@@ -308,7 +308,7 @@ class TestDedupe:
     @staticmethod
     def _roots(candidates):
         """The roots of a report holding ``candidates``."""
-        return RootReport(candidates, 0, DecayProfile((), None), 0, True).roots
+        return RootReport(candidates, DecayProfile((), None), 0, True, RootConfig()).roots
 
     def test_near_duplicates_merge_keeping_smaller_residual(self):
         cands = self._candidates([1.0, 1.0 + 2e-11], [1e-12, 1e-15])
@@ -338,7 +338,8 @@ class TestDedupe:
 
 
 class TestDerivedFields:
-    """A report's roots and a candidate's acceptance follow from the fates."""
+    """A report's roots and a candidate's acceptance follow from the fates,
+    and a report's node count from its decay profile."""
 
     def test_roots_and_accepted_are_not_constructor_arguments(self):
         report = find_roots(math.cos, BIG, RootConfig(degree=30))
@@ -348,15 +349,21 @@ class TestDerivedFields:
         with pytest.raises(TypeError):
             RootCandidate(standard_coord=0j, mapped_coord=0.0, accepted=True,
                           rejection_reason=RejectionReason.NONE, residual=0.0, polish_iterations=0)
+        fields = dict(candidates=report.candidates, coefficient_decay=report.coefficient_decay,
+                      function_evaluations=report.function_evaluations, proxy_converged=True,
+                      config=report.config)
+        assert RootReport(**fields) == report
         with pytest.raises(TypeError):
-            RootReport(roots=report.roots, candidates=report.candidates, degree_used=30,
-                       coefficient_decay=report.coefficient_decay, function_evaluations=0,
-                       proxy_converged=True)
+            RootReport(roots=report.roots, **fields)
+        with pytest.raises(TypeError):
+            RootReport(degree_used=30, **fields)
 
     def test_roots_and_accepted_are_read_only(self):
         report = find_roots(math.cos, BIG, RootConfig(degree=30))
         with pytest.raises(AttributeError):
             report.roots = ()
+        with pytest.raises(AttributeError):
+            report.degree_used = 20
         with pytest.raises(AttributeError):
             report.candidates[0].accepted = False
 
@@ -955,6 +962,14 @@ class TestLeaves:
         piece = restrict(chebyshev.ChebyshevSeries(Interval(-1, 1), (0.0, 0.0, 1.0)), 0.0, 1.0)
         assert piece.interval == Interval(0.0, 1.0)
         assert piece.coeffs.tolist() == pytest.approx([-0.25, 1.0, 0.25], abs=1e-16)
+
+    @pytest.mark.parametrize("lo, hi", [(-2.0, 0.0), (0.0, 1.5), (0.5, 0.5), (0.5, -0.5), (math.nan, 0.0)],
+                             ids=["below", "above", "empty", "reversed", "nan"])
+    def test_restriction_outside_the_standard_interval_is_refused(self, lo, hi):
+        # [-2, 0] of a series on [0, 1] would extrapolate it to [-0.5, 0.5]
+        series = chebyshev.ChebyshevSeries(Interval(0.0, 1.0), (0.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match=f"^restrict requires -1 <= lo < hi <= 1, got lo={lo!r}, hi={hi!r}$"):
+            restrict(series, lo, hi)
 
     def test_threads_share_fresh_caches(self):
         # four threads race to fill the restriction and transform caches

@@ -64,7 +64,6 @@ class BenchCase:
 class BenchRow:
     case: str
     degree: int
-    degree_used: int
     roots_found: int
     expected_roots: int | None
     root_count_matches: bool | None
@@ -72,7 +71,6 @@ class BenchRow:
     spurious_candidates: int
     proxy_max_error: float
     function_evaluations: int
-    proxy_converged: bool
     wall_time_s: float
 
 
@@ -187,7 +185,6 @@ def run_bench(corpus=None, config: RootConfig = RootConfig()) -> BenchReport:
                 BenchRow(
                     case=case.name,
                     degree=degree,
-                    degree_used=report.degree_used,
                     roots_found=found,
                     expected_roots=expected,
                     root_count_matches=matches,
@@ -195,7 +192,6 @@ def run_bench(corpus=None, config: RootConfig = RootConfig()) -> BenchReport:
                     spurious_candidates=sum(1 for c in report.candidates if not c.accepted),
                     proxy_max_error=grid_max_error(grid),
                     function_evaluations=report.function_evaluations,
-                    proxy_converged=report.proxy_converged,
                     wall_time_s=wall,
                 )
             )

@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "Interval",
     "ChebyshevSeries",
-    "DecayProfile",
     "NonFiniteSampleError",
     "standard_nodes",
     "to_standard",
@@ -334,46 +333,10 @@ def chop_series(series: ChebyshevSeries, rel_tol: float = 1e-13,
     return ChebyshevSeries(series.interval, c[:keep])
 
 
-@dataclass(frozen=True)
-class DecayProfile:
-    """Coefficient magnitudes |coeffs[j]| plus a fitted algebraic decay rate.
+def coefficient_decay(series: ChebyshevSeries) -> tuple[float, ...]:
+    """The coefficient magnitudes |coeffs[j]|, j = 0, 1, ..., as Python floats.
 
-    ``slope`` is the least-squares slope of log|coeffs[j]| against log j over
-    the significant nonzero tail, or ``None`` when the series terminates in
-    an exactly-zero tail (the representation is exact, so no algebraic rate
-    applies) or is too short, or too few nonzero coefficients remain, to
-    fit one.
+    A diagnostic only: nothing in the pipeline gates on it, and the chop
+    (:func:`chop_series`) alone decides whether f is resolved.
     """
-
-    magnitudes: tuple[float, ...]
-    slope: float | None
-
-
-# Relative magnitude at or below which coefficient_decay counts a coefficient as zero.
-_DECAY_ZERO_TOL = 1e-14
-
-
-def coefficient_decay(series: ChebyshevSeries) -> DecayProfile:
-    """Diagnostic decay profile of the series coefficients.
-
-    Trailing coefficients at or below ``1e-14 * max|coeff|`` count as an
-    exactly-zero tail.  If the series has fewer than 4 coefficients, two or
-    more such trailing coefficients were dropped, or fewer than two nonzero
-    points remain, the representation is reported as exact (``slope=None``)
-    instead of fitting a rate.  The fit itself regresses log|coeffs[j]| on
-    log j for j >= 1, skipping roundoff-level interior coefficients (parity
-    zeros and the like).
-
-    This is a diagnostic only; nothing in the pipeline gates on it.
-    """
-    mags = np.abs(series.coeffs)
-    cut = _DECAY_ZERO_TOL * mags.max()
-    keep = len(chop_series(series, _DECAY_ZERO_TOL).coeffs)
-    points = (mags[1:keep] > cut).nonzero()[0] + 1
-    if len(mags) < 4 or len(mags) - keep >= 2 or len(points) < 2:
-        return DecayProfile(tuple(mags.tolist()), None)
-    lj = np.log(points)
-    lm = np.log(mags[points])
-    lj_c = lj - lj.mean()
-    slope = float((lj_c @ (lm - lm.mean())) / (lj_c @ lj_c))
-    return DecayProfile(tuple(mags.tolist()), slope)
+    return tuple(np.abs(series.coeffs).tolist())

@@ -180,7 +180,7 @@ def _cmd_sweep(args) -> int:
             "version": FORMAT_VERSION,
             "function": args.function,
             "interval": [interval.a, interval.b],
-            "sweeps": [dict(report_to_dict(report), degree=report.config.degree) for report in reports],
+            "sweeps": [report_to_dict(report) for report in reports],
         }, indent=2),
         csv=lambda: sweep_to_csv(reports),
         text=lambda: _sweep_text(reports),

@@ -25,7 +25,6 @@ import numpy as np
 
 from .chebyshev import (
     ChebyshevSeries,
-    DecayProfile,
     Interval,
     chop_series,
     coefficient_decay,
@@ -219,11 +218,12 @@ class RootReport:
     last rung without the coefficient tail decaying; ``config`` is the one
     the run used.  Derived: ``roots``, the accepted locations, strictly
     increasing; and ``degree_used``, the final proxy's number of sample
-    nodes, one per ``coefficient_decay`` magnitude.
+    nodes, one per ``coefficient_decay`` entry: the magnitudes |c_j| of that
+    proxy's coefficients before the chop.
     """
 
     candidates: tuple[RootCandidate, ...]
-    coefficient_decay: DecayProfile
+    coefficient_decay: tuple[float, ...]
     function_evaluations: int
     proxy_converged: bool
     config: RootConfig
@@ -234,7 +234,7 @@ class RootReport:
 
     @property
     def degree_used(self) -> int:
-        return len(self.coefficient_decay.magnitudes)
+        return len(self.coefficient_decay)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,7 @@ import math
 import sys
 from dataclasses import asdict, fields
 
-from .chebyshev import DecayProfile
-from .rootfinder import RejectionReason, RootCandidate, RootConfig, RootReport
+from .rootfinder import _RUNGS, RejectionReason, RootCandidate, RootConfig, RootReport
 
 __all__ = [
     "FORMAT_VERSION",
@@ -33,18 +32,15 @@ __all__ = [
     "json_number",
 ]
 
-FORMAT_VERSION = 5
-
-_DECAY_EXACT = "exact"
+FORMAT_VERSION = 6
 
 # a candidate's CSV columns: the keys of _candidate_to_dict, in its order
 _CANDIDATE_COLUMNS = ["re", "im", "accepted", "reason", "residual", "polish_iterations", "mapped"]
 
-# the keys of a document, of each of its candidates and of each decay entry
+# the keys of a document and of each of its candidates
 _REPORT_KEYS = {"version", "config", "degree_used", "proxy_converged", "roots", "candidates", "decay",
-                "decay_slope", "function_evaluations"}
+                "function_evaluations"}
 _CANDIDATE_KEYS = set(_CANDIDATE_COLUMNS)
-_DECAY_KEYS = {"j", "abs_coeff"}
 
 
 def _has_keys(data, keys: set, what: str) -> None:
@@ -107,7 +103,6 @@ def _candidate_from_dict(data: dict) -> RootCandidate:
 
 
 def report_to_dict(report: RootReport) -> dict:
-    decay = report.coefficient_decay
     return {
         "version": FORMAT_VERSION,
         "config": config_to_dict(report.config),
@@ -115,8 +110,7 @@ def report_to_dict(report: RootReport) -> dict:
         "proxy_converged": report.proxy_converged,
         "roots": list(report.roots),
         "candidates": [_candidate_to_dict(c) for c in report.candidates],
-        "decay": [{"j": j, "abs_coeff": m} for j, m in enumerate(decay.magnitudes)],
-        "decay_slope": _DECAY_EXACT if decay.slope is None else decay.slope,
+        "decay": list(report.coefficient_decay),
         "function_evaluations": report.function_evaluations,
     }
 
@@ -124,39 +118,35 @@ def report_to_dict(report: RootReport) -> dict:
 def report_from_dict(data: dict) -> tuple[RootConfig, RootReport]:
     """``(report.config, report)`` for the report a document describes.
 
-    ``ValueError`` if its version is not ours, an object in it lacks a key
-    or has one too many, a value has the wrong type or sign or is no finite
-    number, its ``roots`` or any ``accepted`` contradicts its candidates,
-    its ``degree_used`` is not its number of decay entries, or its config
-    fixes a ``degree`` other than ``degree_used`` or that with
-    ``proxy_converged`` false (a fixed degree always converges).
+    ``ValueError`` if its version is not the int ``FORMAT_VERSION``, an
+    object in it lacks a key or has one too many, a value has the wrong type
+    or sign or is no finite number, its ``roots`` or any ``accepted``
+    contradicts its candidates, its ``degree_used`` is not its number of
+    decay magnitudes, or not a node count its config gives (the fixed
+    ``degree``, else a rung of the adaptive ladder), or its config fixes a
+    ``degree`` and its ``proxy_converged`` is false (a fixed degree always
+    converges).
     """
-    if isinstance(data, dict) and data.get("version") != FORMAT_VERSION:
+    if isinstance(data, dict) and not (type(data.get("version")) is int and data["version"] == FORMAT_VERSION):
         raise ValueError(f"unsupported report version {data.get('version')!r}")
     _has_keys(data, _REPORT_KEYS, "report")
-    slope, entries = data["decay_slope"], data["decay"]
-    if not (_is_count(data["degree_used"]) and data["degree_used"] >= 2 and _is_count(data["function_evaluations"])
-            and type(data["proxy_converged"]) is bool and (slope == _DECAY_EXACT or _is_real(slope))
+    decay = data["decay"]
+    if not (_is_count(data["degree_used"]) and _is_count(data["function_evaluations"])
+            and type(data["proxy_converged"]) is bool
             and type(data["roots"]) is list and type(data["candidates"]) is list):
         raise ValueError("report has a value of the wrong type or sign")
-    if type(entries) is not list or not all(isinstance(entry, dict) and entry.keys() == _DECAY_KEYS
-                                            for entry in entries):
-        raise ValueError(f"decay must be a list of objects with exactly the keys {sorted(_DECAY_KEYS)}")
-    magnitudes = tuple(entry["abs_coeff"] for entry in entries)
-    if [entry["j"] for entry in entries] != list(range(len(entries))) or not all(
-            _is_real(magnitude) and magnitude >= 0.0 for magnitude in magnitudes):
-        raise ValueError("decay entries must count j from 0, each with a non-negative abs_coeff")
+    if type(decay) is not list or not all(_is_real(magnitude) and magnitude >= 0.0 for magnitude in decay):
+        raise ValueError("decay must be a list of non-negative finite magnitudes")
     config = config_from_dict(data["config"])
-    if data["degree_used"] != len(magnitudes):
-        raise ValueError(f"degree_used {data['degree_used']} differs from the {len(magnitudes)} decay entries")
-    if config.degree not in (None, data["degree_used"]):
-        raise ValueError(f"config degree {config.degree} differs from degree_used {data['degree_used']}")
+    if data["degree_used"] != len(decay):
+        raise ValueError(f"degree_used {data['degree_used']} differs from the {len(decay)} decay magnitudes")
+    if data["degree_used"] not in (_RUNGS if config.degree is None else (config.degree,)):
+        raise ValueError(f"degree_used {data['degree_used']} is no node count of config {config}")
     if config.degree is not None and not data["proxy_converged"]:
         raise ValueError("a report of a fixed degree must have a converged proxy")
-    decay = DecayProfile(magnitudes=magnitudes, slope=None if slope == _DECAY_EXACT else float(slope))
     report = RootReport(
         candidates=tuple(_candidate_from_dict(c) for c in data["candidates"]),
-        coefficient_decay=decay,
+        coefficient_decay=tuple(decay),
         function_evaluations=data["function_evaluations"],
         proxy_converged=data["proxy_converged"],
         config=config,

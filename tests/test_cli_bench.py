@@ -33,7 +33,7 @@ from chebroots.chebyshev import (
     transform,
 )
 from chebroots.cli import _build_parser, run_cli
-from chebroots.expressions import eval_expr, parse
+from chebroots.expressions import differentiate_expr, eval_expr, parse
 from chebroots.rootfinder import RootConfig, find_roots
 from chebroots.serialize import (
     config_to_dict,
@@ -79,7 +79,7 @@ def strict_json(text):
 class TestDeclarations:
     # the names the package exported before it took them from its modules' __all__
     EARLIER_EXPORTS = {
-        "ChebyshevSeries", "DecayProfile", "Interval", "NonFiniteSampleError", "chop_series",
+        "ChebyshevSeries", "Interval", "NonFiniteSampleError", "chop_series",
         "coefficient_decay", "differentiate", "evaluate", "from_standard", "standard_nodes",
         "to_standard", "transform", "DegenerateLeadingCoefficientError", "Spectrum",
         "build_frobenius", "eigenvalues", "series_spectrum", "PolishResult", "RejectionReason",
@@ -256,6 +256,15 @@ class TestSerializationRoundtrip:
         with pytest.raises(ValueError, match="unsupported report version 4"):
             report_from_dict(doc)
 
+    def test_version_5_document_is_refused(self):
+        config = RootConfig(degree=30)
+        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config))
+        doc["version"] = 5
+        doc["decay"] = [{"j": j, "abs_coeff": m} for j, m in enumerate(doc["decay"])]
+        doc["decay_slope"] = "exact"
+        with pytest.raises(ValueError, match="unsupported report version 5"):
+            report_from_dict(doc)
+
     CONFIG = {"degree": 30, "polish": True, "residual_tol": None}
 
     @pytest.mark.parametrize("section", [
@@ -283,6 +292,13 @@ class TestSerializationRoundtrip:
         return doc
 
     @staticmethod
+    def adaptive_cut(nodes):
+        """The adaptive cos(x) document on [-10, 10] (48 nodes), cut to its first ``nodes`` magnitudes."""
+        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10)))
+        assert doc["degree_used"] == 48 and report_from_dict(doc)[1].degree_used == 48
+        return dict(doc, degree_used=nodes, decay=doc["decay"][:nodes])
+
+    @staticmethod
     def first_root_at(doc, x):
         """``doc`` with its first accepted candidate moved to ``x`` and its roots to match."""
         next(c for c in doc["candidates"] if c["accepted"])["mapped"] = x
@@ -299,35 +315,39 @@ class TestSerializationRoundtrip:
         lambda doc: dict(doc, function_evaluations=-5),
         lambda doc: dict(doc, proxy_converged="yes"),
         lambda doc: dict(doc, candidates={}),
-        lambda doc: dict(doc, decay_slope="steep"),
+        lambda doc: dict(doc, decay_slope="exact"),
+        lambda doc: dict(doc, version=6.0),
+        lambda doc: dict(doc, version="6"),
         lambda doc: TestSerializationRoundtrip.first_candidate(doc, residual="big"),
         lambda doc: TestSerializationRoundtrip.first_candidate(doc, residual=-1.0),
         lambda doc: TestSerializationRoundtrip.first_candidate(doc, polish_iterations=1.5),
         lambda doc: TestSerializationRoundtrip.first_candidate(doc, re=None),
-        lambda doc: dict(doc, decay=[{"abs_coeff": 1.0}]),
-        lambda doc: dict(doc, decay=doc["decay"][::-1]),
-        lambda doc: dict(doc, decay=[{"j": 0, "abs_coeff": "1"}]),
-        # a node count, a fixed degree and convergence that contradict each other
+        lambda doc: dict(doc, decay=[{"j": j, "abs_coeff": m} for j, m in enumerate(doc["decay"])]),
+        lambda doc: dict(doc, decay=["1"] + doc["decay"][1:]),
+        lambda doc: dict(doc, decay=[-1.0] + doc["decay"][1:]),
+        lambda doc: dict(doc, decay={"0": doc["decay"][0]}),
+        # a node count, a degree or ladder rung and convergence that contradict each other
         lambda doc: dict(doc, decay=doc["decay"][:20]),
         lambda doc: dict(doc, degree_used=16, decay=doc["decay"][:16]),
         lambda doc: dict(doc, config=dict(doc["config"], degree=64)),
         lambda doc: dict(doc, proxy_converged=False),
+        lambda doc: TestSerializationRoundtrip.adaptive_cut(20),
         # numbers the writer never emits: json reads NaN, Infinity and integers past the float range
         lambda doc: TestSerializationRoundtrip.first_candidate(doc, re=math.nan),
         lambda doc: TestSerializationRoundtrip.first_candidate(doc, re=-math.inf),
         lambda doc: TestSerializationRoundtrip.first_candidate(doc, re=10**400),
         lambda doc: TestSerializationRoundtrip.first_candidate(doc, residual=math.inf),
         lambda doc: TestSerializationRoundtrip.first_root_at(doc, math.inf),
-        lambda doc: dict(doc, decay=[dict(entry, abs_coeff=math.inf) for entry in doc["decay"]]),
-        lambda doc: dict(doc, decay_slope=math.nan),
-        lambda doc: dict(doc, decay_slope=-math.inf),
+        lambda doc: dict(doc, decay=[math.inf] * len(doc["decay"])),
+        lambda doc: dict(doc, decay=[math.nan] + doc["decay"][1:]),
     ], ids=["not-an-object", "empty-candidate", "no-decay", "unknown-key", "string-degree", "bool-degree",
-            "negative-evaluations", "string-converged", "candidates-object", "string-slope",
-            "string-residual", "negative-residual", "float-iterations", "null-re", "decay-without-j",
-            "decay-out-of-order", "string-magnitude", "degree-used-past-decay", "decay-truncated",
-            "config-degree-not-degree-used", "fixed-degree-not-converged", "nan-re", "infinite-re",
-            "huge-int-re", "infinite-residual", "infinite-mapped", "infinite-magnitude", "nan-slope",
-            "infinite-slope"])
+            "negative-evaluations", "string-converged", "candidates-object", "version-5-slope",
+            "float-version", "string-version",
+            "string-residual", "negative-residual", "float-iterations", "null-re", "version-5-decay",
+            "string-magnitude", "negative-magnitude", "decay-object", "degree-used-past-decay",
+            "decay-truncated", "config-degree-not-degree-used", "fixed-degree-not-converged",
+            "adaptive-degree-not-a-rung", "nan-re", "infinite-re",
+            "huge-int-re", "infinite-residual", "infinite-mapped", "infinite-magnitude", "nan-magnitude"])
     def test_malformed_document_is_a_value_error(self, edit):
         config = RootConfig(degree=30)
         doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config))
@@ -395,7 +415,7 @@ class TestRootsCommand:
             "roots", "--function", "cos(x)", "--interval", "-10", "10", "--degree", "30",
         ])
         assert code == 0
-        assert doc["version"] == 5
+        assert doc["version"] == 6
         assert len(doc["roots"]) == 6
         assert doc["config"]["degree"] == 30
         truth = sorted(s * k * math.pi / 2 for k in (1, 3, 5) for s in (1, -1))
@@ -719,7 +739,7 @@ class TestSweepCommand:
     def test_json_structure_and_convergence_trend(self, capsys):
         code, doc = run_json(capsys, self.ARGV)
         assert code == 0
-        assert [run["degree"] for run in doc["sweeps"]] == [13, 20, 30]
+        assert [run["config"]["degree"] for run in doc["sweeps"]] == [13, 20, 30]
         truth = sorted(s * k * math.pi / 2 for k in (1, 3, 5) for s in (1, -1))
         errors = []
         for run in doc["sweeps"]:
@@ -734,7 +754,7 @@ class TestSweepCommand:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         flattened = [
-            (run["degree"], cand)
+            (run["config"]["degree"], cand)
             for run in doc["sweeps"]
             for cand in run["candidates"]
         ]
@@ -751,10 +771,27 @@ class TestSweepCommand:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == len(doc["sweeps"])
         for line, run in zip(lines, doc["sweeps"]):
-            assert line.startswith(f"N={run['degree']}: {len(run['candidates'])} candidates, "
+            assert line.startswith(f"N={run['config']['degree']}: {len(run['candidates'])} candidates, "
                                    f"{len(run['roots'])} roots [")
             roots = line[line.index("[") + 1:-1]
             assert [float(r) for r in roots.split(", ")] == run["roots"]
+
+    @pytest.mark.parametrize("extra", [[], ["--no-polish"], ["--residual-tol", "1e-9"]],
+                             ids=["polished", "unpolished", "explicit-tol"])
+    def test_every_entry_is_the_report_of_its_degree(self, capsys, extra):
+        # each entry is a whole report document, with its degree once, in its config
+        code, doc = run_json(capsys, self.ARGV + extra)
+        assert code == 0
+        expr = parse("cos(x)")
+        dexpr = differentiate_expr(expr)
+        df = None if "--no-polish" in extra else (lambda x: eval_expr(dexpr, x))
+        tol = float(extra[-1]) if "--residual-tol" in extra else None
+        for run, degree in zip(doc["sweeps"], [13, 20, 30], strict=True):
+            assert "degree" not in run
+            config = RootConfig(degree=degree, polish=df is not None, residual_tol=tol)
+            report = find_roots(lambda x: eval_expr(expr, x), Interval(-10, 10), config, df=df)
+            assert report_from_dict(run) == (config, report)
+            assert run == report_to_dict(report)
 
     def test_non_finite_sample_is_numerical_failure(self, capsys):
         code = run_cli(["sweep", "--function", "log(x)", "--interval", "-1", "1",
@@ -976,6 +1013,13 @@ class TestBench:
             assert float(row["proxy_max_error"]) == ref["proxy_max_error"]
             assert float(row["wall_time_s"]) == ref["wall_time_s"]
 
+    def test_row_columns(self, report):
+        # every row has a fixed degree, so no row repeats it as a node count or a convergence flag
+        columns = ["case", "degree", "roots_found", "expected_roots", "root_count_matches", "max_root_error",
+                   "spurious_candidates", "proxy_max_error", "function_evaluations", "wall_time_s"]
+        assert next(csv.reader(io.StringIO(bench_to_csv(report)))) == columns
+        assert all(list(row) == columns for row in bench_to_dict(report)["rows"])
+
     def test_bench_cli_writes_both_formats(self, tmp_path):
         stem = tmp_path / "bench"
         assert run_cli(["bench", "--output", str(stem)]) == 0
@@ -1020,9 +1064,10 @@ class TestBench:
         assert math.isnan(row.proxy_max_error)
         (doc_row,) = strict_json(bench_to_json(nan_report))["rows"]
         assert doc_row["proxy_max_error"] is None
-        assert bench_to_csv(nan_report).splitlines()[1].split(",")[8] == "nan"
+        (csv_row,) = csv.DictReader(io.StringIO(bench_to_csv(nan_report)))
+        assert csv_row["proxy_max_error"] == "nan"
 
     def test_bench_json_parses(self, report):
         doc = json.loads(bench_to_json(report))
-        assert doc["version"] == 5
+        assert doc["version"] == 6
         assert len(doc["cases"]) == 3

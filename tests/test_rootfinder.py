@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chebroots import chebyshev, rootfinder
-from chebroots.chebyshev import (DecayProfile, Interval, NonFiniteSampleError, chop_series, evaluate, from_standard,
+from chebroots.chebyshev import (Interval, NonFiniteSampleError, chop_series, evaluate, from_standard,
                                  restrict, standard_nodes, transform)
 from chebroots.companion import Spectrum, series_spectrum
 from chebroots.expressions import differentiate_expr, eval_expr, parse
@@ -308,7 +308,7 @@ class TestDedupe:
     @staticmethod
     def _roots(candidates):
         """The roots of a report holding ``candidates``."""
-        return RootReport(candidates, DecayProfile((), None), 0, True, RootConfig()).roots
+        return RootReport(candidates, (), 0, True, RootConfig()).roots
 
     def test_near_duplicates_merge_keeping_smaller_residual(self):
         cands = self._candidates([1.0, 1.0 + 2e-11], [1e-12, 1e-15])

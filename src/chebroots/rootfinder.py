@@ -98,6 +98,11 @@ _MAX_NODES = 4096
 # last rung's proxy is used whether or not it resolves f.
 _RUNGS = (16, 48, 64, 128)
 
+
+def _node_counts(config: RootConfig) -> tuple[int, ...]:
+    return _RUNGS if config.degree is None else (config.degree,)
+
+
 # No rung reuses the 64-node samples, so the adaptive ladder goes from 48
 # nodes straight to 128 when the 48-node series' last 8 coefficients exceed
 # tol**_SKIP_POWER times its largest, tol being the noise level
@@ -214,12 +219,13 @@ class RootReport:
     chopped proxy, when it has at most 64 coefficients; otherwise the leaves
     of the split proxy, whose eigenvalues outside their own leaf are
     candidates too, so there can be more than ``degree_used - 1`` of them.
-    ``proxy_converged`` is False only when the adaptive ladder reached its
-    last rung without the coefficient tail decaying; ``config`` is the one
-    the run used.  Derived: ``roots``, the accepted locations, strictly
-    increasing; and ``degree_used``, the final proxy's number of sample
-    nodes, one per ``coefficient_decay`` entry: the magnitudes |c_j| of that
-    proxy's coefficients before the chop.
+    ``config`` is the one the run used, and a run of it must end so (else
+    ``ValueError``): ``degree_used`` is its fixed ``degree``, else a ladder
+    rung, and ``proxy_converged`` is False only on the last rung, where the
+    ladder gives up on the tail decaying.  Derived: ``roots``, the accepted
+    locations, strictly increasing; and ``degree_used``, the final proxy's
+    number of sample nodes, one per ``coefficient_decay`` entry: the
+    magnitudes |c_j| of that proxy's coefficients before the chop.
     """
 
     candidates: tuple[RootCandidate, ...]
@@ -227,6 +233,11 @@ class RootReport:
     function_evaluations: int
     proxy_converged: bool
     config: RootConfig
+
+    def __post_init__(self):
+        counts, nodes, converged = _node_counts(self.config), self.degree_used, self.proxy_converged
+        if nodes not in counts or not (converged or counts == _RUNGS and nodes == _RUNGS[-1]):
+            raise ValueError(f"no run of {self.config} ends at {nodes} nodes with proxy_converged={converged}")
 
     @property
     def roots(self) -> tuple[float, ...]:
@@ -618,7 +629,7 @@ def _ladder(f, interval: Interval, config: RootConfig):
     """:func:`build_proxy`'s (raw, chopped, converged), then the final
     rung's sample points and f's values there, in node order."""
     tol = _noise_tol(interval)
-    rungs = _RUNGS if config.degree is None else (config.degree,)
+    rungs = _node_counts(config)
     samples = None
     for n in rungs:
         if n == 64 and len(rungs) > 1:

@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import asdict, fields
 
-from .rootfinder import _RUNGS, RejectionReason, RootCandidate, RootConfig, RootReport
+from .rootfinder import RejectionReason, RootCandidate, RootConfig, RootReport
 
 __all__ = [
     "FORMAT_VERSION",
@@ -119,31 +119,25 @@ def report_from_dict(data: dict) -> tuple[RootConfig, RootReport]:
     """``(report.config, report)`` for the report a document describes.
 
     ``ValueError`` if its version is not the int ``FORMAT_VERSION``, an
-    object in it lacks a key or has one too many, a value has the wrong type
-    or sign or is no finite number, its ``roots`` or any ``accepted``
-    contradicts its candidates, its ``degree_used`` is not its number of
-    decay magnitudes, or not a node count its config gives (the fixed
-    ``degree``, else a rung of the adaptive ladder), or its config fixes a
-    ``degree`` and its ``proxy_converged`` is false (a fixed degree always
-    converges).
+    object in it lacks a key or has one too many, a value (a root included)
+    has the wrong type or sign or is no finite number, its ``roots`` or any
+    ``accepted`` contradicts its candidates, its ``degree_used`` is not its
+    number of decay magnitudes, or :class:`RootReport` refuses its node
+    count and ``proxy_converged`` as no run of its config could end on them.
     """
     if isinstance(data, dict) and not (type(data.get("version")) is int and data["version"] == FORMAT_VERSION):
         raise ValueError(f"unsupported report version {data.get('version')!r}")
     _has_keys(data, _REPORT_KEYS, "report")
     decay = data["decay"]
     if not (_is_count(data["degree_used"]) and _is_count(data["function_evaluations"])
-            and type(data["proxy_converged"]) is bool
-            and type(data["roots"]) is list and type(data["candidates"]) is list):
+            and type(data["proxy_converged"]) is bool and type(data["candidates"]) is list
+            and type(data["roots"]) is list and all(map(_is_real, data["roots"]))):
         raise ValueError("report has a value of the wrong type or sign")
     if type(decay) is not list or not all(_is_real(magnitude) and magnitude >= 0.0 for magnitude in decay):
         raise ValueError("decay must be a list of non-negative finite magnitudes")
     config = config_from_dict(data["config"])
     if data["degree_used"] != len(decay):
         raise ValueError(f"degree_used {data['degree_used']} differs from the {len(decay)} decay magnitudes")
-    if data["degree_used"] not in (_RUNGS if config.degree is None else (config.degree,)):
-        raise ValueError(f"degree_used {data['degree_used']} is no node count of config {config}")
-    if config.degree is not None and not data["proxy_converged"]:
-        raise ValueError("a report of a fixed degree must have a converged proxy")
     report = RootReport(
         candidates=tuple(_candidate_from_dict(c) for c in data["candidates"]),
         coefficient_decay=tuple(decay),

@@ -299,6 +299,13 @@ class TestSerializationRoundtrip:
         return dict(doc, degree_used=nodes, decay=doc["decay"][:nodes])
 
     @staticmethod
+    def root_as_bool(f, interval, value):
+        """The document of ``f``'s one root ``float(value)`` on ``interval``, that root written as ``value``."""
+        doc = report_to_dict(find_roots(f, interval))
+        assert doc["roots"] == [float(value)] and report_from_dict(doc)[1].roots == (float(value),)
+        return dict(doc, roots=[value])
+
+    @staticmethod
     def first_root_at(doc, x):
         """``doc`` with its first accepted candidate moved to ``x`` and its roots to match."""
         next(c for c in doc["candidates"] if c["accepted"])["mapped"] = x
@@ -332,6 +339,10 @@ class TestSerializationRoundtrip:
         lambda doc: dict(doc, config=dict(doc["config"], degree=64)),
         lambda doc: dict(doc, proxy_converged=False),
         lambda doc: TestSerializationRoundtrip.adaptive_cut(20),
+        lambda doc: dict(TestSerializationRoundtrip.adaptive_cut(48), proxy_converged=False),
+        # json reads true and false as bools, which Python compares equal to 1.0 and 0.0
+        lambda doc: TestSerializationRoundtrip.root_as_bool(lambda x: x - 1, (0, 2), True),
+        lambda doc: TestSerializationRoundtrip.root_as_bool(lambda x: x, (-1, 1), False),
         # numbers the writer never emits: json reads NaN, Infinity and integers past the float range
         lambda doc: TestSerializationRoundtrip.first_candidate(doc, re=math.nan),
         lambda doc: TestSerializationRoundtrip.first_candidate(doc, re=-math.inf),
@@ -346,7 +357,8 @@ class TestSerializationRoundtrip:
             "string-residual", "negative-residual", "float-iterations", "null-re", "version-5-decay",
             "string-magnitude", "negative-magnitude", "decay-object", "degree-used-past-decay",
             "decay-truncated", "config-degree-not-degree-used", "fixed-degree-not-converged",
-            "adaptive-degree-not-a-rung", "nan-re", "infinite-re",
+            "adaptive-degree-not-a-rung", "adaptive-not-converged-below-last-rung", "true-root", "false-root",
+            "nan-re", "infinite-re",
             "huge-int-re", "infinite-residual", "infinite-mapped", "infinite-magnitude", "nan-magnitude"])
     def test_malformed_document_is_a_value_error(self, edit):
         config = RootConfig(degree=30)
@@ -362,7 +374,8 @@ class TestSerializationRoundtrip:
         (lambda x: (x - 0.3) ** 4, Interval(-1, 1), RootConfig(residual_tol=1e-12)),  # touching merge
         (math.cos, Interval(-10, 10), RootConfig(degree=30, polish=False)),
         (lambda x: eval_expr(NAN_AT_ROOT, x), Interval(-1, 1), RootConfig(degree=8, polish=False)),
-    ], ids=["cosine", "no-roots", "leaves", "touching", "unpolished", "nan-at-root"])
+        (lambda x: math.sin(20 * x), Interval(-10, 10), RootConfig()),  # unresolved at the last rung
+    ], ids=["cosine", "no-roots", "leaves", "touching", "unpolished", "nan-at-root", "not-converged"])
     def test_every_written_document_reads_back(self, f, interval, config):
         report = find_roots(f, interval, config)
         assert report_from_json(report_to_json(report)) == (config, report)

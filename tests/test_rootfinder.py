@@ -308,7 +308,7 @@ class TestDedupe:
     @staticmethod
     def _roots(candidates):
         """The roots of a report holding ``candidates``."""
-        return RootReport(candidates, (), 0, True, RootConfig()).roots
+        return RootReport(candidates, (1.0,) * 16, 0, True, RootConfig()).roots  # the ladder's first rung
 
     def test_near_duplicates_merge_keeping_smaller_residual(self):
         cands = self._candidates([1.0, 1.0 + 2e-11], [1e-12, 1e-15])
@@ -387,6 +387,45 @@ class TestDerivedFields:
         assert isinstance(deduped, tuple) and all(isinstance(c, RootCandidate) for c in deduped)
         assert [c.rejection_reason for c in deduped] == [RejectionReason.NONE, RejectionReason.DUPLICATE,
                                                          RejectionReason.NONE]
+
+
+class TestEndState:
+    """A report's node count and convergence must be ones a run of its config
+    can end on: the fixed degree, converged, or a ladder rung, unconverged
+    only on the last."""
+
+    @staticmethod
+    def report(config, nodes, converged):
+        return RootReport((), (1.0,) * nodes, 0, converged, config)
+
+    @pytest.mark.parametrize("config, nodes, converged", [
+        (RootConfig(), 16, True), (RootConfig(), 48, True), (RootConfig(), 64, True),
+        (RootConfig(), 128, True), (RootConfig(), 128, False), (RootConfig(degree=30), 30, True),
+        (RootConfig(degree=128), 128, True), (RootConfig(degree=2), 2, True),
+    ], ids=["rung-16", "rung-48", "rung-64", "rung-128", "last-rung-unconverged", "fixed-30", "fixed-128",
+            "fixed-2"])
+    def test_an_end_state_of_a_run_is_accepted(self, config, nodes, converged):
+        assert self.report(config, nodes, converged).degree_used == nodes
+
+    @pytest.mark.parametrize("config, nodes, converged", [
+        (RootConfig(), 48, False), (RootConfig(), 16, False), (RootConfig(), 20, True),
+        (RootConfig(), 0, True), (RootConfig(), 256, True), (RootConfig(degree=30), 30, False),
+        (RootConfig(degree=30), 48, True), (RootConfig(degree=128), 128, False),
+    ], ids=["rung-48-unconverged", "rung-16-unconverged", "not-a-rung", "no-nodes", "past-the-ladder",
+            "fixed-unconverged", "fixed-30-at-48", "fixed-128-unconverged"])
+    def test_no_run_ends_there(self, config, nodes, converged):
+        with pytest.raises(ValueError, match=f"ends at {nodes} nodes with proxy_converged={converged}"):
+            self.report(config, nodes, converged)
+
+    def test_adaptive_report_below_the_last_rung_cannot_be_unconverged(self):
+        report = find_roots(math.cos, BIG)
+        assert report.degree_used == 48 and report.proxy_converged
+        with pytest.raises(ValueError, match="no run of"):
+            replace(report, proxy_converged=False)
+
+    def test_unconverged_run_ends_on_the_last_rung(self):
+        report = find_roots(lambda x: math.sin(20 * x), BIG)
+        assert (report.degree_used, report.proxy_converged) == (rootfinder._RUNGS[-1], False)
 
 
 class TestNonFiniteResidual:

@@ -72,10 +72,6 @@ _POLISH_MAX_ITER = 12
 # Accepted roots closer than this fraction of the interval width are one root.
 _DEDUPE_FRACTION = 1e-9
 
-# Newton iterates may wander this fraction of the interval width outside
-# [a, b] before the run counts as diverged.
-_NEWTON_ESCAPE_FRACTION = 0.1
-
 # A chopped proxy with more coefficients than this is split for the eigen
 # stage, and so is each piece, until every leaf has at most this many: the
 # eigen stage costs O(n^3), and two leaves of about 35 coefficients cost
@@ -119,7 +115,7 @@ def _node_counts(config: RootConfig) -> tuple[int, ...]:
 _SKIP_POWER = 1.0 / 3.0
 
 # The box filter's tolerances (:func:`filter_candidates`); the box's also
-# bounds how far outside [a, b] Newton polish may end (:func:`_vet`).
+# bounds how far outside [a, b] a Newton step may land (:func:`newton_polish`).
 _IMAG_TOL = 1e-8
 _BOX_TOL = 1e-6
 
@@ -256,9 +252,9 @@ class PolishResult:
     ``converged`` means the stopping rule fired before the iteration cap
     (correction below the rounding floor, or no further reduction in the
     correction).  ``diverged`` means the run was abandoned: a derivative of
-    exactly zero, a non-finite value, or an iterate escaping the widened
-    interval.  ``final_correction`` is the last Newton correction computed,
-    NaN if the run never got that far.
+    exactly zero, a non-finite value, or a step landing beyond the box
+    slack outside the interval.  ``final_correction`` is the last Newton
+    correction computed, NaN if the run never got that far.
     """
 
     x: float
@@ -313,20 +309,22 @@ def newton_polish(f, df, x0: float, interval, max_iter: int) -> PolishResult:
     ``max_iter`` is reached; that last small correction is tried, at one
     more evaluation of f, only if it moves x.  The returned location is the
     iterate with the smallest |f| seen (including the starting point), so
-    polishing never increases the residual.  Runs are abandoned as diverged -- never raised
-    -- when the derivative is exactly zero, a value goes non-finite, or an
-    iterate leaves the interval widened by 10% of its width on each side.
+    polishing never increases the residual.  Runs are abandoned as diverged
+    -- never raised -- when the derivative is exactly zero, a value goes
+    non-finite, or a step lands beyond the box slack ``_BOX_TOL``*width/2
+    outside [a, b]; any other step is clamped into [a, b] before f is
+    evaluated there.
     An iterate where f is exactly zero is a root whatever the derivative
     there: a zero or non-finite derivative (a kink, as in x+0.5*abs(x) at
     0) ends such a run converged.
     There is no absolute floor on the derivative, so the result does not
     change when f is scaled by a power of two; a tiny nonzero derivative
-    far from a root ends in the escape check instead.
+    far from a root ends in the slack check instead.
     """
     interval = _as_interval(interval)
-    escape = _NEWTON_ESCAPE_FRACTION * interval.width
-    lo = interval.a - escape
-    hi = interval.b + escape
+    a, b = interval.a, interval.b
+    slack = _BOX_TOL * interval.width / 2.0
+    lo, hi = a - slack, b + slack
     x = float(x0)
     fx = float(f(x))
     corr = math.nan
@@ -348,8 +346,9 @@ def newton_polish(f, df, x0: float, interval, max_iter: int) -> PolishResult:
         if not math.isfinite(corr):
             diverged = True
             break
+        landing = x + corr
+        x_next = a if landing < a else b if landing > b else landing
         if abs(corr) <= 4.0 * _EPS * max(1.0, abs(x)):
-            x_next = x + corr
             if x_next != x:  # f(x) is fx already
                 f_next = float(f(x_next))
                 if math.isfinite(f_next) and abs(f_next) < best_f:
@@ -359,8 +358,7 @@ def newton_polish(f, df, x0: float, interval, max_iter: int) -> PolishResult:
         if prev_corr is not None and abs(corr) >= abs(prev_corr):
             converged = True
             break
-        x_next = x + corr
-        if x_next < lo or x_next > hi:
+        if landing < lo or landing > hi:
             diverged = True
             break
         f_next = float(f(x_next))
@@ -452,11 +450,12 @@ def _vet(cand: RootCandidate, f, df, dseries: ChebyshevSeries, interval: Interva
          config: RootConfig, signs) -> RootCandidate:
     """Polish one in-box candidate and decide whether it is a root of f.
 
-    Rejects it as ``newton_diverged`` if the polish diverged or ended more
-    than ``_BOX_TOL``*width/2 outside the interval.  Otherwise the clamped
-    location is held to the explicit ``residual_tol`` or, when polishing
-    with the automatic threshold, to 1000*eps*max(1,|x|)*|p'(x)| and then
-    to a sign change of f across it; failing either is
+    The candidate starts clamped to the interval, and the polish keeps it
+    there (:func:`newton_polish`).  It is rejected as ``newton_diverged``
+    exactly when the polish diverged.  Otherwise the polished location is
+    held to the explicit ``residual_tol`` or, when polishing with the
+    automatic threshold, to 1000*eps*max(1,|x|)*|p'(x)| and then to a sign
+    change of f across it; failing either is
     ``residual_too_large``.  The sign change is read from the samples where
     they show it (:func:`_samples_cross` on the table ``signs``), and from
     :func:`_crosses`, at two more evaluations of f, where they do not.
@@ -466,20 +465,17 @@ def _vet(cand: RootCandidate, f, df, dseries: ChebyshevSeries, interval: Interva
     each residual test.
     """
     # eigenvalues admitted by the box tolerance can map a hair outside
-    # [a, b]; start the polish inside so f is only probed where defined
+    # [a, b]; start inside so f is only probed where defined
     x = min(max(from_standard(interval, cand.standard_coord.real), interval.a), interval.b)
     reason, residual, iters = RejectionReason.NONE, None, 0
     if config.polish:
         pol = newton_polish(f, df, x, interval, _POLISH_MAX_ITER)
-        slack = _BOX_TOL * interval.width / 2.0
-        if pol.diverged or pol.x < interval.a - slack or pol.x > interval.b + slack:
+        if pol.diverged:
             reason = RejectionReason.NEWTON_DIVERGED
         x, residual, iters = pol.x, pol.residual, pol.iterations
     if reason is RejectionReason.NONE:
-        clamped = min(max(x, interval.a), interval.b)
-        if residual is None or clamped != x:
-            residual = abs(f(clamped))
-        x = clamped
+        if residual is None:
+            residual = abs(f(x))
         if not math.isfinite(residual):
             failed = True
         elif config.residual_tol is not None:
@@ -648,8 +644,9 @@ def _ladder(f, interval: Interval, config: RootConfig):
 def find_roots(f, interval, config: RootConfig = RootConfig(), df=None) -> RootReport:
     """All real roots of f on the interval by Chebyshev proxy rootfinding.
 
-    f is sampled on the whole interval only.  A chopped proxy of more than
-    64 coefficients is split into leaves of at most 64 on sub-intervals
+    f is sampled at interior nodes of the whole interval only, and no stage
+    evaluates it outside [a, b].  A chopped proxy of more than 64
+    coefficients is split into leaves of at most 64 on sub-intervals
     (:func:`_leaves`), and the roots are the eigenvalues of each leaf's
     companion matrix, so the report can list more candidates than
     ``degree_used - 1``; a root found from both sides of a split is merged

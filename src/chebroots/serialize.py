@@ -122,8 +122,10 @@ def report_from_dict(data: dict) -> tuple[RootConfig, RootReport]:
     object in it lacks a key or has one too many, a value (a root included)
     has the wrong type or sign or is no finite number, its ``roots`` or any
     ``accepted`` contradicts its candidates, its ``degree_used`` is not its
-    number of decay magnitudes, or :class:`RootReport` refuses its node
-    count and ``proxy_converged`` as no run of its config could end on them.
+    number of decay magnitudes, its ``function_evaluations`` is below that
+    number (a run evaluates f at each node of its final rung), or
+    :class:`RootReport` refuses its node count and ``proxy_converged`` as no
+    run of its config could end on them.
     """
     if isinstance(data, dict) and not (type(data.get("version")) is int and data["version"] == FORMAT_VERSION):
         raise ValueError(f"unsupported report version {data.get('version')!r}")
@@ -138,6 +140,8 @@ def report_from_dict(data: dict) -> tuple[RootConfig, RootReport]:
     config = config_from_dict(data["config"])
     if data["degree_used"] != len(decay):
         raise ValueError(f"degree_used {data['degree_used']} differs from the {len(decay)} decay magnitudes")
+    if data["function_evaluations"] < len(decay):
+        raise ValueError(f"{data['function_evaluations']} evaluations cannot sample {len(decay)} nodes")
     report = RootReport(
         candidates=tuple(_candidate_from_dict(c) for c in data["candidates"]),
         coefficient_decay=tuple(decay),

@@ -340,6 +340,8 @@ class TestSerializationRoundtrip:
         lambda doc: dict(doc, proxy_converged=False),
         lambda doc: TestSerializationRoundtrip.adaptive_cut(20),
         lambda doc: dict(TestSerializationRoundtrip.adaptive_cut(48), proxy_converged=False),
+        # every run evaluates f at each node of its final rung
+        lambda doc: dict(TestSerializationRoundtrip.adaptive_cut(48), function_evaluations=0),
         # json reads true and false as bools, which Python compares equal to 1.0 and 0.0
         lambda doc: TestSerializationRoundtrip.root_as_bool(lambda x: x - 1, (0, 2), True),
         lambda doc: TestSerializationRoundtrip.root_as_bool(lambda x: x, (-1, 1), False),
@@ -357,7 +359,8 @@ class TestSerializationRoundtrip:
             "string-residual", "negative-residual", "float-iterations", "null-re", "version-5-decay",
             "string-magnitude", "negative-magnitude", "decay-object", "degree-used-past-decay",
             "decay-truncated", "config-degree-not-degree-used", "fixed-degree-not-converged",
-            "adaptive-degree-not-a-rung", "adaptive-not-converged-below-last-rung", "true-root", "false-root",
+            "adaptive-degree-not-a-rung", "adaptive-not-converged-below-last-rung", "evaluations-below-nodes",
+            "true-root", "false-root",
             "nan-re", "infinite-re",
             "huge-int-re", "infinite-residual", "infinite-mapped", "infinite-magnitude", "nan-magnitude"])
     def test_malformed_document_is_a_value_error(self, edit):

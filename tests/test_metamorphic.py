@@ -1,19 +1,26 @@
-"""Metamorphic checks of ROADMAP item 12: relations between runs that need no oracle.
+"""Metamorphic and grid-oracle checks of ROADMAP item 12.
 
 A seeded corpus of 150 random inputs from the trig, poly and gauss families
 is solved as f, -f, 2^40*f and 2^-40*f.  Negation and scaling by a power of
 two change no sample's bits except its sign and exponent, so every run must
 end the same: the same roots, candidates and fates, evaluations and
-convergence.
+convergence.  Solved as f(-x) on [-b, -a], an input must keep its root
+count and convergence, with roots that are the negated ones up to rounding.
+Each input's root count must also equal the number of strict sign changes
+of f on a 200001-point uniform grid of its interval, read from a numpy twin
+of f.
 """
 
 import math
 import random
 
+import numpy as np
 import pytest
 
 from chebroots.rootfinder import find_roots
 
+
+# Each family returns (f, its numpy twin on arrays, interval).
 
 def trig(rng):
     """K in [1, 30] terms c_k*cos(k*x + phi_k), c_k ~ N(0, 1)/(1 + k)^U(0, 1.5), on a random interval."""
@@ -21,28 +28,38 @@ def trig(rng):
     terms = [(k, rng.gauss(0, 1) / (1 + k) ** power, rng.uniform(0, 2 * math.pi))
              for k in range(1, rng.randint(1, 30) + 1)]
     a = rng.uniform(-5, 0)
-    return (lambda x: sum(c * math.cos(k * x + phase) for k, c, phase in terms)), (a, a + rng.uniform(0.5, 8))
+    return (lambda x: sum(c * math.cos(k * x + phase) for k, c, phase in terms),
+            lambda x: sum(c * np.cos(k * x + phase) for k, c, phase in terms),
+            (a, a + rng.uniform(0.5, 8)))
 
 
 def poly(rng):
     """A product of n in [1, 12] factors x - r_i, r_i ~ U(-1, 1), on [-1, 1]."""
     roots = [rng.uniform(-1, 1) for _ in range(rng.randint(1, 12))]
-    return (lambda x: math.prod(x - r for r in roots)), (-1.0, 1.0)
+    return (lambda x: math.prod(x - r for r in roots),
+            lambda x: np.prod([x - r for r in roots], axis=0),
+            (-1.0, 1.0))
 
 
 def gauss(rng):
     """m in [1, 6] bumps h*exp(-((x - mu)/s)^2) minus a level in U(0.05, 0.8), on [-3, 3]."""
     bumps = [(rng.uniform(0.2, 1), rng.uniform(-2, 2), rng.uniform(0.05, 1)) for _ in range(rng.randint(1, 6))]
     level = rng.uniform(0.05, 0.8)
-    return (lambda x: sum(h * math.exp(-((x - mu) / s) ** 2) for h, mu, s in bumps) - level), (-3.0, 3.0)
+    return (lambda x: sum(h * math.exp(-((x - mu) / s) ** 2) for h, mu, s in bumps) - level,
+            lambda x: sum(h * np.exp(-((x - mu) / s) ** 2) for h, mu, s in bumps) - level,
+            (-3.0, 3.0))
 
 
-def _corpus():
+def _draws():
     rng = random.Random(5)
     return [rng.choice((trig, poly, gauss))(rng) for _ in range(150)]
 
 
-CORPUS = _corpus()
+_DRAWS = _draws()
+CORPUS = [(f, interval) for f, _, interval in _DRAWS]
+
+# gauss inputs the 128-node cap leaves unconverged, each missing roots
+_GRID_MISSES = {60, 65, 108}
 
 
 def outcome(report):
@@ -61,3 +78,20 @@ def outcomes():
 def test_scaling_f_by_a_power_of_two_changes_no_outcome(outcomes, scale):
     for i, (f, interval) in enumerate(CORPUS):
         assert outcome(find_roots(lambda x: scale * f(x), interval)) == outcomes[i], i
+
+
+def test_reflecting_x_keeps_the_roots(outcomes):
+    for i, (f, (a, b)) in enumerate(CORPUS):
+        report = find_roots(lambda x: f(-x), (-b, -a))
+        roots, _, _, converged = outcomes[i]
+        assert (len(report.roots), report.proxy_converged) == (len(roots), converged), i
+        assert all(abs(r + s) <= 1e-12 * (b - a) for r, s in zip(report.roots, reversed(roots))), i
+
+
+@pytest.mark.parametrize("i", [
+    pytest.param(i, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 14")) if i in _GRID_MISSES else i
+    for i in range(len(_DRAWS))])
+def test_root_count_equals_the_grid_sign_changes(outcomes, i):
+    _, twin, (a, b) = _DRAWS[i]
+    values = twin(np.linspace(a, b, 200001))
+    assert len(outcomes[i][0]) == np.count_nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import threading
 from dataclasses import replace
@@ -453,8 +454,9 @@ class TestNonFiniteResidual:
 
 
 class TestPolishSlack:
-    """Polish may end up to _BOX_TOL*width/2 outside [a, b]: within that slack
-    the root is clamped to the endpoint, beyond it the candidate is rejected."""
+    """A Newton step may land up to _BOX_TOL*width/2 outside [a, b]: within
+    that slack it is clamped to the endpoint, beyond it the candidate is
+    rejected as diverged."""
 
     SLACK = rootfinder._BOX_TOL * Interval(-1, 1).width / 2.0
 
@@ -787,6 +789,23 @@ class TestPipelineInvariants:
             assert kept.function_evaluations - report.function_evaluations in (0, 64)
             skipped += kept.function_evaluations > report.function_evaluations
         assert skipped >= 40, skipped
+
+    def test_f_is_evaluated_only_on_the_interval(self):
+        # Newton steps that leave [a, b] within the box slack are clamped to
+        # the endpoint, so no stage probes f where it may be undefined
+        rng = random.Random(3)
+        draws = [(rng.uniform(1, 30), rng.uniform(0, 6), rng.uniform(-0.45, 0.45)) for _ in range(200)]
+        families = [
+            (lambda k, phi, c: lambda x: math.cos(k * x + phi) + c, (0.0, 2.0)),
+            (lambda k, phi, c: lambda x: math.sin(k * x + phi) * math.sqrt(1 - x * x) + 0.4 * c, (-1.0, 1.0)),
+        ]
+        configs = (RootConfig(degree=20), RootConfig(), RootConfig(residual_tol=1e-8), RootConfig(polish=False))
+        for config in configs:
+            for family, (a, b) in families:
+                for draw in draws:
+                    f = Recorder(family(*draw))
+                    find_roots(f, (a, b), config)  # sqrt raises ValueError below -1 and above 1
+                    assert all(a <= x <= b for x in f.xs), (config, draw, min(f.xs), max(f.xs))
 
     def test_determinism_bit_identical_reports(self):
         for config in (RootConfig(degree=27), RootConfig()):

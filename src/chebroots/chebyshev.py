@@ -49,6 +49,10 @@ class NonFiniteSampleError(ValueError):
 class Interval:
     """A finite real interval [a, b] with a strictly below b and finite width.
 
+    The maps to and from [-1, 1] halve the endpoints and the width, so a
+    must stay below b and the width nonzero when halved: [0, 5e-324] and
+    [1.5e-323, 2.5e-323] are refused, [0, 1e-323] is accepted.
+
     Owns the affine change of variables between [a, b] and the standard
     interval [-1, 1]; see :func:`to_standard` and :func:`from_standard`.
     """
@@ -65,6 +69,8 @@ class Interval:
             raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
         if not math.isfinite(self.b - self.a):
             raise ValueError(f"interval width overflows, got [{self.a}, {self.b}]")
+        if not (0.5 * self.a < 0.5 * self.b and (self.b - self.a) / 2.0 > 0.0):
+            raise ValueError(f"interval is too narrow to halve, got [{self.a!r}, {self.b!r}]")
 
     @property
     def width(self) -> float:
@@ -111,8 +117,8 @@ def to_standard(interval: Interval, x: float) -> float:
 
     The map is affine everywhere, so points outside the interval are mapped
     outside [-1, 1] rather than rejected.  It works on halved endpoints,
-    which is exact and keeps the midpoint finite for any interval whose
-    width is finite.
+    which is exact above the subnormal range and keeps the midpoint finite
+    for any interval whose width is finite.
     """
     a, b = 0.5 * interval.a, 0.5 * interval.b
     return (x - (a + b)) / (b - a)

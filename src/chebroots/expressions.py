@@ -274,18 +274,30 @@ def _div_by_zero(num: float, den: float) -> float:
     return math.copysign(math.inf, num) * math.copysign(1.0, den)
 
 
+def _power_rule(f: BinaryOp, du: Expression, dv: Expression) -> Expression:
+    """The derivative of f = u^v: v*u^(v-1)*u' for a number v, else
+    u^v * (v'*log(u) + v*u'/u), with u^v the node itself."""
+    u, v = f.left, f.right
+    if isinstance(v, Number):
+        return _mul(_mul(v, BinaryOp("^", u, _num(v.value - 1.0))), du)
+    return _mul(f, _add(_mul(dv, FunctionCall("log", u)), _mul(v, _div(du, u))))
+
+
 # symbol -> (the Python expression the compiled code computes it with from
-# operands {a} and {b}, bracketed so that it nests as an operand, and
-# precedence); "^" is right-associative.  Division by zero calls
-# _div_by_zero for its IEEE value; pow is math.pow, or _safe_pow in a
-# guarded twin.  "/" reads each operand twice, so _compile assigns an
-# operand of it other than x or a number to a name instead of copying its text.
+# operands {a} and {b}, bracketed so that it nests as an operand, precedence,
+# derivative rule (f, du, dv) -> tree, for the node f = u op v).  An operator
+# binding tighter than unary minus ("^") is right-associative.  Division by
+# zero calls _div_by_zero for its IEEE value; pow is math.pow, or _safe_pow in
+# a guarded twin.  "/" reads each operand twice, so _compile assigns an
+# operand of it other than x or a number to a name instead of copying its
+# text; its rule is (u' - (u/v)*v')/v, with no v^2 to overflow or underflow.
 _OPERATORS = {
-    "+": ("({a} + {b})", 1),
-    "-": ("({a} - {b})", 1),
-    "*": ("({a} * {b})", 2),
-    "/": ("({a} / {b} if {b} else div({a}, {b}))", 2),
-    "^": ("pow({a}, {b})", 4),
+    "+": ("({a} + {b})", 1, lambda f, du, dv: _add(du, dv)),
+    "-": ("({a} - {b})", 1, lambda f, du, dv: _sub(du, dv)),
+    "*": ("({a} * {b})", 2, lambda f, du, dv: _add(_mul(du, f.right), _mul(f.left, dv))),
+    "/": ("({a} / {b} if {b} else div({a}, {b}))", 2,
+          lambda f, du, dv: _div(_sub(du, _mul(_div(f.left, f.right), dv)), f.right)),
+    "^": ("pow({a}, {b})", 4, _power_rule),
 }
 
 # unary minus binds between "*" and "^" ("-x^2" is -(x^2)); atoms bind tightest
@@ -558,23 +570,7 @@ def _derivative(node: Expression, d: dict) -> Expression:
         return _neg(d[id(node.operand)])
     if isinstance(node, FunctionCall):
         return _FUNCTIONS[node.name][1](node, d[id(node.argument)])
-    u, v = node.left, node.right
-    du, dv = d[id(u)], d[id(v)]
-    if node.op == "+":
-        return _add(du, dv)
-    if node.op == "-":
-        return _sub(du, dv)
-    if node.op == "*":
-        return _add(_mul(du, v), _mul(u, dv))
-    if node.op == "/":  # (u' - (u/v)*v')/v: no v^2 to overflow or underflow
-        return _div(_sub(du, _mul(_div(u, v), dv)), v)
-    # power rule; the general case goes through u^v * (v'*log(u) + v*u'/u),
-    # with u^v the node itself
-    if isinstance(v, Number):
-        return _mul(_mul(v, BinaryOp("^", u, _num(v.value - 1.0))), du)
-    log_term = _mul(dv, FunctionCall("log", u))
-    ratio_term = _mul(v, _div(du, u))
-    return _mul(node, _add(log_term, ratio_term))
+    return _OPERATORS[node.op][2](node, d[id(node.left)], d[id(node.right)])
 
 
 def differentiate_expr(expr: Expression) -> Expression:
@@ -622,8 +618,8 @@ def _text(node: Expression, text: dict) -> str:
         return "-" + _wrap(text[id(node.operand)], _prec(node.operand) < _PREC_NEG)
     left, right = text[id(node.left)], text[id(node.right)]
     prec = _OPERATORS[node.op][1]
-    if node.op == "^":  # right-associative; the exponent may carry its own sign
-        return _wrap(left, _prec(node.left) <= prec) + "^" + _wrap(right, _prec(node.right) < _PREC_NEG)
+    if prec > _PREC_NEG:  # right-associative, as parse reads it; the right operand may carry its own sign
+        return _wrap(left, _prec(node.left) <= prec) + node.op + _wrap(right, _prec(node.right) < _PREC_NEG)
     return _wrap(left, _prec(node.left) < prec) + node.op + _wrap(right, _prec(node.right) <= prec)
 
 

@@ -427,22 +427,25 @@ def _samples_cross(table, x: float) -> bool:
     """Whether the samples show that f changes sign across x.
 
     True when x lies strictly inside a gap between adjacent sample points
-    whose values have strictly opposite signs, and exactly one near-real
-    eigenvalue lies in that gap, ends included: f crosses zero in the gap,
-    and the proxy, which follows f there, sees one root in it, so x is that
-    crossing.  ``table`` holds the final rung's sample points ascending,
-    f's values there, and the ascending locations on the interval of the
-    near-real eigenvalues (|Im t| <= 1e-3 in the whole interval's standard
-    coordinate, of any leaf and any fate); each query is three binary
-    searches.  A numpy search costs about as much per scalar as the
+    whose values have opposite signs and both exceed the proxy's noise
+    level in magnitude, and exactly one near-real eigenvalue lies in that
+    gap, ends included: f crosses zero in the gap, and the proxy, which
+    follows f there, sees one root in it, so x is that crossing.  Where
+    |f| is below the noise level the proxy does not follow f, and its
+    roots there need not be f's.  ``table`` holds the final rung's sample
+    points ascending, f's values there, the ascending locations on the
+    interval of the near-real eigenvalues (|Im t| <= 1e-3 in the whole
+    interval's standard coordinate, of any leaf and any fate), and the
+    noise level ``_noise_tol(interval) * max|c|``; each query is three
+    binary searches.  A numpy search costs about as much per scalar as the
     two evaluations of a cheap f it saves, and ``bisect`` a tenth of that.
     """
-    points, values, near = table
+    points, values, near, noise = table
     k = bisect_left(points, x)  # points[k-1] < x <= points[k]
     if not (0 < k < len(points) and x != points[k]):
         return False
     lo, hi = values[k - 1], values[k]
-    return ((lo < 0.0 < hi or hi < 0.0 < lo)
+    return (((lo < -noise and noise < hi) or (hi < -noise and noise < lo))
             and bisect_right(near, points[k]) - bisect_left(near, points[k - 1]) == 1)
 
 
@@ -680,12 +683,12 @@ def find_roots(f, interval, config: RootConfig = RootConfig(), df=None) -> RootR
     interval = _as_interval(interval)
     counter = _CountingFunction(f)
     raw, chopped, proxy_converged, points, values = _ladder(counter, interval, config)
-    scale = np.abs(chopped.coeffs).max()
+    tol, scale = _noise_tol(interval), np.abs(chopped.coeffs).max()
     leaves = [(leaf, filter_candidates(series_spectrum(leaf), (lo, hi)))
-              for lo, hi, leaf in _leaves(chopped, _noise_tol(interval), scale)]
+              for lo, hi, leaf in _leaves(chopped, tol, scale)]
     near = sorted(from_standard(interval, c.standard_coord.real) for _, cands in leaves for c in cands
                   if abs(c.standard_coord.imag) <= _NEAR_REAL)
-    signs = points[::-1], values[::-1], near  # ascending: the nodes descend
+    signs = points[::-1], values[::-1], near, tol * scale  # ascending: the nodes descend
     vetted = []
     for leaf, cands in leaves:
         dseries = differentiate(leaf)

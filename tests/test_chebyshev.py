@@ -47,6 +47,12 @@ class TestInterval:
             Interval(-1e308, 1e308)
         assert Interval(-8e307, 8e307).width == 1.6e308
 
+    @pytest.mark.parametrize("a, b", [(0.0, 5e-324), (1e-323, 1.5e-323), (1.5e-323, 2.5e-323)])
+    def test_rejects_an_interval_too_narrow_to_halve(self, a, b):
+        # a width of 2^-1074 halves to 0; both endpoints of the last halve to 1e-323
+        with pytest.raises(ValueError, match="too narrow to halve"):
+            Interval(a, b)
+
 
 class TestStandardNodes:
     def test_single_node_is_zero(self):

@@ -706,6 +706,15 @@ class TestExitCodes:
         code = run_cli(["roots", "--function", "cos(x)", "--interval", "5", "1"])
         assert code == 1
 
+    @pytest.mark.parametrize("command, extra", [
+        ("roots", []), ("sweep", ["--degrees", "16"]), ("interp", ["--degree", "16"]),
+    ])
+    def test_interval_too_narrow_to_halve_exits_1_with_a_message(self, capsys, command, extra):
+        code = run_cli([command, "--function", "x", "--interval", "0", "5e-324"] + extra)
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: interval is too narrow to halve")
+
     def test_nonconverged_proxy_exits_2(self, capsys):
         argv = ["roots", "--function", "abs(x)", "--interval", "-1", "1"]
         assert run_cli(argv) == 2

@@ -9,6 +9,13 @@ count and convergence, with roots that are the negated ones up to rounding.
 Each input's root count must also equal the number of strict sign changes
 of f on a 200001-point uniform grid of its interval, read from a numpy twin
 of f.
+
+A fourth family, 20 products of 20-50 random linear factors on [-1, 1], has
+its factor roots for an oracle: every accepted root must be one of them,
+negation and scaling by a power of two must change no outcome, and every
+factor root must be found.  Where |f| between the roots sits below the
+proxy's noise level, roots are missed with the proxy converged (ROADMAP
+item 18).
 """
 
 import math
@@ -95,3 +102,50 @@ def test_root_count_equals_the_grid_sign_changes(outcomes, i):
     _, twin, (a, b) = _DRAWS[i]
     values = twin(np.linspace(a, b, 200001))
     assert len(outcomes[i][0]) == np.count_nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)
+
+
+def _products():
+    """Twenty ascending lists of n in [20, 50] factor roots r_i ~ U(-1, 1)."""
+    rng = random.Random(5)
+    products = []
+    for _ in range(20):
+        n = rng.randint(20, 50)
+        products.append(sorted(rng.uniform(-1, 1) for _ in range(n)))
+    return products
+
+
+PRODUCTS = _products()
+
+# products whose proxy converges but misses 1 to 45 factor roots
+_PRODUCT_MISSES = {0, 1, 3, 7, 8, 9, 10, 12, 13, 15, 17, 19}
+
+
+def product(roots):
+    """f = prod(x - r_i), multiplied in ascending order of r_i."""
+    return lambda x: math.prod(x - r for r in roots)
+
+
+@pytest.fixture(scope="module")
+def product_reports():
+    return [find_roots(product(roots), (-1.0, 1.0)) for roots in PRODUCTS]
+
+
+def test_every_accepted_root_of_a_product_is_a_factor_root(product_reports):
+    for i, (roots, report) in enumerate(zip(PRODUCTS, product_reports)):
+        assert all(min(abs(x - r) for r in roots) <= 1e-8 for x in report.roots), (i, report.roots)
+
+
+@pytest.mark.parametrize("scale", [-1.0, 2.0 ** 40, 2.0 ** -40], ids=["negated", "times-2^40", "times-2^-40"])
+def test_scaling_a_product_by_a_power_of_two_changes_no_outcome(product_reports, scale):
+    for i, roots in enumerate(PRODUCTS):
+        f = product(roots)
+        assert outcome(find_roots(lambda x: scale * f(x), (-1.0, 1.0))) == outcome(product_reports[i]), i
+
+
+@pytest.mark.parametrize("i", [
+    pytest.param(i, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 18"))
+    if i in _PRODUCT_MISSES else i
+    for i in range(len(PRODUCTS))])
+def test_every_factor_root_of_a_product_is_found(product_reports, i):
+    roots, found = PRODUCTS[i], product_reports[i].roots
+    assert len(found) == len(roots) and all(abs(x - r) <= 1e-8 for x, r in zip(found, roots)), found

@@ -562,6 +562,10 @@ class TestFindRoots:
         assert len(report.roots) == 1
         assert report.roots[0] == pytest.approx(5e-7, rel=1e-9)
 
+    @pytest.mark.parametrize("a, b, root", [(0.0, 1e-323, 5e-324), (5e-324, 1.5e-323, 1e-323)])
+    def test_narrowest_intervals_that_halve_find_their_root(self, a, b, root):
+        assert find_roots(lambda x: x - root, (a, b)).roots == (root,)
+
     def test_far_from_origin_interval(self):
         target = 1e5 + 0.3
         report = find_roots(lambda x: math.tanh(x - target), Interval(1e5, 1e5 + 1),
@@ -845,6 +849,13 @@ def sample_sign_corpus():
     for _ in range(6):
         roots = np.sort(rng.uniform(-0.9, 0.9, size=int(rng.integers(2, 9))))
         cases.append((lambda x, r=roots: math.prod(x - root for root in r), Interval(-1.0, 1.0), RootConfig()))
+    # 50 random factors, where |f| falls below the proxy's noise level between
+    # roots: the 4th product of test_metamorphic.PRODUCTS
+    draws = random.Random(5)
+    for _ in range(4):
+        n = draws.randint(20, 50)
+        factors = sorted(draws.uniform(-1, 1) for _ in range(n))
+    cases.append((lambda x: math.prod(x - r for r in factors), Interval(-1.0, 1.0), RootConfig()))
     return cases
 
 

@@ -61,10 +61,14 @@ class Interval:
     b: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError(f"interval endpoints must be finite, got [{self.a}, {self.b}]")
+        try:
+            a, b = float(self.a), float(self.b)
+        except (TypeError, ValueError, OverflowError):  # None, "x", 10**400
+            a = b = math.nan
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"interval endpoints must be finite numbers, got [{self.a!r}, {self.b!r}]")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         if not self.a < self.b:
             raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
         if not math.isfinite(self.b - self.a):

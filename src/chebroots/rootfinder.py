@@ -218,10 +218,12 @@ class RootReport:
     ``config`` is the one the run used, and a run of it must end so (else
     ``ValueError``): ``degree_used`` is its fixed ``degree``, else a ladder
     rung, and ``proxy_converged`` is False only on the last rung, where the
-    ladder gives up on the tail decaying.  Derived: ``roots``, the accepted
-    locations, strictly increasing; and ``degree_used``, the final proxy's
-    number of sample nodes, one per ``coefficient_decay`` entry: the
-    magnitudes |c_j| of that proxy's coefficients before the chop.
+    ladder gives up on the tail decaying.  A candidate has a
+    ``mapped_coord`` exactly when it is accepted (else ``ValueError``).
+    Derived: ``roots``, the accepted locations, strictly increasing; and
+    ``degree_used``, the final proxy's number of sample nodes, one per
+    ``coefficient_decay`` entry: the magnitudes |c_j| of that proxy's
+    coefficients before the chop.
     """
 
     candidates: tuple[RootCandidate, ...]
@@ -234,6 +236,10 @@ class RootReport:
         counts, nodes, converged = _node_counts(self.config), self.degree_used, self.proxy_converged
         if nodes not in counts or not (converged or counts == _RUNGS and nodes == _RUNGS[-1]):
             raise ValueError(f"no run of {self.config} ends at {nodes} nodes with proxy_converged={converged}")
+        for cand in self.candidates:
+            if (cand.mapped_coord is None) is cand.accepted:
+                raise ValueError(f"candidate at {cand.standard_coord} with mapped_coord {cand.mapped_coord!r}"
+                                 f" contradicts its reason {cand.rejection_reason.value!r}")
 
     @property
     def roots(self) -> tuple[float, ...]:
@@ -282,8 +288,8 @@ class _CountingFunction:
 def _as_interval(interval) -> Interval:
     if isinstance(interval, Interval):
         return interval
-    a, b = interval
-    return Interval(float(a), float(b))
+    a, b = interval  # not a pair: ValueError, as Interval raises for bad endpoints
+    return Interval(a, b)
 
 
 def _sample_at_nodes(f, interval: Interval, n: int, coarse=None) -> tuple[list[float], list[float]]:
@@ -301,19 +307,19 @@ def _sample_at_nodes(f, interval: Interval, n: int, coarse=None) -> tuple[list[f
     return points, [coarse[1][j // 3] if j % 3 == 1 else f(x) for j, x in enumerate(points)]
 
 
-def newton_polish(f, df, x0: float, interval, max_iter: int) -> PolishResult:
+def newton_polish(f, df, x0: float, interval) -> PolishResult:
     """Refine a candidate root of f with Newton's iteration.
 
     Stops as soon as further iterations produce no reduction in the
-    correction, or the correction falls below 4*eps*max(1, |x|), or
-    ``max_iter`` is reached; that last small correction is tried, at one
-    more evaluation of f, only if it moves x.  The returned location is the
-    iterate with the smallest |f| seen (including the starting point), so
-    polishing never increases the residual.  Runs are abandoned as diverged
+    correction, or the correction falls below 4*eps*max(1, |x|), or after
+    12 iterations (``_POLISH_MAX_ITER``); that last small correction is
+    tried, at one more evaluation of f, only if it moves x.  The returned
+    location is the iterate with the smallest |f| seen (including the
+    starting point), so polishing never increases the residual.  Runs are abandoned as diverged
     -- never raised -- when the derivative is exactly zero, a value goes
     non-finite, or a step lands beyond the box slack ``_BOX_TOL``*width/2
-    outside [a, b]; any other step is clamped into [a, b] before f is
-    evaluated there.
+    outside [a, b]; any other step, and ``x0`` itself, is clamped into
+    [a, b] before f is evaluated there, so f is evaluated only on [a, b].
     An iterate where f is exactly zero is a root whatever the derivative
     there: a zero or non-finite derivative (a kink, as in x+0.5*abs(x) at
     0) ends such a run converged.
@@ -325,7 +331,7 @@ def newton_polish(f, df, x0: float, interval, max_iter: int) -> PolishResult:
     a, b = interval.a, interval.b
     slack = _BOX_TOL * interval.width / 2.0
     lo, hi = a - slack, b + slack
-    x = float(x0)
+    x = min(max(float(x0), a), b)
     fx = float(f(x))
     corr = math.nan
     if not math.isfinite(fx):
@@ -335,7 +341,7 @@ def newton_polish(f, df, x0: float, interval, max_iter: int) -> PolishResult:
     converged = False
     diverged = False
     iterations = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _POLISH_MAX_ITER + 1):
         iterations = it
         dfx = float(df(x))
         if not math.isfinite(dfx) or dfx == 0.0:  # at an exact root there is nothing to correct
@@ -472,7 +478,7 @@ def _vet(cand: RootCandidate, f, df, dseries: ChebyshevSeries, interval: Interva
     x = min(max(from_standard(interval, cand.standard_coord.real), interval.a), interval.b)
     reason, residual, iters = RejectionReason.NONE, None, 0
     if config.polish:
-        pol = newton_polish(f, df, x, interval, _POLISH_MAX_ITER)
+        pol = newton_polish(f, df, x, interval)
         if pol.diverged:
             reason = RejectionReason.NEWTON_DIVERGED
         x, residual, iters = pol.x, pol.residual, pol.iterations

@@ -83,7 +83,7 @@ def _candidate_to_dict(cand: RootCandidate) -> dict:
 
 def _candidate_from_dict(data: dict) -> RootCandidate:
     """The candidate ``data`` describes; its ``accepted`` must agree with its
-    ``reason``, and ``mapped`` must be present iff it is accepted."""
+    ``reason`` (:class:`RootReport` holds its ``mapped`` to that reason)."""
     _has_keys(data, _CANDIDATE_KEYS, "candidate")
     residual, mapped = data["residual"], data["mapped"]
     if not (_is_real(data["re"]) and _is_real(data["im"]) and type(data["accepted"]) is bool
@@ -97,7 +97,7 @@ def _candidate_from_dict(data: dict) -> RootCandidate:
         residual=data["residual"],
         polish_iterations=data["polish_iterations"],
     )
-    if data["accepted"] is not cand.accepted or (cand.mapped_coord is None) is cand.accepted:
+    if data["accepted"] is not cand.accepted:
         raise ValueError(f"candidate {data!r} contradicts its reason {cand.rejection_reason.value!r}")
     return cand
 
@@ -125,7 +125,8 @@ def report_from_dict(data: dict) -> tuple[RootConfig, RootReport]:
     number of decay magnitudes, its ``function_evaluations`` is below that
     number (a run evaluates f at each node of its final rung), or
     :class:`RootReport` refuses its node count and ``proxy_converged`` as no
-    run of its config could end on them.
+    run of its config could end on them, or a candidate's ``mapped`` as
+    contradicting its reason.
     """
     if isinstance(data, dict) and not (type(data.get("version")) is int and data["version"] == FORMAT_VERSION):
         raise ValueError(f"unsupported report version {data.get('version')!r}")

@@ -157,7 +157,7 @@ def test_criterion_8_newton_polish_stopping():
     worst_iters = 0
     for root in COS_ROOTS:
         for offset in (-0.1, -0.04, 0.05, 0.1):
-            result = newton_polish(math.cos, df, root + offset, BIG, 12)
+            result = newton_polish(math.cos, df, root + offset, BIG)
             assert result.converged and not result.diverged
             assert result.iterations <= 6
             assert result.iterations < 12  # stopping rule fired, not the cap

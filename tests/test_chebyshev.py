@@ -42,6 +42,11 @@ class TestInterval:
         with pytest.raises(ValueError, match="finite"):
             Interval(math.nan, 1)
 
+    @pytest.mark.parametrize("a, b", [(10**400, 10**401), (None, 1)], ids=["past-the-float-range", "none"])
+    def test_rejects_endpoints_that_are_no_floats(self, a, b):
+        with pytest.raises(ValueError, match="finite numbers"):
+            Interval(a, b)
+
     def test_rejects_overflowing_width(self):
         with pytest.raises(ValueError, match="width overflows"):
             Interval(-1e308, 1e308)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import sys
@@ -77,19 +78,19 @@ def doubling_ladder_samples(f, interval):
 
 class TestNewtonPolish:
     def test_cosine_from_nearby_start(self):
-        result = newton_polish(math.cos, lambda x: -math.sin(x), 1.5, BIG, 12)
+        result = newton_polish(math.cos, lambda x: -math.sin(x), 1.5, BIG)
         assert result.converged and not result.diverged
         assert result.iterations <= 4
         assert result.x == pytest.approx(math.pi / 2, abs=1e-15)
 
     def test_square_root_of_two(self):
-        result = newton_polish(lambda x: x * x - 2, lambda x: 2 * x, 1.5, Interval(0, 3), 12)
+        result = newton_polish(lambda x: x * x - 2, lambda x: 2 * x, 1.5, Interval(0, 3))
         assert result.x == pytest.approx(math.sqrt(2), abs=1e-15)
         assert result.converged
 
     def test_exact_root_returns_immediately(self):
         f = lambda x: x - 2.0
-        result = newton_polish(f, lambda x: 1.0, 2.0, Interval(0, 5), 12)
+        result = newton_polish(f, lambda x: 1.0, 2.0, Interval(0, 5))
         assert result.x == 2.0
         assert result.iterations == 1
         assert result.converged
@@ -98,18 +99,18 @@ class TestNewtonPolish:
         # at an exact root the correction is -0.0, so x + corr is x and f(x)
         # is already known; a correction of one ulp still moves and is tried
         f = Recorder(lambda x: x - 0.25)
-        result = newton_polish(f, lambda x: 1.0, 0.25, Interval(0, 1), 12)
+        result = newton_polish(f, lambda x: 1.0, 0.25, Interval(0, 1))
         assert (result.x, result.residual, result.converged) == (0.25, 0.0, True)
         assert f.xs == [0.25]
         above = 0.25 + 2.0 ** -54
         f = Recorder(lambda x: x - above)
-        result = newton_polish(f, lambda x: 1.0, 0.25, Interval(0, 1), 12)
+        result = newton_polish(f, lambda x: 1.0, 0.25, Interval(0, 1))
         assert (result.x, result.residual, result.converged) == (above, 0.0, True)
         assert f.xs == [0.25, above]
 
     def test_zero_derivative_diverges_without_raising(self):
         f = lambda x: x * x + 1.0
-        result = newton_polish(f, lambda x: 2 * x, 0.0, Interval(-1, 1), 12)
+        result = newton_polish(f, lambda x: 2 * x, 0.0, Interval(-1, 1))
         assert result.diverged and not result.converged
 
     @pytest.mark.parametrize("dfx", [math.nan, 0.0, math.inf])
@@ -117,7 +118,7 @@ class TestNewtonPolish:
         # x+0.5*abs(x) has a kink at its root 0: Newton lands on it from 0.3,
         # and there is nothing left to correct whatever df says
         f = parse("x+0.5*abs(x)")
-        result = newton_polish(lambda x: eval_expr(f, x), lambda x: 1.5 if x else dfx, 0.3, Interval(-1, 1), 12)
+        result = newton_polish(lambda x: eval_expr(f, x), lambda x: 1.5 if x else dfx, 0.3, Interval(-1, 1))
         assert (result.x, result.converged, result.diverged, result.residual) == (0.0, True, False, 0.0)
 
     @pytest.mark.parametrize("text, root", [("x+0.5*abs(x)", 0.0), ("2*x+abs(x)", 0.0),
@@ -131,31 +132,44 @@ class TestNewtonPolish:
 
     def test_escaping_iterate_diverges(self):
         # constant correction of -1 walks left out of the widened interval
-        result = newton_polish(math.exp, math.exp, -0.5, Interval(-1, 1), 12)
+        result = newton_polish(math.exp, math.exp, -0.5, Interval(-1, 1))
         assert result.diverged
 
     def test_non_finite_start_diverges(self):
-        result = newton_polish(lambda x: math.nan, lambda x: 1.0, 0.5, Interval(-1, 1), 12)
+        result = newton_polish(lambda x: math.nan, lambda x: 1.0, 0.5, Interval(-1, 1))
         assert result.diverged and result.iterations == 0 and math.isnan(result.residual)
 
     def test_non_finite_correction_diverges(self):
         # 1/5e-324 overflows to inf
-        result = newton_polish(lambda x: 1.0, lambda x: 5e-324, 0.5, Interval(-1, 1), 12)
+        result = newton_polish(lambda x: 1.0, lambda x: 5e-324, 0.5, Interval(-1, 1))
         assert result.diverged and result.iterations == 1
         assert (result.x, result.residual) == (0.5, 1.0)
 
     def test_non_finite_next_iterate_diverges(self):
         # the first step lands on x = 1, where f is NaN
         f = lambda x: x - 1.0 if x < 0.5 else math.nan
-        result = newton_polish(f, lambda x: 1.0, 0.0, Interval(-2, 2), 12)
+        result = newton_polish(f, lambda x: 1.0, 0.0, Interval(-2, 2))
         assert result.diverged and result.iterations == 1
         assert (result.x, result.residual, result.final_correction) == (0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("x0", [5.0, -5.0])
+    def test_a_start_outside_the_interval_is_clamped_first(self, x0):
+        # f is evaluated only on [a, b], from the start on
+        f = Recorder(lambda x: x * x - 2)
+        newton_polish(f, lambda x: 2 * x, x0, Interval(0, 3))
+        assert f.xs[0] == (3.0 if x0 > 0 else 0.0) and all(0.0 <= x <= 3.0 for x in f.xs)
+
+    def test_the_iteration_cap_is_fixed(self):
+        # x^3 at its triple root: each step takes a third off x, so only the cap stops the run
+        assert list(inspect.signature(newton_polish).parameters) == ["f", "df", "x0", "interval"]
+        result = newton_polish(lambda x: x ** 3, lambda x: 3 * x * x, 1.0, Interval(-1, 2))
+        assert (result.iterations, result.converged, result.diverged) == (12, False, False)
 
     def test_never_returns_worse_residual_than_start(self):
         rng = np.random.default_rng(37)
         for _ in range(50):
             x0 = float(rng.uniform(-9, 9))
-            result = newton_polish(math.cos, lambda x: -math.sin(x), x0, BIG, 12)
+            result = newton_polish(math.cos, lambda x: -math.sin(x), x0, BIG)
             assert result.residual <= abs(math.cos(x0))
 
 
@@ -381,6 +395,16 @@ class TestDerivedFields:
         assert all(c.accepted is (c in accepted) for c in report.candidates)
         assert report.roots and all(a < b for a, b in zip(report.roots, report.roots[1:]))
 
+    @pytest.mark.parametrize("accepted", [True, False])
+    def test_a_location_contradicting_its_reason_is_refused(self, accepted):
+        # only an accepted candidate has a mapped location, in a report built in code too
+        report = find_roots(math.cos, BIG, RootConfig(degree=30))
+        cands = list(report.candidates)
+        i = next(i for i, c in enumerate(cands) if c.accepted is accepted)
+        cands[i] = replace(cands[i], mapped_coord=None if accepted else 0.5)
+        with pytest.raises(ValueError, match="contradicts its reason"):
+            replace(report, candidates=tuple(cands))
+
     def test_dedupe_returns_only_candidates(self):
         cands = filter_candidates(synthetic_spectrum(0.1, 0.1 + 1e-12, 0.5))
         cands = tuple(replace(c, mapped_coord=c.standard_coord.real, residual=0.0) for c in cands)
@@ -507,6 +531,10 @@ class TestFindRoots:
     def test_accepts_plain_interval_tuple(self):
         report = find_roots(math.cos, (-10, 10), RootConfig(degree=30))
         assert len(report.roots) == 6
+
+    def test_a_pair_whose_endpoints_are_no_floats_is_a_value_error(self):
+        with pytest.raises(ValueError, match="finite numbers"):
+            find_roots(math.sin, (0, 10**400))
 
     def test_non_finite_sample_propagates_with_node(self):
         f = lambda x: math.nan if x < 0 else x

@@ -36,10 +36,10 @@ from .serialize import (
     format_cell,
     json_number,
     report_to_csv,
-    report_to_dict,
     report_to_json,
     report_to_text,
     sweep_to_csv,
+    sweep_to_json,
     write_csv_rows,
 )
 
@@ -176,12 +176,7 @@ def _cmd_sweep(args) -> int:
     reports = [find_roots(f, interval, config, df=df) for config in configs]
     _emit(
         args,
-        json=lambda: json.dumps({
-            "version": FORMAT_VERSION,
-            "function": args.function,
-            "interval": [interval.a, interval.b],
-            "sweeps": [report_to_dict(report) for report in reports],
-        }, indent=2),
+        json=lambda: sweep_to_json(args.function, interval, reports),
         csv=lambda: sweep_to_csv(reports),
         text=lambda: _sweep_text(reports),
     )

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import functools
 import importlib.util
 import io
 import json
@@ -36,12 +37,14 @@ from chebroots.cli import _build_parser, run_cli
 from chebroots.expressions import differentiate_expr, eval_expr, parse
 from chebroots.rootfinder import RootConfig, find_roots
 from chebroots.serialize import (
+    FORMAT_VERSION,
     config_to_dict,
     report_from_dict,
     report_from_json,
     report_to_csv,
     report_to_dict,
     report_to_json,
+    sweep_to_json,
 )
 
 
@@ -353,6 +356,18 @@ class TestSerializationRoundtrip:
         lambda doc: TestSerializationRoundtrip.first_root_at(doc, math.inf),
         lambda doc: dict(doc, decay=[math.inf] * len(doc["decay"])),
         lambda doc: dict(doc, decay=[math.nan] + doc["decay"][1:]),
+        lambda doc: dict(doc, decay=[10**400] + doc["decay"][1:]),
+        # rounds to the largest float, so only a range check refuses it
+        lambda doc: dict(doc, decay=[int(sys.float_info.max) + 1] + doc["decay"][1:]),
+        lambda doc: dict(doc, decay=[True] + doc["decay"][1:]),
+        lambda doc: dict(doc, roots=[10**400] + doc["roots"][1:]),
+        lambda doc: TestSerializationRoundtrip.first_candidate(doc, re=True),
+        lambda doc: TestSerializationRoundtrip.first_candidate(doc, polish_iterations=True),
+        # a reason is one of the six names; a list is no dict key, and still a ValueError
+        lambda doc: TestSerializationRoundtrip.first_candidate(doc, reason="bogus"),
+        lambda doc: TestSerializationRoundtrip.first_candidate(doc, reason=5),
+        lambda doc: TestSerializationRoundtrip.first_candidate(doc, reason=None),
+        lambda doc: TestSerializationRoundtrip.first_candidate(doc, reason=["none"]),
     ], ids=["not-an-object", "empty-candidate", "no-decay", "unknown-key", "string-degree", "bool-degree",
             "negative-evaluations", "string-converged", "candidates-object", "version-5-slope",
             "float-version", "string-version",
@@ -362,7 +377,10 @@ class TestSerializationRoundtrip:
             "adaptive-degree-not-a-rung", "adaptive-not-converged-below-last-rung", "evaluations-below-nodes",
             "true-root", "false-root",
             "nan-re", "infinite-re",
-            "huge-int-re", "infinite-residual", "infinite-mapped", "infinite-magnitude", "nan-magnitude"])
+            "huge-int-re", "infinite-residual", "infinite-mapped", "infinite-magnitude", "nan-magnitude",
+            "huge-int-magnitude", "int-magnitude-past-max", "true-magnitude", "huge-int-root",
+            "true-re", "true-iterations",
+            "unknown-reason", "int-reason", "null-reason", "list-reason"])
     def test_malformed_document_is_a_value_error(self, edit):
         config = RootConfig(degree=30)
         doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config))
@@ -370,7 +388,18 @@ class TestSerializationRoundtrip:
         with pytest.raises(ValueError):
             report_from_json(json.dumps(edit(doc)))
 
-    @pytest.mark.parametrize("f, interval, config", [
+    def test_integer_coordinate_and_magnitude_load(self):
+        # JSON has one number type: an integer is a finite number too
+        config = RootConfig(degree=30)
+        doc = report_to_dict(find_roots(math.cos, Interval(-10, 10), config))
+        cand = next(c for c in doc["candidates"] if not c["accepted"])
+        cand["re"], doc["decay"][0] = 3, 2
+        _, report = report_from_json(json.dumps(doc))
+        assert report.candidates[doc["candidates"].index(cand)].standard_coord.real == 3.0
+        assert report.coefficient_decay[0] == 2 and type(report.coefficient_decay[0]) is int
+        assert report_to_json(report) == json.dumps(report_to_dict(report), indent=2)
+
+    WRITTEN = pytest.mark.parametrize("f, interval, config", [
         (math.cos, Interval(-10, 10), RootConfig(degree=30)),
         (math.exp, Interval(-10, 10), RootConfig(degree=20)),  # no roots
         (lambda x: math.sin(4.6 * x + 0.1), Interval(-10, 10), RootConfig()),  # duplicates across leaves
@@ -379,17 +408,37 @@ class TestSerializationRoundtrip:
         (lambda x: eval_expr(NAN_AT_ROOT, x), Interval(-1, 1), RootConfig(degree=8, polish=False)),
         (lambda x: math.sin(20 * x), Interval(-10, 10), RootConfig()),  # unresolved at the last rung
     ], ids=["cosine", "no-roots", "leaves", "touching", "unpolished", "nan-at-root", "not-converged"])
+
+    @WRITTEN
     def test_every_written_document_reads_back(self, f, interval, config):
         report = find_roots(f, interval, config)
         assert report_from_json(report_to_json(report)) == (config, report)
 
-    @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
-    def test_workload_reports_read_back(self, workload):
+    @WRITTEN
+    def test_json_is_what_json_dumps_writes(self, f, interval, config):
+        report = find_roots(f, interval, config)
+        assert report_to_json(report) == json.dumps(report_to_dict(report), indent=2)
+
+    @staticmethod
+    @functools.cache
+    def workload_reports(workload):
+        """(case, config, report) for each seed-1 input of ``workload``, as ``roots`` solves it."""
+        runs = []
         for case in workloads.generate(workload, 1):
             expr, config = parse(case.text), RootConfig(degree=case.degree)
-            report = find_roots(lambda x: eval_expr(expr, x), (case.a, case.b), config)
+            runs.append((case, config, find_roots(lambda x: eval_expr(expr, x), (case.a, case.b), config)))
+        return runs
+
+    @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+    def test_workload_reports_read_back(self, workload):
+        for case, config, report in self.workload_reports(workload):
             assert report.config == config, case.name
             assert report_from_json(report_to_json(report)) == (config, report), case.name
+
+    @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+    def test_workload_json_is_what_json_dumps_writes(self, workload):
+        for case, _, report in self.workload_reports(workload):
+            assert report_to_json(report) == json.dumps(report_to_dict(report), indent=2), case.name
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["roots"].pop(),
@@ -771,6 +820,24 @@ class TestSweepCommand:
             assert run["roots"]
             errors.append(max(min(abs(r - t) for t in truth) for r in run["roots"]))
         assert errors[0] >= errors[1] >= errors[2]
+
+    @pytest.mark.parametrize("argv", [
+        ARGV,
+        ARGV + ["--no-polish"],
+        ["sweep", "--function", "exp(x)", "--interval", "-1", "1", "--degrees", "8"],
+    ], ids=["polished", "unpolished", "no-roots"])
+    def test_json_is_what_json_dumps_writes(self, capsys, argv):
+        assert run_cli(argv) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @pytest.mark.parametrize("degrees", [[], [13, 20]], ids=["no-runs", "two-runs"])
+    def test_sweep_to_json_escapes_the_function_as_json_dumps_does(self, degrees):
+        function = 'cos(x) "\\\n\t\u00e9\u2028'
+        reports = [find_roots(math.cos, Interval(-10, 10), RootConfig(degree=n)) for n in degrees]
+        doc = {"version": FORMAT_VERSION, "function": function, "interval": [-10.0, 10.0],
+               "sweeps": [report_to_dict(report) for report in reports]}
+        assert sweep_to_json(function, Interval(-10, 10), reports) == json.dumps(doc, indent=2)
 
     def test_csv_rows_match_json_candidates(self, capsys):
         code, doc = run_json(capsys, self.ARGV)

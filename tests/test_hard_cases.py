@@ -33,6 +33,12 @@ def test_many_oscillations():
     assert_roots(solve("sin(20*x)", -10, 10), [k * math.pi / 20 for k in range(-63, 64)], 1e-8)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
+def test_identically_zero_up_to_rounding():
+    # 111 roots are accepted in the rounding noise of f, unconverged at 128 nodes
+    assert_roots(solve("cos(x)^2+sin(x)^2-1", -1, 1), [], 0.0)
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP items 2 and 4")
 def test_roots_1e7_apart():
     # no root found, with proxy_converged=True: a silent wrong answer

@@ -4,8 +4,11 @@ A seeded corpus of 150 random inputs from the trig, poly and gauss families
 is solved as f, -f, 2^40*f and 2^-40*f.  Negation and scaling by a power of
 two change no sample's bits except its sign and exponent, so every run must
 end the same: the same roots, candidates and fates, evaluations and
-convergence.  Solved as f(-x) on [-b, -a], an input must keep its root
-count and convergence, with roots that are the negated ones up to rounding.
+convergence.  Solved as f(-x) on [-b, -a], or as f(y/2^k) on [2^k*a, 2^k*b]
+for k = 3, -3 and 40, an input must keep its root count and convergence,
+with roots that are the negated or scaled ones up to rounding: scaling x
+changes no sample's bits either, but the stop rules' max(1, |x|) floors do
+not scale with x, so bits may differ.
 Each input's root count must also equal the number of strict sign changes
 of f on a 200001-point uniform grid of its interval, read from a numpy twin
 of f.
@@ -93,6 +96,16 @@ def test_reflecting_x_keeps_the_roots(outcomes):
         roots, _, _, converged = outcomes[i]
         assert (len(report.roots), report.proxy_converged) == (len(roots), converged), i
         assert all(abs(r + s) <= 1e-12 * (b - a) for r, s in zip(report.roots, reversed(roots))), i
+
+
+@pytest.mark.parametrize("k", [3, -3, 40])
+def test_scaling_x_by_a_power_of_two_keeps_the_roots(outcomes, k):
+    scale = 2.0 ** k
+    for i, (f, (a, b)) in enumerate(CORPUS):
+        report = find_roots(lambda y: f(y / scale), (scale * a, scale * b))
+        roots, _, _, converged = outcomes[i]
+        assert (len(report.roots), report.proxy_converged) == (len(roots), converged), i
+        assert all(abs(r / scale - s) <= 1e-12 * (b - a) for r, s in zip(report.roots, roots)), i
 
 
 @pytest.mark.parametrize("i", [

@@ -74,34 +74,35 @@ class _Node:
     values throughout, equal trees hash equal, and the repr is the
     dataclass one, ``BinaryOp(op='+', left=Variable(), right=...)``.  The
     generated methods recurse once per level, so a tree a few thousand
-    levels deep would raise RecursionError.
+    levels deep would raise RecursionError; ``==`` and ``hash`` read each
+    distinct node once, however many parents share it.
     """
 
-    # the tree's compiled chunks, set by _compile on its first evaluation;
-    # not a field, so ``==``, ``hash`` and ``repr`` never read it
-    _compiled = None
+    # the tree's compiled chunks and its keys, set by _compile and _keys on
+    # its first evaluation and its first ``==`` or ``hash``; not fields, so
+    # ``==``, ``hash`` and ``repr`` never read them
+    _compiled = _key_tuple = None
 
-    def _tokens(self) -> list:
-        """The tree in pre-order: each node's class, then its fields' values,
-        a child as its own tokens.  Each class has a fixed set of fields, so
-        two trees are equal exactly when their tokens are."""
-        tokens, stack = [], [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, _Node):
-                tokens.append(item.__class__)
-                stack += reversed([getattr(item, name) for name in item.__dataclass_fields__])
-            else:
-                tokens.append(item)
-        return tokens
+    def _keys(self) -> tuple:
+        """Each distinct subtree's key, numbered by first appearance in
+        post-order: its class, then its fields' values, a child as the
+        number of its key.  Each class has fixed fields, so two trees are
+        equal exactly when their keys are, whatever subtrees they share."""
+        numbers, keys = {}, {}  # id(node) -> the number of its key; key -> number
+        for node in _post_order(self):
+            key = node.__class__, *[numbers[id(value)] if isinstance(value, _Node) else value
+                                    for value in map(node.__getattribute__, node.__dataclass_fields__)]
+            numbers[id(node)] = keys.setdefault(key, len(keys))
+        object.__setattr__(self, "_key_tuple", tuple(keys))
+        return self._key_tuple
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._tokens() == other._tokens()
+        return (self._key_tuple or self._keys()) == (other._key_tuple or other._keys())
 
     def __hash__(self):
-        return hash(tuple(self._tokens()))
+        return hash(self._key_tuple or self._keys())
 
     def __repr__(self):
         parts, stack = [], [self]
@@ -356,15 +357,14 @@ def _post_order(expr: Expression) -> list:
     tree depth is unbounded.
     """
     order, seen = [], set()
-    stack = [(expr, False)]
+    stack = [expr]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
+        node = stack.pop()
+        if node is None:  # the node below the marker has all its children listed
+            order.append(stack.pop())
         elif id(node) not in seen:
             seen.add(id(node))
-            stack.append((node, True))
-            stack += [(child, False) for child in reversed(_children(node))]
+            stack += node, None, *_children(node)[::-1]
     return order
 
 

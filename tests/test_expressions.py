@@ -7,6 +7,7 @@ import operator
 import random
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 import zlib
@@ -27,6 +28,7 @@ from chebroots.expressions import (
     expression_to_text,
     parse,
 )
+from test_cli_bench import workloads
 
 
 class TestParse:
@@ -817,6 +819,43 @@ class TestNodeMethods:
         prefix = {"-": "UnaryNeg(operand=", "sin(": "FunctionCall(name='sin', argument=",
                   "2^": "BinaryOp(op='^', left=Number(value=2.0), right="}
         assert repr(a) == "".join(prefix[opener] for opener in chosen) + "Variable()" + ")" * depth
+
+    @staticmethod
+    def shares(tree):
+        """Whether some node of the tree has two parents, or one parent twice."""
+        order = expressions._post_order(tree)
+        return sum(len(expressions._children(node)) for node in order) >= len(order)
+
+    def test_derivatives_equal_their_reparsed_text(self):
+        # a derivative rule that reads f's value reads f's own node, so most
+        # derivatives share subtrees; their reparsed text shares none
+        shared = 0
+        for workload in ("cli_exact_df", "dense_roots"):
+            for case in workloads.generate(workload, 1):
+                d = parse(case.text)
+                for _ in range(2):
+                    d = differentiate_expr(d)
+                    reparsed = parse(expression_to_text(d))
+                    assert reparsed == d and hash(reparsed) == hash(d), case.text
+                    assert not self.shares(reparsed), case.text
+                    shared += self.shares(d)
+        assert shared == 97
+
+    @staticmethod
+    def tower(levels, innermost=1.0):
+        """u <- u/(1+u), ``levels`` times from u = x: each level reads u twice,
+        so the unfolded tree doubles in size per level."""
+        u = Variable()
+        for level in range(levels):
+            u = BinaryOp("/", u, BinaryOp("+", Number(innermost if level == 0 else 1.0), u))
+        return u
+
+    def test_shared_trees_compare_and_hash_in_time_linear_in_their_nodes(self):
+        a, b = self.tower(20), self.tower(20)
+        start = time.perf_counter()
+        assert a == b and hash(a) == hash(b)
+        assert time.perf_counter() - start < 0.1
+        assert a != self.tower(20, innermost=2.0)
 
 
 def assert_bit_identical(tree, xs):

@@ -11,14 +11,16 @@ changes no sample's bits either, but the stop rules' max(1, |x|) floors do
 not scale with x, so bits may differ.
 Each input's root count must also equal the number of strict sign changes
 of f on a 200001-point uniform grid of its interval, read from a numpy twin
-of f.
+of f.  Every gap between adjacent samples of the final rung whose values
+have strictly opposite signs must hold an accepted root, ends included: f
+is continuous there, so the gap holds a root of f (ROADMAP item 22).
 
 A fourth family, 20 products of 20-50 random linear factors on [-1, 1], has
 its factor roots for an oracle: every accepted root must be one of them,
-negation and scaling by a power of two must change no outcome, and every
-factor root must be found.  Where |f| between the roots sits below the
-proxy's noise level, roots are missed with the proxy converged (ROADMAP
-item 18).
+negation and scaling by a power of two must change no outcome, every
+factor root must be found, and every sign change of the samples must hold
+an accepted root.  Where |f| between the roots sits below the proxy's
+noise level, roots are missed with the proxy converged (ROADMAP item 18).
 """
 
 import math
@@ -27,7 +29,8 @@ import random
 import numpy as np
 import pytest
 
-from chebroots.rootfinder import find_roots
+from chebroots.chebyshev import Interval
+from chebroots.rootfinder import RootConfig, _ladder, find_roots
 
 
 # Each family returns (f, its numpy twin on arrays, interval).
@@ -117,6 +120,25 @@ def test_root_count_equals_the_grid_sign_changes(outcomes, i):
     assert len(outcomes[i][0]) == np.count_nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)
 
 
+def unexplained_sign_changes(f, interval, roots):
+    """Each gap between adjacent final-rung samples (``_ladder``'s, as
+    ``find_roots`` runs it) whose values have strictly opposite signs and
+    that holds none of ``roots``, ends included."""
+    *_, points, values = _ladder(f, Interval(*interval), RootConfig())
+    samples = sorted(zip(points, values))
+    return [(p, q) for (p, u), (q, v) in zip(samples, samples[1:])
+            if (u < 0.0 < v or v < 0.0 < u) and not any(p <= r <= q for r in roots)]
+
+
+@pytest.mark.parametrize("i", [
+    pytest.param(i, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 22"))
+    if i in _GRID_MISSES else i
+    for i in range(len(CORPUS))])
+def test_every_sign_change_of_the_samples_holds_a_root(outcomes, i):
+    f, interval = CORPUS[i]
+    assert unexplained_sign_changes(f, interval, outcomes[i][0]) == []
+
+
 def _products():
     """Twenty ascending lists of n in [20, 50] factor roots r_i ~ U(-1, 1)."""
     rng = random.Random(5)
@@ -131,6 +153,10 @@ PRODUCTS = _products()
 
 # products whose proxy converges but misses 1 to 45 factor roots
 _PRODUCT_MISSES = {0, 1, 3, 7, 8, 9, 10, 12, 13, 15, 17, 19}
+
+# those of them whose final-rung samples change sign in 1 to 19 gaps that
+# hold no accepted root, 61 gaps in all
+_PRODUCT_SIGN_MISSES = {1, 3, 7, 8, 9, 12, 13, 17, 19}
 
 
 def product(roots):
@@ -162,3 +188,11 @@ def test_scaling_a_product_by_a_power_of_two_changes_no_outcome(product_reports,
 def test_every_factor_root_of_a_product_is_found(product_reports, i):
     roots, found = PRODUCTS[i], product_reports[i].roots
     assert len(found) == len(roots) and all(abs(x - r) <= 1e-8 for x, r in zip(found, roots)), found
+
+
+@pytest.mark.parametrize("i", [
+    pytest.param(i, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 18"))
+    if i in _PRODUCT_SIGN_MISSES else i
+    for i in range(len(PRODUCTS))])
+def test_every_sign_change_of_a_products_samples_holds_a_root(product_reports, i):
+    assert unexplained_sign_changes(product(PRODUCTS[i]), (-1.0, 1.0), product_reports[i].roots) == []
